@@ -220,12 +220,53 @@ def hi_mode_rate(taskset: TaskSet) -> float:
     return sum(t.utilization(Criticality.HI) for t in taskset)
 
 
+def dbf_hi_task_excess(
+    c_lo: float, c_hi: float, d_lo: float, d_hi: float, t_hi: float, terminated: bool
+) -> float:
+    """Tight intercept ``b = sup_Delta (DBF_HI(tau, Delta) - U * Delta)``.
+
+    ``U = C(HI)/T(HI)``; see :func:`dbf_hi_excess_bound` for the
+    derivation.  Takes the raw parameters so the scalar oracle and the
+    compiled snapshot share this one closed form term by term.
+    """
+    if terminated:
+        return 0.0
+    if math.isinf(t_hi):
+        return c_hi
+    gap = d_hi - d_lo
+    u = c_hi / t_hi
+    return max(0.0, c_hi - c_lo - u * gap + min(c_lo, t_hi - gap) * (1.0 - u))
+
+
 def dbf_hi_excess_bound(taskset: TaskSet) -> float:
     """``B`` with ``DBF_HI(Delta) <= rate * Delta + B`` for all ``Delta``.
 
-    Per task, ``floor(Delta/T) * C + r <= (Delta/T) * C + C``.
+    ``B = sum_i b_i`` with the tightest per-task intercept
+    ``b_i = sup_Delta (DBF_HI(tau_i, Delta) - U_i * Delta)``.  Write
+    ``Delta = k*T + phi`` with ``0 <= phi < T``, ``gap = D(HI) - D(LO)``
+    and ``U = C(HI)/T``.  Eq. (7) gives ``k*C(HI) + r(phi - gap)`` and
+    ``U*Delta = k*C(HI) + U*phi``, so the excess ``r(phi - gap) - U*phi``
+    depends on ``phi`` alone:
+
+    * ``phi < gap``: no carry-over, excess ``-U*phi <= 0``;
+    * ``phi = gap + w`` with ``0 <= w < T - gap``: excess
+      ``min(w, C(LO)) + C(HI) - C(LO) - U*(gap + w)``, which rises with
+      slope ``1 - U >= 0`` up to ``w = C(LO)`` and falls after it.
+
+    Hence ``b = max(0, C(HI) - C(LO) - U*gap + min(C(LO), T - gap)*(1 - U))``.
+    When ``gap >= T`` the carry-over window never opens and the bracket
+    reduces to ``T - gap - C(LO) < 0``, so ``b = 0``.
+    An implicit-deadline HI task (``D(HI) = T``, ``D(LO) = x*T``) gets
+    ``b = C(HI) * (x - C(LO)/T)``, which is 0 once tuning clamps
+    ``D(LO)`` to ``C(LO)``.  A non-terminated task with ``T(HI) = inf``
+    has one job: ``U = 0`` and ``b = C(HI)``.  Terminated tasks add 0.
+    The terms are summed in task order (the compiled snapshot mirrors
+    this loop for bit parity).
     """
-    return sum(t.c_hi for t in taskset if not t.terminated_in_hi)
+    return sum(
+        dbf_hi_task_excess(t.c_lo, t.c_hi, t.d_lo, t.d_hi, t.t_hi, t.terminated_in_hi)
+        for t in taskset
+    )
 
 
 def adb_hi_excess_bound(taskset: TaskSet, *, drop_terminated_carryover: bool = False) -> float:

@@ -72,6 +72,7 @@ from repro.analysis.dbf import (
     FLOOR_SLACK,
     adb_hi_excess_bound,
     dbf_hi_excess_bound,
+    dbf_hi_task_excess,
     hi_mode_rate,
     total_adb_hi,
     total_dbf_hi,
@@ -365,6 +366,7 @@ class CompiledTaskSet:
         c_lo = self.c_lo.tolist()
         c_hi = self.c_hi.tolist()
         d_lo = self.d_lo.tolist()
+        d_hi = self.d_hi.tolist()
         t_lo = self.t_lo.tolist()
         t_hi = self.t_hi.tolist()
         terminated = self.terminated.tolist()
@@ -379,10 +381,12 @@ class CompiledTaskSet:
             period = t_hi[i]
             chi = c_hi[i]
             rate = rate + (0.0 if math.isinf(period) else chi / period)
+            dbf_excess = dbf_excess + dbf_hi_task_excess(
+                c_lo[i], chi, d_lo[i], d_hi[i], period, terminated[i]
+            )
             if terminated[i]:
                 adb_excess += chi
             else:
-                dbf_excess = dbf_excess + chi
                 adb_excess += 2.0 * chi
                 adb_excess_drop += 2.0 * chi
             u_lo = c_lo[i] / t_lo[i]

@@ -128,7 +128,9 @@ def _min_speedup_lockstep(
         elif float(zero_of[index][0]) > 1e-12:
             outcomes[index] = SpeedupResult(math.inf, None, True, math.inf, 0)
         elif member.dbf_excess <= 0.0:
-            outcomes[index] = SpeedupResult(0.0, None, True, 0.0, 0)
+            outcomes[index] = SpeedupResult(
+                member.rate, None, True, member.rate, 0
+            )
         else:
             states[index] = _SpeedupState(
                 rate=member.rate,

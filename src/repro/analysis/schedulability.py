@@ -226,7 +226,7 @@ def system_schedulable(
             hi_ok=math.isfinite(s_min.s_min),
             resetting=None,
         )
-    hi_ok = s_min.s_min <= s * (1.0 + _RTOL)
+    hi_ok = s_min.upper_bound <= s * (1.0 + _RTOL)
     reset = (
         resetting_time(
             taskset,

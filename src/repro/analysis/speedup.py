@@ -16,15 +16,22 @@ monotone, so it is maximised at segment endpoints; because ``f`` is
 right-continuous and jumps upward, every local maximum of the ratio is
 attained *at* a breakpoint.  Enumeration stops once the envelope bound
 
-    f(Delta) <= rate * Delta + B,   rate = sum C_i(HI)/T_i(HI),
-                                    B    = sum C_i(HI)
+    f(Delta) <= rate * Delta + B,   rate = sum_i U_i,   U_i = C_i(HI)/T_i(HI),
+    B = sum_i sup_Delta (DBF_HI(tau_i, Delta) - U_i * Delta)
 
-proves that no later breakpoint can beat the best ratio found so far.
-As ``Delta -> inf`` the ratio tends to ``rate``, so the result is
-``max(rate, best breakpoint ratio)``.  When the best breakpoint ratio
-stays at or below ``rate`` the scan is cut off once the envelope gap
-``B/Delta`` drops below a relative tolerance; the returned
-:class:`SpeedupResult` then carries a certified upper bound.
+proves that no later breakpoint can beat the best ratio found so far
+(``B`` is the tight intercept of
+:func:`repro.analysis.dbf.dbf_hi_excess_bound`).  As ``Delta -> inf``
+the ratio tends to ``rate``, so the result is ``max(rate, best
+breakpoint ratio)``.  ``B = 0`` proves ``s_min = rate`` without a scan
+and a rounding-sized ``B`` proves it in the first window: the common
+case on Fig-7 sets, whose tuning clamps the HI tasks' ``D(LO)`` to
+``C(LO)``.  Otherwise the best ratio usually beats the rate early and
+the stopping point ``B / (best - rate)`` comes within a few windows.
+Only when the best breakpoint ratio stays at or below a positive-``B``
+rate does the scan run until the envelope gap ``B/Delta`` drops below
+a relative tolerance, which the candidate budget may cut short; the
+returned :class:`SpeedupResult` then carries a certified upper bound.
 
 Demand evaluation goes through :mod:`repro.analysis.kernels`: the
 default ``engine="compiled"`` uses the fused struct-of-arrays kernels
@@ -66,7 +73,8 @@ class SpeedupResult:
         Example 1).
     critical_delta:
         An interval length attaining (or, for the asymptotic case,
-        approaching) the supremum; ``None`` when ``s_min`` is infinite.
+        approaching) the supremum; ``None`` when ``s_min`` is infinite
+        or a zero envelope intercept proved ``s_min = rate`` unscanned.
     exact:
         True when the scan terminated with a proof of optimality,
         False when it was cut off by the candidate budget.
@@ -270,10 +278,13 @@ def min_speedup(
     with trace.span("speedup.min_speedup", engine=engine, n_tasks=len(taskset)) as sp:
         if _zero_interval_demand(ev):
             result = SpeedupResult(math.inf, None, True, math.inf, 0)
-        # dbf_excess is a sum of non-negative HI budgets, so exact zero
-        # is equivalent to <= 0 — no float equality needed.
-        elif ev.dbf_excess <= 0.0:  # every task terminated: no HI-mode demand
-            result = SpeedupResult(0.0, None, True, 0.0, 0)
+        # dbf_excess is a sum of non-negative intercepts, so exact zero is
+        # equivalent to <= 0 — no float equality needed.  A zero intercept
+        # means DBF_HI(Delta) <= rate * Delta everywhere while the ratio
+        # tends to the rate: the supremum is the rate (0.0 when every
+        # task is terminated).
+        elif ev.dbf_excess <= 0.0:
+            result = SpeedupResult(ev.rate, None, True, ev.rate, 0)
         else:
             result = _supremum_scan(
                 ev,
@@ -318,10 +329,10 @@ def speedup_schedulable(
         return False
     rate = ev.rate
     excess = ev.dbf_excess
-    if excess <= 0.0:  # sum of non-negative budgets: exact zero iff all zero
-        return True
     if s < rate * (1.0 - rtol):
         return False
+    if excess <= 0.0:  # zero intercept: DBF_HI <= rate * Delta <= s * Delta
+        return True
     if s <= 0.0:
         return False
     horizon = excess / max(s - rate, rtol * max(1.0, s))
@@ -369,7 +380,7 @@ def speedup_schedulable(
                         best_ratio=best_ratio,
                         best_delta=best_delta,
                     )
-                    return cont.s_min <= s * (1.0 + rtol)
+                    return cont.upper_bound <= s * (1.0 + rtol)
             window_lo = window_hi
             step *= 2.0
     return True

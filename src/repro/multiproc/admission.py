@@ -129,14 +129,15 @@ class SpeedupAdmission:
         feasible = [k for k, ok in enumerate(lo_ok) if ok]
         if feasible:
             speedups = min_speedup_many([trials[k] for k in feasible])
+            cap = self.speedup_cap * (1.0 + _CAP_RTOL)
             for k, result in zip(feasible, speedups):
-                verdicts[k] = result.s_min <= self.speedup_cap * (1.0 + _CAP_RTOL)
+                verdicts[k] = result.upper_bound <= cap
         return verdicts
 
     def _admit_scalar(self, trial: TaskSet) -> bool:
         if not lo_mode_schedulable(trial):
             return False
-        return min_speedup(trial).s_min <= self.speedup_cap * (1.0 + _CAP_RTOL)
+        return min_speedup(trial).upper_bound <= self.speedup_cap * (1.0 + _CAP_RTOL)
 
 
 class EdfVdDegradedAdmission:

@@ -278,7 +278,8 @@ def _evaluate_grouped(
             assert isinstance(outcome, SpeedupResult)
             item.speedup_result = outcome
             if item.request.speedup is not None:
-                item.hi_ok = outcome.s_min <= item.request.speedup * (1.0 + _RTOL)
+                cap = item.request.speedup * (1.0 + _RTOL)
+                item.hi_ok = outcome.upper_bound <= cap
 
     # ------------------------------------------------------------------
     # Stage 5: Corollary-5 resetting time under the request's policy.

@@ -648,7 +648,7 @@ def _evaluate_request(request: AnalysisRequest) -> AnalysisReport:
 
     hi_ok: Optional[bool] = None
     if request.speedup is not None:
-        hi_ok = speedup_result.s_min <= request.speedup * (1.0 + _RTOL)
+        hi_ok = speedup_result.upper_bound <= request.speedup * (1.0 + _RTOL)
 
     resetting_result: Optional[ResettingResult] = None
     if (

@@ -74,3 +74,22 @@ def random_implicit_taskset(rng: np.random.Generator, n_hi=2, n_lo=2, x=0.5, y=2
         c = float(rng.uniform(0.05, 0.15)) * period
         tasks.append(MCTask.lo(f"lo{i}", c, period, period))
     return apply_uniform_scaling(TaskSet(tasks, name="random"), x, y)
+
+
+def multi_window_set() -> TaskSet:
+    """Two HI tasks whose Theorem-2 scan needs three windows (159 breakpoints).
+
+    The periods (99.4, 1024.2) are incommensurate and each D(LO) is more
+    than twice its C(LO), so the per-task DBF_HI intercepts peak at phases
+    that only nearly align around Delta = 3071.4.  Until the scan gets
+    there the tight envelope cannot certify the supremum, which makes
+    this set the budget tests' fixture: 50 candidates end the first
+    window with an inexact result (or a raise).
+    """
+    return TaskSet(
+        [
+            MCTask.hi("a", c_lo=8.0, c_hi=29.7, d_lo=18.0, d_hi=99.4, period=99.4),
+            MCTask.hi("b", c_lo=21.2, c_hi=81.1, d_lo=46.2, d_hi=1024.2, period=1024.2),
+        ],
+        name="multi_window",
+    )

@@ -8,6 +8,8 @@ from repro.analysis.resetting import resetting_time
 from repro.analysis.speedup import min_speedup, speedup_schedulable
 from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
+from repro.pipeline import AnalysisRequest, BatchRunner
+from tests.conftest import multi_window_set
 
 
 def near_critical_set() -> TaskSet:
@@ -79,18 +81,19 @@ class TestResettingBudget:
 
 class TestSpeedupBudget:
     def test_inexact_result_by_default(self):
-        ts = near_critical_set()
+        ts = multi_window_set()
         result = min_speedup(ts, max_candidates=50)
-        if not result.exact:
-            assert result.upper_bound >= result.s_min
+        assert not result.exact
+        assert result.s_min < min_speedup(ts).s_min <= result.upper_bound
 
     def test_raise_mode(self):
-        ts = near_critical_set()
+        ts = multi_window_set()
         exact = min_speedup(ts)
-        if exact.candidates_examined > 50:
-            with pytest.raises(AnalysisBudgetExceeded) as err:
-                min_speedup(ts, max_candidates=50, on_budget="raise")
-            assert "min_speedup" in str(err.value)
+        assert exact.exact
+        assert exact.candidates_examined > 50
+        with pytest.raises(AnalysisBudgetExceeded) as err:
+            min_speedup(ts, max_candidates=50, on_budget="raise")
+        assert "min_speedup" in str(err.value)
 
     def test_on_budget_validation(self, table1):
         with pytest.raises(ValueError):
@@ -99,11 +102,42 @@ class TestSpeedupBudget:
             speedup_schedulable(table1, 2.0, on_budget="explode")
 
     def test_schedulable_raise_mode(self):
-        ts = near_critical_set()
+        ts = multi_window_set()
+        # Just above s_min = 0.37898: the supply-line horizon B/(s - rate)
+        # spans far more than 100 breakpoints, none of them a violation.
+        assert min_speedup(ts).s_min <= 0.379
         with pytest.raises(AnalysisBudgetExceeded):
-            speedup_schedulable(ts, 1.9, max_candidates=100, on_budget="raise")
+            speedup_schedulable(ts, 0.379, max_candidates=100, on_budget="raise")
 
     def test_exact_results_unchanged(self, table1):
         result = min_speedup(table1)
         assert result.exact
         assert result.s_min == pytest.approx(4.0 / 3.0)
+
+
+class TestCertifiedVerdicts:
+    """A budget-cut ``s_min`` is only a lower bound: a HI-mode verdict at a
+    target speedup must compare the certified ``upper_bound`` instead."""
+
+    #: Between the cut scan's lower bound (0.37840) and the exact s_min
+    #: (0.37898): HI mode is infeasible at this speed, yet a verdict on
+    #: the lower bound would call it feasible.
+    SPEEDUP = 0.3787
+
+    @pytest.mark.parametrize("population", [False, True])
+    def test_request_hi_ok_uses_upper_bound(self, population):
+        ts = multi_window_set()
+        assert self.SPEEDUP < min_speedup(ts).s_min
+        request = AnalysisRequest(taskset=ts, speedup=self.SPEEDUP, max_candidates=50)
+        [report] = BatchRunner(jobs=1, population=population).run([request])
+        assert report.speedup is not None and not report.speedup.exact
+        assert report.speedup.s_min < self.SPEEDUP < report.speedup.upper_bound
+        assert report.hi_ok is False
+
+    def test_schedulable_resume_needs_a_proof(self):
+        # s = 0.379 is feasible (s_min = 0.37898), but 50 candidates let
+        # neither the supply-line scan nor the resumed supremum scan prove
+        # it, so the verdict stays False until a budget does.
+        ts = multi_window_set()
+        assert not speedup_schedulable(ts, 0.379, max_candidates=50)
+        assert speedup_schedulable(ts, 0.379, max_candidates=100)

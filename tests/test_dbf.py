@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.analysis.dbf import (
+    FLOOR_SLACK,
     adb_hi,
     adb_hi_excess_bound,
     arrival_window,
@@ -13,6 +15,7 @@ from repro.analysis.dbf import (
     carry_over_window,
     dbf_hi,
     dbf_hi_excess_bound,
+    dbf_hi_task_excess,
     dbf_lo,
     extended_mod,
     hi_mode_rate,
@@ -20,8 +23,41 @@ from repro.analysis.dbf import (
     total_dbf_hi,
     total_dbf_lo,
 )
+from repro.analysis.points import breakpoints_in
 from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
+
+
+@st.composite
+def envelope_tasks(draw):
+    """HI, plain LO, degraded LO and terminated tasks, constrained deadlines."""
+    kind = draw(st.sampled_from(["hi", "lo", "degraded", "terminated"]))
+    period = draw(st.floats(min_value=1.0, max_value=200.0))
+    c_lo = draw(st.floats(min_value=0.01, max_value=period / 2))
+    if kind == "hi":
+        c_hi = min(draw(st.floats(min_value=1.0, max_value=10.0)) * c_lo, period)
+        d_hi = draw(st.floats(min_value=c_hi, max_value=period))
+        d_lo = draw(st.floats(min_value=c_lo, max_value=d_hi))
+        return MCTask.hi("h", c_lo=c_lo, c_hi=c_hi, d_lo=d_lo, d_hi=d_hi, period=period)
+    d_lo = draw(st.floats(min_value=c_lo, max_value=period))
+    if kind == "lo":
+        return MCTask.lo("l", c=c_lo, d_lo=d_lo, t_lo=period)
+    if kind == "terminated":
+        return MCTask.lo(
+            "l", c=c_lo, d_lo=d_lo, t_lo=period, d_hi=math.inf, t_hi=math.inf
+        )
+    t_hi = draw(st.floats(min_value=1.0, max_value=4.0)) * period
+    d_hi = draw(st.floats(min_value=d_lo, max_value=t_hi))
+    return MCTask.lo("l", c=c_lo, d_lo=d_lo, t_lo=period, d_hi=d_hi, t_hi=t_hi)
+
+
+def _probe_points(task: MCTask, periods: int) -> np.ndarray:
+    """0, every DBF_HI breakpoint in ``(0, periods*T]`` and every midpoint."""
+    horizon = periods * task.t_hi
+    bps = breakpoints_in(TaskSet([task]), 0.0, horizon, kind="dbf")
+    edges = np.concatenate(([0.0], bps))
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return np.sort(np.concatenate((edges, mids)))
 
 
 class TestExtendedMod:
@@ -134,6 +170,35 @@ class TestDbfHi:
         deltas = np.linspace(0, 200, 2001)
         demand = np.asarray(total_dbf_hi(ts, deltas))
         assert np.all(demand <= rate * deltas + excess + 1e-9)
+
+    @given(task=envelope_tasks())
+    @settings(max_examples=200, deadline=None)
+    def test_tight_intercept_bounds_and_is_attained(self, task):
+        """``DBF_HI <= U*Delta + b`` everywhere, with equality reached in
+        the first period (the excess repeats every period)."""
+        b = dbf_hi_task_excess(
+            task.c_lo, task.c_hi, task.d_lo, task.d_hi, task.t_hi,
+            task.terminated_in_hi,
+        )
+        assert b >= 0.0
+        if task.terminated_in_hi:
+            assert b == 0.0
+            return
+        u = task.c_hi / task.t_hi
+        deltas = _probe_points(task, 3)
+        excess = np.asarray(dbf_hi(task, deltas)) - u * deltas
+        tol = FLOOR_SLACK * (1.0 + task.t_hi + deltas)
+        assert np.all(excess <= b + tol)
+        first = deltas <= task.t_hi
+        assert excess[first].max() >= b - 1e-9 * task.c_hi
+
+    def test_tight_intercept_closed_forms(self):
+        # Implicit-deadline HI task: b = C(HI) * (x - C(LO)/T).
+        t = MCTask.hi("h", c_lo=2.0, c_hi=4.0, d_lo=4.0, d_hi=8.0, period=8.0)
+        assert dbf_hi_excess_bound(TaskSet([t])) == pytest.approx(4.0 * (0.5 - 0.25))
+        # Single-job LO task (T(HI) = inf, D(HI) finite): b = C(HI).
+        one = MCTask.lo("l", c=2.0, d_lo=4.0, t_lo=4.0, d_hi=10.0, t_hi=math.inf)
+        assert dbf_hi_excess_bound(TaskSet([one])) == 2.0
 
     def test_monotone_nondecreasing(self):
         t = MCTask.hi("h", c_lo=3, c_hi=5, d_lo=4, d_hi=9, period=9)

@@ -31,6 +31,7 @@ from repro.model.taskset import TaskSet
 from repro.model.transform import apply_uniform_scaling
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import AnalysisRequest, BatchRunner
+from tests.conftest import multi_window_set
 
 
 def _clear_caches() -> None:
@@ -142,23 +143,26 @@ class TestBudgetParity:
     """Budget exhaustion is part of the byte-identity contract."""
 
     def test_inexact_outcome_matches_per_set(self, table1):
-        hard = near_critical_set()
+        hard = multi_window_set()
         batch = [table1, hard, table1]
         _clear_caches()
         per_set = [
-            min_speedup(ts, max_candidates=200, on_budget="inexact").to_dict()
+            min_speedup(ts, max_candidates=100, on_budget="inexact").to_dict()
             for ts in batch
         ]
+        assert not per_set[1]["exact"]
         _clear_caches()
-        pop = min_speedup_many(batch, max_candidates=200, on_budget="inexact")
+        pop = min_speedup_many(batch, max_candidates=100, on_budget="inexact")
         assert per_set == [r.to_dict() for r in pop]
 
     def test_raise_mode_raises_like_per_set(self, table1):
-        hard = near_critical_set()
+        hard = multi_window_set()
         _clear_caches()
         exact = min_speedup(hard)
-        if exact.candidates_examined <= 50:
-            pytest.skip("set no longer exceeds the tiny budget")
+        assert exact.exact
+        assert exact.candidates_examined > 50
+        with pytest.raises(AnalysisBudgetExceeded):
+            min_speedup(hard, max_candidates=50, on_budget="raise")
         with pytest.raises(AnalysisBudgetExceeded):
             min_speedup_many(
                 [table1, hard], max_candidates=50, on_budget="raise"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.dbf import total_dbf_hi
+from repro.analysis.kernels import compile_taskset, get_evaluator
+from repro.analysis.population import min_speedup_many
 from repro.analysis.speedup import SpeedupResult, min_speedup, speedup_schedulable
 from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
@@ -119,6 +121,65 @@ class TestMonotonicity:
     def test_termination_is_weakest_demand(self, table1):
         terminated = terminate_lo_tasks(table1)
         assert min_speedup(terminated).s_min <= min_speedup(table1).s_min + 1e-9
+
+
+def _fig7_lone_hi_set(c_lo: float, period: float) -> TaskSet:
+    """Fig.-7 shape: gamma = 10, the LO task terminated, and exact-x tuning
+    clamped the lone HI task's D(LO) to C(LO), so its intercept is ~0."""
+    return TaskSet(
+        [
+            MCTask.hi(
+                "h", c_lo=c_lo, c_hi=10.0 * c_lo, d_lo=c_lo, d_hi=period,
+                period=period,
+            ),
+            MCTask.lo("l", c=4.0, d_lo=31.0, t_lo=31.0, d_hi=math.inf, t_hi=math.inf),
+        ]
+    )
+
+
+def _zero_intercept_set() -> TaskSet:
+    """D(LO) = C(LO) and D(HI) = T in dyadic numbers: both DBF_HI
+    intercepts are exactly 0.0 and the HI-mode rate is exactly 1.0."""
+    return TaskSet(
+        [
+            MCTask.hi("a", c_lo=1.0, c_hi=2.0, d_lo=1.0, d_hi=4.0, period=4.0),
+            MCTask.hi("b", c_lo=1.0, c_hi=4.0, d_lo=1.0, d_hi=8.0, period=8.0),
+        ]
+    )
+
+
+class TestTightEnvelope:
+    """The per-task DBF_HI intercept certifies the supremum early."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "compiled"])
+    @pytest.mark.parametrize("c_lo, period", [(2.5, 97.3), (2.0, 97.0)])
+    def test_fig7_lone_hi_task_certifies_in_first_window(self, engine, c_lo, period):
+        ts = _fig7_lone_hi_set(c_lo, period)
+        ev = get_evaluator(ts, engine)
+        first = ev.breakpoints_in(0.0, ev.initial_window(), kind="dbf")
+        result = min_speedup(ts, engine=engine)
+        assert result.exact
+        assert result.s_min == pytest.approx(ev.rate, rel=1e-15, abs=0.0)
+        # Zero once the rounded intercept is 0.0, one window otherwise.
+        assert result.candidates_examined <= first.size
+        assert min_speedup_many([ts])[0] == result
+
+    def test_zero_intercept_returns_rate(self):
+        ts = _zero_intercept_set()
+        assert compile_taskset(ts).dbf_excess == 0.0
+        for result in (
+            min_speedup(ts, engine="scalar"),
+            min_speedup(ts),
+            min_speedup_many([ts])[0],
+        ):
+            assert result.exact
+            assert result.s_min == result.upper_bound == 1.0
+
+    @pytest.mark.parametrize("engine", ["scalar", "compiled"])
+    def test_zero_intercept_below_rate_not_schedulable(self, engine):
+        ts = _zero_intercept_set()
+        assert not speedup_schedulable(ts, 0.9, engine=engine)
+        assert speedup_schedulable(ts, 1.0, engine=engine)
 
 
 class TestSchedulableAt:
