@@ -25,8 +25,8 @@ Scenarios
   probes via the fingerprint memo (>= 10x).
 * ``fig6_fig7_e2e`` — end-to-end wall clock of shrunken Figure-6 and
   Figure-7 sweeps through the batch pipeline: the "scalar" pass is the
-  default per-set path, the "compiled" pass the population-grouped
-  pipeline (``population=True``), with byte-identical figure data.
+  per-item path (``BatchRunner(chunk_size=1)``), the "compiled" pass the
+  default grouped pipeline, with byte-identical figure data.
 
 Speedup scenarios additionally time the population engine in one fused
 pass (``population_ms`` / ``population_ratio`` vs scalar); its results
@@ -66,6 +66,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+from repro import api  # noqa: E402
 from repro.analysis import kernels  # noqa: E402
 from repro.analysis.per_task_tuning import tune_per_task_deadlines  # noqa: E402
 from repro.analysis.population import min_speedup_many  # noqa: E402
@@ -219,8 +220,9 @@ def _e2e_scenario(quick: bool) -> Scenario:
     5-repetition gate stays practical, but the shape is the real one:
     generation, x-tuning, Theorem-2, Corollary-5 and the acceptance
     logic all run through :func:`repro.api.analyze_many`.  The "scalar"
-    pass is the default per-set pipeline, the "compiled" pass the
-    population-grouped one; both must produce byte-identical figures.
+    pass keeps every request on the per-item path (singleton groups), the
+    "compiled" pass is the default grouped pipeline; both must produce
+    byte-identical figures.
     """
     if quick:
         u6, n6 = (0.5, 0.7), 8
@@ -230,9 +232,9 @@ def _e2e_scenario(quick: bool) -> Scenario:
         u7, n7 = (0.25, 0.55, 0.85), 12
 
     def run(engine: str) -> Tuple[Any, ...]:
-        grouped = engine == "compiled"
-        points = fig6.run(u_bounds=u6, sets_per_point=n6, population=grouped)
-        grid = fig7.run(u_points=u7, sets_per_point=n7, population=grouped)
+        per_item = api.BatchRunner(chunk_size=1) if engine == "scalar" else None
+        points = fig6.run(u_bounds=u6, sets_per_point=n6, runner=per_item)
+        grid = fig7.run(u_points=u7, sets_per_point=n7, runner=per_item)
         return (
             [
                 (p.u_bound, [(s.s_min, s.delta_r, s.lo_feasible) for s in p.samples])
@@ -244,7 +246,7 @@ def _e2e_scenario(quick: bool) -> Scenario:
 
     return Scenario(
         "fig6_fig7_e2e",
-        "end-to-end fig6+fig7 sweeps, per-set vs population pipeline "
+        "end-to-end fig6+fig7 sweeps, per-item vs grouped pipeline "
         f"(fig6: {len(u6)} pts x {n6} sets, fig7: {len(u7)}^2 pts x {n7} sets)",
         [],
         run,

@@ -126,6 +126,9 @@ _PRUNE_GUARD = 1e-9
 #: Attribute under which a compiled snapshot is attached to a TaskSet.
 _COMPILED_ATTR = "_repro_compiled"
 
+#: The shared empty breakpoint array (never written to).
+_NO_POINTS = np.empty(0)
+
 
 # ---------------------------------------------------------------------------
 # Perf counters
@@ -254,19 +257,17 @@ class CompiledTaskSet:
         # active-row (non-terminated) columns for the HI-mode kernels,
         # built lazily on first HI demand evaluation
         "_hi_cols",
-        # scalars mirroring the python-sum order of dbf.py / points.py
-        "rate",
-        "dbf_excess",
-        "_adb_excess",
-        "_adb_excess_drop",
+        # scalars mirroring the python-sum order of dbf.py / points.py;
+        # the HI-mode ones are built on first use (_hi_scalars)
+        "_hi",
         "lo_rate",
         "lo_excess",
         "lo_max_period",
         "lo_density",
-        "_max_finite_period",
         "_density",
         "_bp_off",
         "_bp_per",
+        "_bp_once",
         "_fingerprint",
         "_memo_token",
     )
@@ -329,6 +330,7 @@ class CompiledTaskSet:
         # derivation only rebuilds the kinds its scans actually touch.
         self._bp_off = {}
         self._bp_per = {}
+        self._bp_once = {}
         self._density = {}
         self._fingerprint = fingerprint
         self._memo_token = fingerprint
@@ -357,26 +359,52 @@ class CompiledTaskSet:
         )
 
     def _compile_scalars(self) -> None:
-        """Aggregate rates/excess bounds in the oracle's summation order.
+        """LO-mode aggregates in the oracle's summation order.
 
-        These loops intentionally mirror :func:`repro.analysis.dbf.
-        hi_mode_rate` & friends term by term — a NumPy reduction would use
-        pairwise summation and could differ in the last bit.
+        These loops intentionally mirror the scalar sums term by term — a
+        NumPy reduction would use pairwise summation and could differ in
+        the last bit.  The HI-mode aggregates wait for first use
+        (:meth:`_hi_scalars`): an exact-``x`` bisection probe derives a
+        snapshot per step and only ever runs the LO-mode scan on it.
         """
+        c_lo = self.c_lo.tolist()
+        d_lo = self.d_lo.tolist()
+        t_lo = self.t_lo.tolist()
+        lo_rate = 0
+        lo_excess = 0
+        lo_density = 0.0
+        for i in range(self.n):
+            u_lo = c_lo[i] / t_lo[i]
+            lo_rate = lo_rate + u_lo
+            lo_excess = lo_excess + u_lo * max(t_lo[i] - d_lo[i], 0.0)
+        self.lo_rate = float(lo_rate)
+        self.lo_excess = float(lo_excess)
+        self.lo_max_period = max(t_lo) if self.n else 0.0
+        for i in range(self.n):
+            lo_density += 1.0 / t_lo[i]
+        self.lo_density = lo_density
+        self._hi: Optional[Tuple[float, float, float, float, float]] = None
+
+    def _hi_scalars(self) -> Tuple[float, float, float, float, float]:
+        """``(rate, dbf_excess, adb_excess, adb_excess_drop, max period)``.
+
+        Computed once, from this snapshot's own columns, with the loops
+        of :func:`repro.analysis.dbf.hi_mode_rate`,
+        :func:`~repro.analysis.dbf.dbf_hi_excess_bound` and
+        :func:`~repro.analysis.dbf.adb_hi_excess_bound` in task order.
+        """
+        if self._hi is not None:
+            return self._hi
         c_lo = self.c_lo.tolist()
         c_hi = self.c_hi.tolist()
         d_lo = self.d_lo.tolist()
         d_hi = self.d_hi.tolist()
-        t_lo = self.t_lo.tolist()
         t_hi = self.t_hi.tolist()
         terminated = self.terminated.tolist()
         rate = 0
         dbf_excess = 0
         adb_excess = 0.0
         adb_excess_drop = 0.0
-        lo_rate = 0
-        lo_excess = 0
-        lo_density = 0.0
         for i in range(self.n):
             period = t_hi[i]
             chi = c_hi[i]
@@ -389,21 +417,25 @@ class CompiledTaskSet:
             else:
                 adb_excess += 2.0 * chi
                 adb_excess_drop += 2.0 * chi
-            u_lo = c_lo[i] / t_lo[i]
-            lo_rate = lo_rate + u_lo
-            lo_excess = lo_excess + u_lo * max(t_lo[i] - d_lo[i], 0.0)
-        self.rate = float(rate)
-        self.dbf_excess = float(dbf_excess)
-        self._adb_excess = float(adb_excess)
-        self._adb_excess_drop = float(adb_excess_drop)
-        self.lo_rate = float(lo_rate)
-        self.lo_excess = float(lo_excess)
-        self.lo_max_period = max(t_lo) if self.n else 0.0
-        for i in range(self.n):
-            lo_density += 1.0 / t_lo[i]
-        self.lo_density = lo_density
         finite = [p for p in t_hi if not math.isinf(p)]
-        self._max_finite_period = max(finite) if finite else 0.0
+        self._hi = (
+            float(rate),
+            float(dbf_excess),
+            float(adb_excess),
+            float(adb_excess_drop),
+            max(finite) if finite else 0.0,
+        )
+        return self._hi
+
+    @property
+    def rate(self) -> float:
+        """HI-mode demand rate ``sum C(HI)/T(HI)`` (terminated: 0)."""
+        return self._hi_scalars()[0]
+
+    @property
+    def dbf_excess(self) -> float:
+        """Tight DBF_HI envelope intercept ``B`` (Theorem-2 pruning)."""
+        return self._hi_scalars()[1]
 
     def _hi_active_cols(self) -> Dict[str, np.ndarray]:
         """Active-row (non-terminated) HI-kernel columns, built lazily.
@@ -437,6 +469,20 @@ class CompiledTaskSet:
             self._hi_cols = cols
         return cols
 
+    def _carry_points(self) -> np.ndarray:
+        """``DBF_HI`` points that occur once, not as a lattice.
+
+        The compiled :func:`repro.analysis.points.dbf_hi_carry_points`: a
+        non-terminated task with ``T(HI) = inf`` contributes its
+        carry-over job's ``gap`` and ``gap + C(LO)``.  A period-lattice
+        entry cannot hold them (``0 * inf`` is NaN).
+        """
+        once = (~self.terminated) & self.hi_inf
+        if not once.any():
+            return _NO_POINTS
+        gap = self.d_hi[once] - self.d_lo[once]
+        return np.concatenate((gap, gap + self.c_lo[once]))
+
     def _ensure_breakpoint_table(self, kind: str) -> None:
         """Flatten each task's in-period offsets into the ``kind`` lattice.
 
@@ -444,10 +490,13 @@ class CompiledTaskSet:
         :func:`repro.analysis.points.dbf_hi_offsets` /
         :func:`~repro.analysis.points.adb_hi_offsets`, then stored as
         parallel ``(offset, period)`` arrays so a window enumeration is a
-        single broadcast instead of a per-task/per-offset loop.
+        single broadcast instead of a per-task/per-offset loop.  The
+        ``dbf`` kind also keeps the points that occur once
+        (:meth:`_carry_points`).
         """
         if kind in self._density:
             return
+        self._bp_once[kind] = self._carry_points() if kind == "dbf" else _NO_POINTS
         if kind == "lo":
             # DBF_LO breakpoints: each task's deadline lattice k*T(LO)+D(LO).
             self._bp_off[kind] = self.d_lo.copy()
@@ -844,8 +893,9 @@ class CompiledTaskSet:
     # Scan plumbing (mirrors repro.analysis.points)
     # ------------------------------------------------------------------
     def adb_excess(self, *, drop_terminated_carryover: bool = False) -> float:
-        """Eq. (11) envelope offset ``B*`` (precompiled both flavours)."""
-        return self._adb_excess_drop if drop_terminated_carryover else self._adb_excess
+        """Eq. (11) envelope offset ``B*`` (both flavours built together)."""
+        hi = self._hi_scalars()
+        return hi[3] if drop_terminated_carryover else hi[2]
 
     def candidate_density(self, kind: str = "dbf") -> float:
         """Expected breakpoints per unit of Delta for window sizing."""
@@ -854,11 +904,11 @@ class CompiledTaskSet:
 
     def max_finite_period(self) -> float:
         """Largest finite HI-mode period; 0.0 when every task terminated."""
-        return self._max_finite_period
+        return self._hi_scalars()[4]
 
     def initial_window(self) -> float:
         """First search window: two largest HI-mode periods (min 1.0)."""
-        period = self._max_finite_period
+        period = self._hi_scalars()[4]
         if period <= 0.0:
             return 1.0
         return 2.0 * period
@@ -898,6 +948,10 @@ class CompiledTaskSet:
         off = self._bp_off[kind]
         per = self._bp_per[kind]
         points = _lattice_points(off, per, lo, hi)
+        once = self._bp_once[kind]
+        if once.size:
+            once = once[(once > lo) & (once <= hi)]
+            points = np.unique(np.concatenate((points, once)))
         if points.size and kind != "lo":
             # Merge floating-point near-duplicates (relative 1e-12) so the
             # segment logic never sees zero-length segments — identical to
@@ -1419,8 +1473,13 @@ class CompiledPopulation:
         owner = np.repeat(np.arange(len(pending)), counts_n)
         t_hi = cat([m.t_hi for m in pending])
         hi_inf = cat([m.hi_inf for m in pending])
+        # Members owning a non-terminated T(HI) = inf row keep DBF_HI
+        # points that occur once (see CompiledTaskSet._carry_points).
+        carry: set[int] = set()
         if kind == "dbf":
-            sel = ~(cat([m.terminated for m in pending]) | hi_inf)
+            terminated = cat([m.terminated for m in pending])
+            sel = ~(terminated | hi_inf)
+            carry = set(owner[~terminated & hi_inf].tolist())
         else:
             sel = ~hi_inf
         p = t_hi[sel]
@@ -1461,6 +1520,9 @@ class CompiledPopulation:
         terms = counts / p
         term_bounds = np.searchsorted(owner_sel, np.arange(len(pending) + 1))
         for i, member in enumerate(pending):
+            member._bp_once[kind] = (
+                member._carry_points() if i in carry else _NO_POINTS
+            )
             member._bp_off[kind] = off_all[bounds[i] : bounds[i + 1]]
             member._bp_per[kind] = per_all[bounds[i] : bounds[i + 1]]
             member._density[kind] = float(
@@ -1683,18 +1745,23 @@ class CompiledPopulation:
     # ------------------------------------------------------------------
     # Fused breakpoint generation
     # ------------------------------------------------------------------
-    def _bp_cat(self, kind: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _bp_cat(
+        self, kind: str
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """All members' ``(offset, period)`` lattice pairs, concatenated.
 
-        Returns ``(starts, offsets, periods)`` where member ``i``'s pairs
-        occupy ``offsets[starts[i]:starts[i + 1]]``.  Built once per kind,
-        so a lockstep round's pair collection is pure array gathers
-        instead of per-item table lookups.
+        Returns ``(starts, offsets, periods, carry)`` where member ``i``'s
+        pairs occupy ``offsets[starts[i]:starts[i + 1]]`` and ``carry[i]``
+        flags a member with points outside the lattice
+        (:meth:`CompiledTaskSet._carry_points`).  Built once per kind, so
+        a lockstep round's pair collection is pure array gathers instead
+        of per-item table lookups.
         """
         cat = self._bp_cats.get(kind)
         if cat is None:
             starts = np.empty(self.size + 1, dtype=np.int64)
             starts[0] = 0
+            carry = np.zeros(self.size, dtype=bool)
             offs: List[np.ndarray] = []
             pers: List[np.ndarray] = []
             for i, member in enumerate(self.members):
@@ -1703,10 +1770,12 @@ class CompiledPopulation:
                 offs.append(off)
                 pers.append(member._bp_per[kind])
                 starts[i + 1] = starts[i] + off.size
+                carry[i] = member._bp_once[kind].size > 0
             cat = (
                 starts,
                 np.concatenate(offs) if offs else np.empty(0),
                 np.concatenate(pers) if pers else np.empty(0),
+                carry,
             )
             self._bp_cats[kind] = cat
         return cat
@@ -1727,8 +1796,8 @@ class CompiledPopulation:
         boundaries) — so every returned array is bit-identical to the
         member's own ``breakpoints_in``.  Candidate budgets are per set
         and stay with the caller.  Items denser than ``_FUSE_POINTS``
-        lattice points delegate to the member's own generator (same
-        output, cheaper alone).
+        lattice points, and items of members with points outside the
+        lattice, delegate to the member's own generator (same output).
         """
         if kind not in ("dbf", "adb", "lo"):
             raise ValueError(f"unknown kind: {kind!r}")
@@ -1736,7 +1805,7 @@ class CompiledPopulation:
         results: List[np.ndarray] = [np.empty(0)] * n_items
         if not n_items:
             return results
-        starts_tab, off_cat, per_cat = self._bp_cat(kind)
+        starts_tab, off_cat, per_cat, carry_tab = self._bp_cat(kind)
         midx = np.fromiter(
             (item[0] for item in items), dtype=np.int64, count=n_items
         )
@@ -1747,6 +1816,13 @@ class CompiledPopulation:
             (item[2] for item in items), dtype=float, count=n_items
         )
         sizes = starts_tab[midx + 1] - starts_tab[midx]
+        carry = carry_tab[midx]
+        if carry.any():
+            for pos in np.flatnonzero(carry):
+                results[int(pos)] = self.members[
+                    int(midx[pos])
+                ].breakpoints_in(float(wlo[pos]), float(whi[pos]), kind=kind)
+            sizes = np.where(carry, 0, sizes)
         total_pairs = int(sizes.sum())
         if total_pairs == 0:
             return results

@@ -6,6 +6,9 @@ at per-task *breakpoints*:
 
 * ``DBF_HI`` of task ``tau``: offsets ``{D(HI)-D(LO),
   D(HI)-D(LO)+C(LO)}`` and the period boundary, repeated every ``T(HI)``.
+  A LO task with ``T(HI) = inf`` but finite ``D(HI)`` keeps one
+  carry-over job in HI mode: its two offsets occur once, not as a
+  lattice (:func:`dbf_hi_carry_points`).
 * ``ADB_HI`` of task ``tau``: offsets ``{T(HI)-D(LO),
   T(HI)-D(LO)+C(LO)}`` and the period boundary, repeated every ``T(HI)``.
 
@@ -33,13 +36,29 @@ def dbf_hi_offsets(task: MCTask) -> List[float]:
     """In-period breakpoint offsets of ``DBF_HI`` for ``task``.
 
     Returns an empty list for tasks terminated in HI mode (their demand is
-    identically zero).
+    identically zero) and for tasks without a finite ``T(HI)``, whose
+    breakpoints :func:`dbf_hi_carry_points` gives.
     """
     if task.terminated_in_hi or math.isinf(task.t_hi):
         return []
     gap = task.d_hi - task.d_lo
     offsets = {gap, gap + task.c_lo, task.t_hi}
     return sorted(o for o in offsets if 0.0 <= o <= task.t_hi)
+
+
+def dbf_hi_carry_points(task: MCTask) -> List[float]:
+    """``DBF_HI`` breakpoints of a task whose only HI-mode job carries over.
+
+    A LO task with ``T(HI) = inf`` and finite ``D(HI)`` releases no job
+    after the switch, but the one pending at it still runs: its demand
+    jumps at ``gap = D(HI) - D(LO)`` and stops rising at ``gap + C(LO)``
+    (Eq. 6 with ``Delta mod inf = Delta``).  Both points occur once.
+    Empty for every other task.
+    """
+    if task.terminated_in_hi or not math.isinf(task.t_hi):
+        return []
+    gap = task.d_hi - task.d_lo
+    return sorted({gap, gap + task.c_lo})
 
 
 def adb_hi_offsets(task: MCTask) -> List[float]:
@@ -98,11 +117,20 @@ def breakpoints_in(
     if kind not in ("dbf", "adb"):
         raise ValueError(f"unknown kind: {kind!r}")
     offsets_of = dbf_hi_offsets if kind == "dbf" else adb_hi_offsets
-    points = _union_points(
+    pieces = [
         _task_points(task.t_hi, offsets_of(task), lo, hi)
         for task in taskset
         if not math.isinf(task.t_hi)
-    )
+    ]
+    if kind == "dbf":
+        # ADB_HI needs no counterpart: with T(HI) = inf it is the constant
+        # C(HI) (Eq. 9 gives w* = -inf, so no carry term).
+        once = np.array(
+            [point for task in taskset for point in dbf_hi_carry_points(task)],
+            dtype=float,
+        )
+        pieces.append(once[(once > lo) & (once <= hi)])
+    points = _union_points(pieces)
     if not points.size:
         return points
     # Merge floating-point near-duplicates (within relative 1e-12) so that

@@ -240,7 +240,6 @@ def analyze_many(
     runner: Optional[BatchRunner] = None,
     retry: Optional[RetryPolicy] = None,
     quarantine: Optional[str] = None,
-    population: bool = False,
     **options: Any,
 ) -> List[AnalysisReport]:
     """Analyse a population, optionally in parallel worker processes.
@@ -262,12 +261,12 @@ def analyze_many(
     a run drains gracefully and raises :class:`BatchAborted` with the
     resumable checkpoint path.
 
-    ``population=True`` groups compatible compiled-engine requests in
-    each chunk into one shared-SoA evaluation
-    (:func:`repro.pipeline.grouping.evaluate_chunk_grouped`), which is
-    much faster on sweeps of small task sets.  Reports are byte-identical
-    to the default path; only the kernel evaluation *counters* group
-    differently, which is why it is opt-in.
+    Pending requests are evaluated in groups of up to ``chunk_size``
+    (default :data:`~repro.pipeline.runner.GROUP_SIZE`), the same groups
+    at any ``jobs``: a group of two or more runs each analysis stage as
+    one fused population scan across its sets
+    (:func:`repro.pipeline.grouping.evaluate_chunk_grouped`), a singleton
+    runs per item.  Reports are byte-identical either way.
     """
     requests = [
         item
@@ -287,7 +286,6 @@ def analyze_many(
             progress=progress,
             retry=retry if retry is not None else RetryPolicy(),
             quarantine=quarantine,
-            population=population,
         )
     return runner.run(requests)
 

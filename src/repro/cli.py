@@ -89,39 +89,31 @@ def _run_fig5() -> str:
     return fig5.render()
 
 
-def _make_fig6(
-    quick: bool, jobs: int = 1, population: bool = False
-) -> Callable[[], str]:
+def _make_fig6(quick: bool, jobs: int = 1) -> Callable[[], str]:
     def run() -> str:
         from repro.experiments import fig6
 
         n = 60 if quick else 500
         n_sweep = 30 if quick else 200
-        points = fig6.run(sets_per_point=n, jobs=jobs, population=population)
-        sweep = fig6.run_sweep(
-            sets_per_point=n_sweep, jobs=jobs, population=population
-        )
+        points = fig6.run(sets_per_point=n, jobs=jobs)
+        sweep = fig6.run_sweep(sets_per_point=n_sweep, jobs=jobs)
         return fig6.render(points, sweep)
 
     return run
 
 
-def _make_fig7(
-    quick: bool, jobs: int = 1, population: bool = False
-) -> Callable[[], str]:
+def _make_fig7(quick: bool, jobs: int = 1) -> Callable[[], str]:
     def run() -> str:
         from repro.experiments import fig7
 
         n = 20 if quick else 100
-        grid = fig7.run(sets_per_point=n, jobs=jobs, population=population)
+        grid = fig7.run(sets_per_point=n, jobs=jobs)
         return fig7.render(grid)
 
     return run
 
 
-def _make_multiproc(
-    quick: bool, jobs: int = 1, population: bool = False
-) -> Callable[[], str]:
+def _make_multiproc(quick: bool, jobs: int = 1) -> Callable[[], str]:
     def run() -> str:
         from repro.experiments import figM
 
@@ -132,10 +124,9 @@ def _make_multiproc(
                 speedup_caps=(2.0, 3.0),
                 sets_per_point=12,
                 jobs=jobs,
-                population=population,
             )
         else:
-            cells = figM.run(jobs=jobs, population=population)
+            cells = figM.run(jobs=jobs)
         return figM.render(cells)
 
     return run
@@ -256,7 +247,6 @@ def _run_batch(args, parser) -> int:
         retry=retry,
         quarantine=args.quarantine,
         metrics=metrics,
-        population=args.population,
     )
     requests = [
         api.AnalysisRequest(
@@ -499,13 +489,6 @@ def main(argv=None) -> int:
         "(with full attempt history) instead of aborting",
     )
     parser.add_argument(
-        "--population",
-        action="store_true",
-        help="group compatible analyses into population-batched kernel "
-        "evaluations for 'batch'/'fig6'/'fig7' (faster on many small "
-        "task sets; results are byte-identical)",
-    )
-    parser.add_argument(
         "--host",
         default="127.0.0.1",
         help="bind address for 'serve' (default 127.0.0.1)",
@@ -667,9 +650,9 @@ def main(argv=None) -> int:
         "fig3": _run_fig3,
         "fig4": _run_fig4,
         "fig5": _run_fig5,
-        "fig6": _make_fig6(args.quick, args.jobs, args.population),
-        "fig7": _make_fig7(args.quick, args.jobs, args.population),
-        "multiproc": _make_multiproc(args.quick, args.jobs, args.population),
+        "fig6": _make_fig6(args.quick, args.jobs),
+        "fig7": _make_fig7(args.quick, args.jobs),
+        "multiproc": _make_multiproc(args.quick, args.jobs),
         "validate": _run_validate,
         "resilience": _make_resilience(args.quick, args.csv, args.jobs),
     }

@@ -128,15 +128,12 @@ def run(
     config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
     runner: Optional[api.BatchRunner] = None,
-    population: bool = False,
 ) -> List[Fig6Point]:
     """Panels (a) and (c): distributions at each utilization point.
 
     ``jobs`` fans the per-set analyses over worker processes (results are
     identical to the serial run); pass a configured ``runner`` instead
-    for caching or checkpoint/resume.  ``population=True`` groups the
-    per-set analyses into population-batched kernel evaluations — much
-    faster in this small-task-set regime, with byte-identical samples.
+    for caching or checkpoint/resume.
     """
     points: List[Fig6Point] = []
     owners: List[Fig6Point] = []
@@ -149,9 +146,7 @@ def run(
             ts = generate_taskset(u, rng, config, name=f"u{u:g}_{i}")
             owners.append(point)
             requests.append(_request(ts, y, s_for_reset))
-    reports = api.analyze_many(
-        requests, jobs=jobs, runner=runner, population=population
-    )
+    reports = api.analyze_many(requests, jobs=jobs, runner=runner)
     for point, report in zip(owners, reports):
         point.samples.append(_sample(report))
     return points
@@ -166,15 +161,13 @@ def run_sweep(
     config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
     runner: Optional[api.BatchRunner] = None,
-    population: bool = False,
 ) -> Dict[Tuple[float, float], List[Fig6Point]]:
     """Panels (b) and (d): medians across ``(s, y)`` combinations.
 
     Returns ``{(s, y): [Fig6Point per u_bound]}``; the same generated
     populations (and the same tuned ``x``) are reused across
-    combinations for paired comparisons.  ``population=True`` batches
-    both the exact-``x`` tuning and the per-set analyses across whole
-    populations (byte-identical results).
+    combinations for paired comparisons.  The exact-``x`` tuning runs
+    across each whole population in lockstep.
     """
     populations: List[List[TaskSet]] = []
     xs: List[List[Optional[float]]] = []
@@ -185,12 +178,7 @@ def run_sweep(
             for i in range(sets_per_point)
         ]
         populations.append(tasksets)
-        if population:
-            xs.append(api.min_preparation_factor_many(tasksets, method="exact"))
-        else:
-            xs.append(
-                [api.min_preparation_factor(ts, method="exact") for ts in tasksets]
-            )
+        xs.append(api.min_preparation_factor_many(tasksets, method="exact"))
     out: Dict[Tuple[float, float], List[Fig6Point]] = {}
     owners: List[Fig6Point] = []
     requests: List[api.AnalysisRequest] = []
@@ -204,9 +192,7 @@ def run_sweep(
                     owners.append(point)
                     requests.append(_request(ts, y, s, x=x))
             out[(s, y)] = series
-    reports = api.analyze_many(
-        requests, jobs=jobs, runner=runner, population=population
-    )
+    reports = api.analyze_many(requests, jobs=jobs, runner=runner)
     for point, report in zip(owners, reports):
         point.samples.append(_sample(report))
     return out

@@ -101,15 +101,12 @@ def run(
     jitter: float = 0.025,
     jobs: int = 1,
     runner: Optional[api.BatchRunner] = None,
-    population: bool = False,
 ) -> Fig7Grid:
     """Sweep the grid; ``reset_budget`` is in ms (5 s = 5000 ms).
 
     ``jobs`` fans the per-set acceptance analyses over worker processes
     (grid values are identical to the serial run); the EDF-VD baseline
     stays inline — it is cheap next to the speedup analysis.
-    ``population=True`` groups the acceptance analyses into
-    population-batched kernel evaluations (byte-identical grid).
     """
     u_hi = np.asarray(u_points, dtype=float)
     u_lo = np.asarray(u_points, dtype=float)
@@ -131,9 +128,7 @@ def run(
                 if edf_vd_schedulable(ts).schedulable:
                     ok_1 += 1
             without[i, j] = ok_1 / sets_per_point
-    reports = api.analyze_many(
-        requests, jobs=jobs, runner=runner, population=population
-    )
+    reports = api.analyze_many(requests, jobs=jobs, runner=runner)
     accepted = np.zeros_like(with_speedup)
     for (i, j), report in zip(cells, reports):
         if _accepted(report):

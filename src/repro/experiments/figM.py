@@ -134,16 +134,14 @@ def run(
     config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
     runner: Optional[api.BatchRunner] = None,
-    population: bool = False,
 ) -> List[FigMCell]:
     """Evaluate the full region grid.
 
     Returns one :class:`FigMCell` per ``(U, m, cap)`` point, in
     row-major (``U`` outer, ``m``, then ``cap``) order.  Generation is
     sequential (it consumes the seeded RNG); the analyses fan out over
-    ``jobs`` worker processes with byte-identical results.
-    ``population=True`` groups any co-batched uniprocessor requests;
-    multiproc items batch internally either way.
+    ``jobs`` worker processes with byte-identical results.  Multiproc
+    items evaluate per item; their admission batches internally.
     """
     cells: List[FigMCell] = []
     owners: List[FigMCell] = []
@@ -173,9 +171,7 @@ def run(
                             x=x_prep,
                         )
                     )
-    reports = api.analyze_many(
-        requests, jobs=jobs, runner=runner, population=population
-    )
+    reports = api.analyze_many(requests, jobs=jobs, runner=runner)
     for cell, report in zip(owners, reports):
         cell.samples.append(_sample(report))
     return cells

@@ -184,9 +184,9 @@ class WorkQueueCore:
 
     Parameters mirror :class:`~repro.pipeline.runner.BatchRunner` where
     they name shared resources (``jobs``, ``cache``, ``retry``,
-    ``quarantine``, ``metrics``, ``chunk_size``, ``io``, ``injection``,
-    ``population``); per-run options (checkpoint, resume, progress)
-    travel with each submission instead.
+    ``quarantine``, ``metrics``, ``chunk_size``, ``io``, ``injection``);
+    per-run options (checkpoint, resume, progress) travel with each
+    submission instead.
 
     The core is thread-safe: ``submit`` may be called from any thread,
     and one dispatcher thread executes submissions FIFO over the shared
@@ -206,7 +206,6 @@ class WorkQueueCore:
         io: Optional[CheckpointIO] = None,
         injection: Optional[InjectionSpec] = None,
         completed_capacity: int = DEFAULT_COMPLETED_CAPACITY,
-        population: bool = False,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -222,10 +221,6 @@ class WorkQueueCore:
         self.chunk_size = chunk_size
         self.io = io if io is not None else CheckpointIO()
         self.injection = injection
-        #: Evaluate chunks through the grouped population path (see
-        #: :class:`~repro.pipeline.runner.BatchRunner`); byte-identical
-        #: reports, fused kernel dispatch.
-        self.population = population
         #: Shared supervised pool; ``None`` for the inline (jobs=1) path.
         self.pool: Optional[PersistentPool] = (
             PersistentPool(jobs, injection) if jobs > 1 else None
@@ -435,7 +430,6 @@ class WorkQueueCore:
             injection=self.injection,
             pool=self.pool,
             install_signal_handlers=install_signal_handlers,
-            population=self.population,
         )
         with self._exec_lock:
             handle.state = "running"

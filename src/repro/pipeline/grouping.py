@@ -1,14 +1,18 @@
-"""Population-grouped chunk evaluation for the batch pipeline.
+"""Grouped evaluation: the batch pipeline's path for two or more requests.
 
-:func:`evaluate_chunk_grouped` evaluates a chunk of
+:func:`evaluate_chunk_grouped` evaluates a group of
 :class:`~repro.pipeline.request.AnalysisRequest` items through the
 population front-end (:mod:`repro.analysis.population`) instead of one
 :func:`~repro.pipeline.request.evaluate_request` call per item: the
-chunk advances stage-major — all ``x`` tunings, then all LO tests, then
-all Theorem-2 scans, then all Corollary-5 scans — so each stage's
-breakpoint generation and demand kernels run fused across every set in
-the chunk.  In the small-set regime (figs 6–7) this converts hundreds of
-tiny kernel calls into a handful of population calls.
+group advances stage-major — all ``x`` tunings, then all compiles, all
+LO tests, all Theorem-2 scans, all Corollary-5 scans and the per-item
+extras — so each stage's breakpoint generation and demand kernels run
+fused across every set in the group.  In the small-set regime (figs
+6–7) this converts hundreds of tiny kernel calls into a handful of
+population calls.  The batch runner
+(:class:`~repro.pipeline.runner.BatchRunner`) evaluates every group of
+two or more requests this way, inline and in pool workers; a singleton
+group keeps the per-item path, which is cheaper for one set.
 
 **Byte-identity contract.**  Every per-item report equals the one
 ``evaluate_captured(request)`` produces, bit for bit: the lockstep scans
@@ -17,14 +21,18 @@ replays ``_evaluate_request``'s control flow per item (tuning verdicts,
 ``lo_test`` defaulting, resetting policies, budget thresholds), and
 per-item analysis errors capture into the same
 :class:`~repro.pipeline.request.AnalysisFailure` payloads with the same
-stage labels.  Only execution *grouping* changes — which is why the
-kernel perf counters (``kernel_evals``, ``cells``) differ between
-grouped and ungrouped runs and population mode is opt-in at the
-:class:`~repro.pipeline.runner.BatchRunner` level.
+stage labels.  Only execution grouping changes, so the kernel perf
+counters (``kernel_evals``, ``cells``) differ from a per-item run; the
+runner keeps them ``jobs``-invariant by cutting the same groups at any
+job count.
+
+Each stage runs under its own ``grouped.*`` trace span (tagged with
+item counts only), nested in ``pipeline.evaluate_grouped``, so a traced
+run still shows where a group's time went.
 
 Requests on the scalar engine (``engine="scalar"``) do not group; they
-fall back to per-item evaluation inside the same chunk, keeping mixed
-chunks valid.  Multiproc requests (``cores`` set) take the same
+fall back to per-item evaluation inside the same group, keeping mixed
+groups valid.  Multiproc requests (``cores`` set) take the same
 fallback: their partitioned admission already population-batches
 internally, per candidate task.
 """
@@ -191,55 +199,59 @@ def _evaluate_grouped(
         item.lo_ok = True
         return True
 
-    staged: List[_GroupItem] = []
-    exact_items: List[_GroupItem] = []
-    for item in live:
-        request = item.request
-        if not request.tunes_configuration:
-            staged.append(item)
-            continue
-        if request.x is not None:
-            if resolve_tuning(item, request.x):
+    with trace.span("grouped.tuning", items=len(live)):
+        staged: List[_GroupItem] = []
+        exact_items: List[_GroupItem] = []
+        for item in live:
+            request = item.request
+            if not request.tunes_configuration:
                 staged.append(item)
-            continue
-        if request.auto_x == "exact":
-            exact_items.append(item)
-            continue
-        # auto_x == "density" (request validation admits nothing else)
-        x_box: List[Optional[float]] = [None]
+                continue
+            if request.x is not None:
+                if resolve_tuning(item, request.x):
+                    staged.append(item)
+                continue
+            if request.auto_x == "exact":
+                exact_items.append(item)
+                continue
+            # auto_x == "density" (request validation admits nothing else)
+            x_box: List[Optional[float]] = [None]
 
-        def tune(item: _GroupItem = item, box: List[Optional[float]] = x_box) -> None:
-            box[0] = density_preparation_factor(item.request.taskset)
+            def tune(
+                item: _GroupItem = item, box: List[Optional[float]] = x_box
+            ) -> None:
+                box[0] = density_preparation_factor(item.request.taskset)
 
-        failed = _captured(tune, item)
-        if failed is not None:
-            reports[item.index] = failed
-        elif resolve_tuning(item, x_box[0]):
-            staged.append(item)
-    if exact_items:
-        xs = _exact_x_lockstep(
-            [item.request.taskset for item in exact_items], tol=1e-4
-        )
-        for item, x in zip(exact_items, xs):
-            if resolve_tuning(item, x):
+            failed = _captured(tune, item)
+            if failed is not None:
+                reports[item.index] = failed
+            elif resolve_tuning(item, x_box[0]):
                 staged.append(item)
+        if exact_items:
+            xs = _exact_x_lockstep(
+                [item.request.taskset for item in exact_items], tol=1e-4
+            )
+            for item, x in zip(exact_items, xs):
+                if resolve_tuning(item, x):
+                    staged.append(item)
     live = staged
 
     # ------------------------------------------------------------------
     # Stage 2: compile configured sets (the shared registry makes this a
     # lookup when the set was analysed before).
     # ------------------------------------------------------------------
-    staged = []
-    for item in live:
+    with trace.span("grouped.compile", items=len(live)):
+        staged = []
+        for item in live:
 
-        def compile_item(item: _GroupItem = item) -> None:
-            item.member = compile_taskset(item.configured)
+            def compile_item(item: _GroupItem = item) -> None:
+                item.member = compile_taskset(item.configured)
 
-        failed = _captured(compile_item, item)
-        if failed is not None:
-            reports[item.index] = failed
-        else:
-            staged.append(item)
+            failed = _captured(compile_item, item)
+            if failed is not None:
+                reports[item.index] = failed
+            else:
+                staged.append(item)
     live = staged
 
     # ------------------------------------------------------------------
@@ -256,11 +268,12 @@ def _evaluate_grouped(
         )
     ]
     if lo_items:
-        verdicts = _lo_schedulable_lockstep(
-            _members(lo_items), [1.0] * len(lo_items)
-        )
-        for item, verdict in zip(lo_items, verdicts):
-            item.lo_ok = verdict
+        with trace.span("grouped.lo_test", items=len(lo_items)):
+            verdicts = _lo_schedulable_lockstep(
+                _members(lo_items), [1.0] * len(lo_items)
+            )
+            for item, verdict in zip(lo_items, verdicts):
+                item.lo_ok = verdict
 
     # ------------------------------------------------------------------
     # Stage 4: Theorem-2 minimum speedup for every item (the pipeline
@@ -268,18 +281,19 @@ def _evaluate_grouped(
     # result, never an error — same as the per-item path).
     # ------------------------------------------------------------------
     if live:
-        speedups = _min_speedup_lockstep(
-            _members(live),
-            rtol=DEFAULT_RTOL,
-            max_candidates_list=[_budget(item.request) for item in live],
-            on_budget="inexact",
-        )
-        for item, outcome in zip(live, speedups):
-            assert isinstance(outcome, SpeedupResult)
-            item.speedup_result = outcome
-            if item.request.speedup is not None:
-                cap = item.request.speedup * (1.0 + _RTOL)
-                item.hi_ok = outcome.upper_bound <= cap
+        with trace.span("grouped.speedup", items=len(live)):
+            speedups = _min_speedup_lockstep(
+                _members(live),
+                rtol=DEFAULT_RTOL,
+                max_candidates_list=[_budget(item.request) for item in live],
+                on_budget="inexact",
+            )
+            for item, outcome in zip(live, speedups):
+                assert isinstance(outcome, SpeedupResult)
+                item.speedup_result = outcome
+                if item.request.speedup is not None:
+                    cap = item.request.speedup * (1.0 + _RTOL)
+                    item.hi_ok = outcome.upper_bound <= cap
 
     # ------------------------------------------------------------------
     # Stage 5: Corollary-5 resetting time under the request's policy.
@@ -298,70 +312,72 @@ def _evaluate_grouped(
         )
     ]
     if reset_items:
-        outcomes = _resetting_lockstep(
-            _members(reset_items),
-            [float(item.request.speedup or 0.0) for item in reset_items],
-            [item.request.drop_terminated_carryover for item in reset_items],
-            [_budget(item.request) for item in reset_items],
-        )
-        settled: set[int] = set()
-        for item, outcome in zip(reset_items, outcomes):
-            if isinstance(outcome, Exception):
-                reports[item.index] = _fail(item, outcome)
-                settled.add(item.index)
-            else:
-                item.resetting_result = outcome
-        if settled:
-            live = [item for item in live if item.index not in settled]
+        with trace.span("grouped.resetting", items=len(reset_items)):
+            outcomes = _resetting_lockstep(
+                _members(reset_items),
+                [float(item.request.speedup or 0.0) for item in reset_items],
+                [item.request.drop_terminated_carryover for item in reset_items],
+                [_budget(item.request) for item in reset_items],
+            )
+            settled: set[int] = set()
+            for item, outcome in zip(reset_items, outcomes):
+                if isinstance(outcome, Exception):
+                    reports[item.index] = _fail(item, outcome)
+                    settled.add(item.index)
+                else:
+                    item.resetting_result = outcome
+            if settled:
+                live = [item for item in live if item.index not in settled]
 
     # ------------------------------------------------------------------
     # Stage 6: verdicts and per-item extras (closed form, per-task
     # tuning) — cheap or per-set by nature, evaluated exactly as the
     # per-item path does.
     # ------------------------------------------------------------------
-    staged = []
-    for item in live:
-        request = item.request
-        if request.reset_budget is not None:
-            item.within_budget = (
-                item.resetting_result is not None
-                and item.resetting_result.delta_r
-                <= request.reset_budget * (1.0 + _RTOL)
-            )
-        failed = None
-        if request.closed_form and item.x_applied is not None:
-            x_app = item.x_applied
-            y_app = item.y_applied if item.y_applied is not None else 1.0
-
-            def bounds(
-                item: _GroupItem = item, x_app: float = x_app, y_app: float = y_app
-            ) -> None:
-                item.closed_form = closed_form_bounds(
-                    item.request.taskset, x_app, y_app, item.request.speedup
+    with trace.span("grouped.extras", items=len(live)):
+        staged = []
+        for item in live:
+            request = item.request
+            if request.reset_budget is not None:
+                item.within_budget = (
+                    item.resetting_result is not None
+                    and item.resetting_result.delta_r
+                    <= request.reset_budget * (1.0 + _RTOL)
                 )
+            failed = None
+            if request.closed_form and item.x_applied is not None:
+                x_app = item.x_applied
+                y_app = item.y_applied if item.y_applied is not None else 1.0
 
-            failed = _captured(bounds, item)
-        if failed is None and request.per_task:
+                def bounds(
+                    item: _GroupItem = item, x_app: float = x_app, y_app: float = y_app
+                ) -> None:
+                    item.closed_form = closed_form_bounds(
+                        item.request.taskset, x_app, y_app, item.request.speedup
+                    )
 
-            def tune_tasks(item: _GroupItem = item) -> None:
-                from repro.analysis.per_task_tuning import tune_per_task_deadlines
+                failed = _captured(bounds, item)
+            if failed is None and request.per_task:
 
-                tuned = tune_per_task_deadlines(
-                    item.request.taskset, engine=item.request.engine
-                )
-                if tuned is not None:
-                    item.per_task = {
-                        "s_min": tuned.s_min,
-                        "uniform_s_min": tuned.uniform_s_min,
-                        "moves": [[name, d_lo] for name, d_lo in tuned.moves],
-                        "d_lo": {t.name: t.d_lo for t in tuned.taskset.hi_tasks},
-                    }
+                def tune_tasks(item: _GroupItem = item) -> None:
+                    from repro.analysis.per_task_tuning import tune_per_task_deadlines
 
-            failed = _captured(tune_tasks, item)
-        if failed is not None:
-            reports[item.index] = failed
-        else:
-            staged.append(item)
+                    tuned = tune_per_task_deadlines(
+                        item.request.taskset, engine=item.request.engine
+                    )
+                    if tuned is not None:
+                        item.per_task = {
+                            "s_min": tuned.s_min,
+                            "uniform_s_min": tuned.uniform_s_min,
+                            "moves": [[name, d_lo] for name, d_lo in tuned.moves],
+                            "d_lo": {t.name: t.d_lo for t in tuned.taskset.hi_tasks},
+                        }
+
+                failed = _captured(tune_tasks, item)
+            if failed is not None:
+                reports[item.index] = failed
+            else:
+                staged.append(item)
 
     for item in staged:
         request = item.request

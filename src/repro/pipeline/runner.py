@@ -5,8 +5,12 @@
 ``concurrent.futures.ProcessPoolExecutor`` (or runs them inline for
 ``jobs=1``) with
 
-* **chunking** — requests ship to workers in chunks so per-task-set IPC
-  overhead amortises over the pseudo-polynomial analysis cost;
+* **grouping** — pending requests are cut into groups of at most
+  :data:`GROUP_SIZE` whose boundaries depend only on the pending list,
+  never on ``jobs``; every group of two or more requests is evaluated
+  stage-major through the fused population scans
+  (:func:`~repro.pipeline.grouping.evaluate_chunk_grouped`), inline or
+  in a worker, and the pool ships one group per chunk;
 * **content-addressed caching** — results land in a
   :class:`~repro.pipeline.cache.ResultCache` under the request key, so
   re-running a sweep (or sharing task sets between sweeps) recomputes
@@ -31,13 +35,14 @@
     (checkpointing disables itself, a cache write is skipped) rather
     than abort the run;
 * **durable checkpoint/resume** — every settled item is appended to a
-  JSONL checkpoint as a CRC-wrapped line, flushed *and fsynced* per
-  settle batch, so a process kill at any byte offset loses at most
-  unsettled in-flight items.  On resume, torn tails and corrupt lines
-  are detected (CRC) and treated as "recompute"; duplicate keys resolve
-  last-wins; infrastructure failures (worker death, quarantine) are
-  transient, not verdicts, and are recomputed.  The file is truncated
-  on a non-resume run and compacted atomically on resume;
+  JSONL checkpoint as a CRC-wrapped line, flushed *and fsynced* once per
+  settled group (its results arrive together), so a process kill at any
+  byte offset loses at most the group in flight.  On resume, torn tails
+  and corrupt lines are detected (CRC) and treated as "recompute";
+  duplicate keys resolve last-wins; infrastructure failures (worker
+  death, quarantine) are transient, not verdicts, and are recomputed.
+  The file is truncated on a non-resume run and compacted atomically on
+  resume;
 * **graceful shutdown** — SIGINT/SIGTERM stop scheduling, flush the
   checkpoint and metrics, and raise :class:`~repro.pipeline.
   fault_tolerance.BatchAborted` carrying the resume path — an
@@ -48,11 +53,13 @@
   fault-handling counters (``faults.*``: retries, timeouts, pool
   rebuilds, corruption detections — all zero on an undisturbed run).
 
-The evaluation itself (:func:`~repro.pipeline.request.evaluate_request`)
-is deterministic and order-independent, so ``jobs=1`` and ``jobs=N``
-produce byte-identical reports — the property the pipeline test suite
-pins down, and which the chaos harness (:mod:`repro.pipeline.chaos`)
-extends to "byte-identical *under injected infrastructure faults*".
+The evaluation itself (:func:`~repro.pipeline.request.evaluate_request`,
+or its grouped mirror) is deterministic and order-independent, and the
+groups are the same at any job count, so ``jobs=1`` and ``jobs=N``
+produce byte-identical reports, counters and trace content — the
+property the pipeline test suite pins down, and which the chaos harness
+(:mod:`repro.pipeline.chaos`) extends to "byte-identical *under injected
+infrastructure faults*".
 """
 
 from __future__ import annotations
@@ -97,6 +104,7 @@ from repro.pipeline.fault_tolerance import (
     encode_durable_line,
     maybe_inject,
 )
+from repro.pipeline.grouping import evaluate_chunk_grouped
 from repro.pipeline.payload import (
     AttemptRecord,
     CheckpointEntry,
@@ -146,6 +154,12 @@ _MAX_CONSECUTIVE_REBUILDS = 16
 #: and backoff expiries are noticed promptly.
 _MAX_POLL_SECONDS = 0.5
 
+#: Most requests per evaluation group (and per pool chunk) unless the
+#: runner's ``chunk_size`` overrides it.  Chosen by measurement on
+#: Figure-6 sets (DESIGN.md §9.1): larger groups amortise more kernel
+#: dispatch per stage, smaller ones balance a pool better.
+GROUP_SIZE = 64
+
 
 def _captured_errors() -> Tuple[Type[BaseException], ...]:
     from repro.analysis.budget import AnalysisBudgetExceeded
@@ -175,6 +189,30 @@ def _is_infrastructure_failure(payload: ReportPayload) -> bool:
     """True when a report payload records a transient machinery failure."""
     failure = payload.get("failure")
     return failure is not None and failure["stage"] in INFRASTRUCTURE_STAGES
+
+
+def _evaluate_group(requests: Sequence[AnalysisRequest]) -> List[AnalysisReport]:
+    """Evaluate one group: a lone request per item, two or more fused.
+
+    Reports are byte-identical either way; a singleton skips the grouped
+    path's stage bookkeeping, which only pays off across sets.
+    """
+    if len(requests) == 1:
+        return [evaluate_captured(requests[0])]
+    return evaluate_chunk_grouped(requests)
+
+
+def _cut(items: Sequence[ItemT], size: int) -> List[List[ItemT]]:
+    """Cut ``items`` into ``ceil(len / size)`` near-equal runs, in order.
+
+    The boundaries depend only on ``len(items)`` and ``size`` — never on
+    the job count — so inline and pooled runs evaluate the same groups.
+    """
+    count = math.ceil(len(items) / size)
+    return [
+        list(items[(i * len(items)) // count : ((i + 1) * len(items)) // count])
+        for i in range(count)
+    ]
 
 
 #: One unit of pool work: (slot within the chunk, request key, request).
@@ -274,7 +312,6 @@ def _worker_chunk(
     chunk: Sequence[_ChunkItem],
     trace_enabled: bool = False,
     injection: Optional[InjectionSpec] = None,
-    population: bool = False,
 ) -> Tuple[List[Tuple[int, ReportPayload]], WorkerMeta]:
     """Process-pool entry point: evaluate a chunk, return JSON payloads.
 
@@ -290,12 +327,8 @@ def _worker_chunk(
     ``injection`` is the chaos harness's deterministic fault seam: when
     armed, an item can SIGKILL its own worker or hang it before any
     evaluation runs (:func:`~repro.pipeline.fault_tolerance.
-    maybe_inject`).
-
-    ``population`` routes the whole chunk through the grouped
-    population evaluator (:func:`~repro.pipeline.grouping.
-    evaluate_chunk_grouped`) — per-item payloads are byte-identical to
-    the per-item path, only the kernel dispatch fuses across the chunk.
+    maybe_inject`).  Every item is checked before the chunk evaluates,
+    because a group's items evaluate together (:func:`_evaluate_group`).
     """
     from repro.analysis.kernels import PERF
 
@@ -304,19 +337,12 @@ def _worker_chunk(
         trace.drain()  # discard records inherited from the parent via fork
     perf_before = PERF.snapshot()
     t0 = time.perf_counter()
-    results: List[Tuple[int, ReportPayload]] = []
-    if population and len(chunk) > 1:
-        from repro.pipeline.grouping import evaluate_chunk_grouped
-
-        for _slot, key, _request in chunk:
-            maybe_inject(injection, key)
-        reports = evaluate_chunk_grouped([request for _, _, request in chunk])
-        for (slot, _, _), report in zip(chunk, reports):
-            results.append((slot, report.to_dict()))
-    else:
-        for slot, key, request in chunk:
-            maybe_inject(injection, key)
-            results.append((slot, evaluate_captured(request).to_dict()))
+    for _slot, key, _request in chunk:
+        maybe_inject(injection, key)
+    reports = _evaluate_group([request for _, _, request in chunk])
+    results = [
+        (slot, report.to_dict()) for (slot, _, _), report in zip(chunk, reports)
+    ]
     meta: WorkerMeta = {
         "pid": os.getpid(),
         "items": len(chunk),
@@ -446,14 +472,17 @@ class BatchRunner:
         under ``retry`` and then skipped.
     checkpoint:
         Optional JSONL path; every settled item is appended as a
-        CRC-wrapped line and flushed+fsynced per settle batch, so a
-        killed sweep loses at most in-flight items.
+        CRC-wrapped line and flushed+fsynced once per settled group, so
+        a killed sweep loses at most the groups in flight.
     resume:
         Load the checkpoint before running and skip every request whose
         key is already recorded (corrupt/torn lines are recomputed).
     chunk_size:
-        Requests per worker chunk (default: balance ~4 chunks per
-        worker, capped at 32).
+        Most requests per group (default :data:`GROUP_SIZE`).  The
+        pending requests are cut into ``ceil(pending / chunk_size)``
+        near-equal groups, the same at any ``jobs``; a group of two or
+        more evaluates through the fused population scans, a singleton
+        per item.  The pool ships one group per chunk.
     progress:
         ``progress(done, total)`` callback, invoked after every settled
         item (cache hit, resumed, computed, quarantined or failed).
@@ -489,14 +518,6 @@ class BatchRunner:
         (main thread only).  The first signal stops scheduling, flushes
         checkpoint and metrics, and raises :class:`~repro.pipeline.
         fault_tolerance.BatchAborted`; a second one kills the process.
-    population:
-        Evaluate chunks through the grouped population path
-        (:func:`~repro.pipeline.grouping.evaluate_chunk_grouped`): one
-        fused kernel dispatch per analysis stage per chunk instead of
-        per item.  Reports, caching, checkpointing and the exactly-once
-        stats are byte-identical to the per-item path at any ``jobs``
-        count; only the kernel perf counters (``kernel_evals``,
-        ``cells``) group differently, which is why this is opt-in.
     """
 
     jobs: int = 1
@@ -512,7 +533,6 @@ class BatchRunner:
     injection: Optional[InjectionSpec] = None
     pool: Optional[PersistentPool] = None
     install_signal_handlers: bool = True
-    population: bool = False
     stats: BatchStats = field(default_factory=BatchStats)
     faults: FaultStats = field(default_factory=FaultStats)
 
@@ -751,38 +771,19 @@ class BatchRunner:
         try:
             with GracefulShutdown(install=self.install_signal_handlers) as shutdown:
                 if self.jobs == 1 or len(work) <= 1:
-                    if self.population and len(work) > 1:
-                        from repro.pipeline.grouping import evaluate_chunk_grouped
-
-                        size = self.chunk_size or max(
-                            1, min(32, math.ceil(len(work) / (self.jobs * 4)))
-                        )
-                        for start in range(0, len(work), size):
-                            if shutdown.requested:
-                                raise self._aborted(shutdown, done, len(requests))
-                            chunk = work[start : start + size]
-                            t0 = time.perf_counter()
-                            chunk_reports = evaluate_chunk_grouped(
-                                [request for _key, request in chunk]
+                    for group in self._groups(work):
+                        if shutdown.requested:
+                            raise self._aborted(shutdown, done, len(requests))
+                        t0 = time.perf_counter()
+                        outcome = _evaluate_group([request for _, request in group])
+                        for (key, _request), report in zip(group, outcome):
+                            settle(key, report.to_dict())
+                        # One fsync per group: its results arrived together.
+                        commit()
+                        if self.metrics is not None:
+                            self.metrics.record_chunk(
+                                "inline", len(group), time.perf_counter() - t0
                             )
-                            for (key, _request), report in zip(chunk, chunk_reports):
-                                settle(key, report.to_dict())
-                            commit()
-                            if self.metrics is not None:
-                                self.metrics.record_chunk(
-                                    "inline", len(chunk), time.perf_counter() - t0
-                                )
-                    else:
-                        for key, request in work:
-                            if shutdown.requested:
-                                raise self._aborted(shutdown, done, len(requests))
-                            t0 = time.perf_counter()
-                            settle(key, evaluate_captured(request).to_dict())
-                            commit()
-                            if self.metrics is not None:
-                                self.metrics.record_chunk(
-                                    "inline", 1, time.perf_counter() - t0
-                                )
                 else:
                     self._run_parallel(
                         work,
@@ -829,6 +830,10 @@ class BatchRunner:
                 )
             reports.append(AnalysisReport.from_dict(payload))
         return reports
+
+    def _groups(self, items: Sequence[ItemT]) -> List[List[ItemT]]:
+        """The evaluation groups of the pending list (see ``chunk_size``)."""
+        return _cut(items, self.chunk_size or GROUP_SIZE)
 
     def _aborted(
         self, shutdown: GracefulShutdown, done: int, total: int
@@ -897,12 +902,7 @@ class BatchRunner:
             )
             for key, request in work
         ]
-        size = self.chunk_size or max(
-            1, min(32, math.ceil(len(tracked) / (self.jobs * 4)))
-        )
-        ready: Deque[List[_Tracked]] = deque(
-            tracked[i : i + size] for i in range(0, len(tracked), size)
-        )
+        ready: Deque[List[_Tracked]] = deque(self._groups(tracked))
         delayed: List[Tuple[float, List[_Tracked]]] = []
         solitary: Deque[_Tracked] = deque()
         in_flight: Dict["Future[Tuple[List[Tuple[int, ReportPayload]], WorkerMeta]]", _Flight] = {}
@@ -962,7 +962,6 @@ class BatchRunner:
                     payload,
                     trace_enabled,
                     self.injection,
-                    self.population,
                 )
             except BrokenProcessPool:
                 # The chunk never ran: requeue it for free, recycle the
@@ -1170,7 +1169,6 @@ def run_batch(
     metrics: Optional[MetricsRegistry] = None,
     retry: Optional[RetryPolicy] = None,
     quarantine: Optional[PathLike] = None,
-    population: bool = False,
 ) -> List[AnalysisReport]:
     """One-shot convenience wrapper around :class:`BatchRunner`."""
     runner = BatchRunner(
@@ -1183,6 +1181,5 @@ def run_batch(
         metrics=metrics,
         retry=retry if retry is not None else RetryPolicy(),
         quarantine=quarantine,
-        population=population,
     )
     return runner.run(requests)

@@ -9,6 +9,7 @@ from repro.analysis.speedup import min_speedup, speedup_schedulable
 from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
 from repro.pipeline import AnalysisRequest, BatchRunner
+from repro.pipeline.grouping import evaluate_chunk_grouped
 from tests.conftest import multi_window_set
 
 
@@ -126,10 +127,15 @@ class TestCertifiedVerdicts:
 
     @pytest.mark.parametrize("population", [False, True])
     def test_request_hi_ok_uses_upper_bound(self, population):
+        # ``population`` selects the grouped evaluator; a lone request
+        # through the runner takes the per-item path.
         ts = multi_window_set()
         assert self.SPEEDUP < min_speedup(ts).s_min
         request = AnalysisRequest(taskset=ts, speedup=self.SPEEDUP, max_candidates=50)
-        [report] = BatchRunner(jobs=1, population=population).run([request])
+        if population:
+            [report] = evaluate_chunk_grouped([request])
+        else:
+            [report] = BatchRunner(jobs=1).run([request])
         assert report.speedup is not None and not report.speedup.exact
         assert report.speedup.s_min < self.SPEEDUP < report.speedup.upper_bound
         assert report.hi_ok is False

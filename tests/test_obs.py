@@ -68,6 +68,44 @@ def _bad_request():
     return AnalysisRequest(taskset=table1_taskset(), speedup=2.0, max_candidates=1)
 
 
+#: Option shapes the grouped evaluator handles itself.
+_GROUPED_SHAPES = (
+    {"speedup": 3.0, "auto_x": "exact", "y": 2.0, "resetting": "always"},
+    {"speedup": 2.0, "auto_x": "density", "y": 2.0},
+    {"speedup": 2.0, "x": 0.5, "y": 1.5, "reset_budget": 500.0},
+    {"speedup": 2.0, "x": 0.6, "closed_form": True},
+    {"speedup": 2.0, "per_task": True},
+)
+
+
+def _mixed_requests(count=150, seed=23):
+    """Distinct-content requests spanning three evaluation groups.
+
+    Every grouped option shape rides along with the items the grouped
+    evaluator hands back to the per-item path (a multiproc item, a
+    scalar-engine item) and one whose Corollary-5 scan exhausts its
+    budget into a captured failure.
+    """
+    rng = np.random.default_rng(seed)
+    requests = [
+        AnalysisRequest(
+            taskset=generate_taskset(0.6, rng, GeneratorConfig(), name=f"mx{i}"),
+            **_GROUPED_SHAPES[i % len(_GROUPED_SHAPES)],
+        )
+        for i in range(count)
+    ]
+    special = {
+        count // 15: {"cores": 2, "speedup_cap": 2.0, "x": 0.5},
+        count // 2: {"speedup": 2.0, "auto_x": "density", "engine": "scalar"},
+        count - 10: {
+            "speedup": 2.0, "x": 0.5, "resetting": "always", "max_candidates": 1,
+        },
+    }
+    for index, options in special.items():
+        requests[index] = AnalysisRequest(taskset=requests[index].taskset, **options)
+    return requests
+
+
 # ---------------------------------------------------------------------------
 # Tracer unit behaviour
 # ---------------------------------------------------------------------------
@@ -255,6 +293,64 @@ class TestInstrumentation:
             return sorted(json.dumps(s, sort_keys=True) for s in spans)
 
         assert stripped_spans(1) == stripped_spans(2)
+
+    def test_grouped_stages_have_their_own_spans(self):
+        kernels.clear_memo()
+        kernels.clear_compile_cache()
+        trace.enable()
+        BatchRunner().run(_mixed_requests(count=12))
+        trace.disable()
+        spans = trace.drain()
+        stages = {
+            r["name"]: r
+            for r in spans
+            if r["path"] == "pipeline.evaluate_grouped/" + r["name"]
+        }
+        assert sorted(stages) == [
+            "grouped.compile", "grouped.extras", "grouped.lo_test",
+            "grouped.resetting", "grouped.speedup", "grouped.tuning",
+        ]
+        for record in stages.values():
+            assert record["depth"] == 1
+            assert list(record["tags"]) == ["items"]
+            assert 0 < record["tags"]["items"] <= 12
+        # Per-item work below a stage nests under it, e.g. compiles.
+        assert any(
+            r["path"].startswith("pipeline.evaluate_grouped/grouped.compile/")
+            for r in spans
+        )
+
+
+class TestJobsInvarianceAcrossGroups:
+    """jobs=1/2/3 agree on payloads, counters and trace content for a
+    batch cut into several groups, whatever ships to which worker."""
+
+    @staticmethod
+    def _run(jobs):
+        kernels.clear_memo()
+        kernels.clear_compile_cache()
+        metrics = MetricsRegistry()
+        trace.enable()
+        reports = BatchRunner(jobs=jobs, metrics=metrics).run(_mixed_requests())
+        trace.disable()
+        spans = sorted(
+            json.dumps(strip_timing(r), sort_keys=True) for r in trace.drain()
+        )
+        return [r.to_dict() for r in reports], metrics.snapshot(), spans
+
+    def test_identical_across_job_counts(self):
+        payloads, snapshot, spans = self._run(1)
+        assert snapshot["timing"]["workers"]["inline"]["chunks"] >= 3
+        assert sum(p["failure"] is not None for p in payloads) == 1
+        assert payloads[140]["failure"]["stage"] == "resetting_time"
+        assert payloads[10]["multiproc"] is not None
+        for jobs in (2, 3):
+            other_payloads, other_snapshot, other_spans = self._run(jobs)
+            assert other_payloads == payloads
+            assert MetricsRegistry.strip_timing(
+                other_snapshot
+            ) == MetricsRegistry.strip_timing(snapshot)
+            assert other_spans == spans
 
 
 # ---------------------------------------------------------------------------

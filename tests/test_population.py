@@ -1,9 +1,10 @@
 """Population-batched analysis: byte identity against the per-set paths.
 
 The contract under test (see ``DESIGN.md``): every ``*_many`` front-end
-in :mod:`repro.analysis.population` and the population-grouped pipeline
-(``population=True``) return, set by set, *exactly* — bit for bit, not
-approximately — what the per-set scalar and compiled paths return.
+in :mod:`repro.analysis.population` and the grouped pipeline path (the
+batch runner's default for groups of two or more requests) return, set
+by set, *exactly* — bit for bit, not approximately — what the per-set
+scalar and compiled paths return.
 Grouping only changes execution; results, budget outcomes, failure
 payloads and report dictionaries are invariant.
 """
@@ -30,7 +31,7 @@ from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
 from repro.model.transform import apply_uniform_scaling
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import AnalysisRequest, BatchRunner
+from repro.pipeline import AnalysisRequest, BatchRunner, evaluate_captured
 from tests.conftest import multi_window_set
 
 
@@ -220,17 +221,31 @@ class TestGroupedPipeline:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_grouped_reports_byte_identical(self, pipeline_requests, jobs):
+        # Reference: chunk_size=1 keeps every request on the per-item path.
         _clear_caches()
-        plain = BatchRunner(jobs=jobs).run(pipeline_requests)
+        plain_metrics = MetricsRegistry()
+        plain = BatchRunner(jobs=jobs, chunk_size=1, metrics=plain_metrics).run(
+            pipeline_requests
+        )
         _clear_caches()
-        grouped = BatchRunner(jobs=jobs, population=True).run(pipeline_requests)
+        grouped_metrics = MetricsRegistry()
+        grouped = BatchRunner(jobs=jobs, metrics=grouped_metrics).run(
+            pipeline_requests
+        )
         assert [r.to_dict() for r in plain] == [r.to_dict() for r in grouped]
+        assert plain_metrics.counter("kernels.population_batches") == 0
+        assert grouped_metrics.counter("kernels.population_batches") > 0
 
     def test_analyze_many_population_flag(self, pipeline_requests):
+        # Reference: evaluate_captured per request, never grouped.
         _clear_caches()
-        plain = api.analyze_many(pipeline_requests)
+        before = kernels.PERF.snapshot()
+        plain = [evaluate_captured(request) for request in pipeline_requests]
+        assert kernels.PERF.delta_since(before)["population_batches"] == 0
         _clear_caches()
-        grouped = api.analyze_many(pipeline_requests, population=True)
+        before = kernels.PERF.snapshot()
+        grouped = api.analyze_many(pipeline_requests)
+        assert kernels.PERF.delta_since(before)["population_batches"] > 0
         assert [r.to_dict() for r in plain] == [r.to_dict() for r in grouped]
 
 
@@ -256,7 +271,7 @@ class TestCounters:
         ]
         _clear_caches()
         metrics = MetricsRegistry()
-        BatchRunner(jobs=1, population=True, metrics=metrics).run(requests)
+        BatchRunner(jobs=1, metrics=metrics).run(requests)
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["kernels.population_batches"] >= 1
         assert snapshot["counters"]["kernels.population_sets"] >= 10
