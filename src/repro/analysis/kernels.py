@@ -25,8 +25,16 @@ masks) with
   lattice ``{k * T + offset}`` for a window without per-task /
   per-offset Python loops;
 * cheap column derivations (:meth:`~CompiledTaskSet.with_hi_lo_deadline_factor`,
-  :meth:`~CompiledTaskSet.with_lo_deadline`) so the tuning loops rescale
-  one column instead of rebuilding and re-validating ``MCTask`` objects.
+  :meth:`~CompiledTaskSet.with_lo_deadline`,
+  :meth:`~CompiledTaskSet.with_uniform_scaling`) so the tuning loops and
+  the grouped pipeline rescale columns instead of rebuilding,
+  re-validating and re-fingerprinting ``MCTask`` objects.
+
+:class:`CompiledPopulation` lays many snapshots out side by side for the
+lockstep scans of :mod:`repro.analysis.population`; its LO tables can be
+pointed at Eq.-(13) probe factors in place
+(:meth:`~CompiledPopulation.probe_lo_deadline_factors`), so the grouped
+exact-``x`` bisection runs every probe level on one population.
 
 **Bit-exactness contract.**  Every kernel mirrors the scalar oracle's
 elementary floating-point operations — same slacked floor
@@ -994,10 +1002,31 @@ class CompiledTaskSet:
         """
         if not 0 < x <= 1:
             raise ModelError(f"x must be in (0, 1], got {x}")
-        new_d_lo = np.where(
-            self.is_hi, np.maximum(x * self.d_hi, self.c_lo), self.d_lo
-        )
+        new_d_lo = _eq13_d_lo(x, self.is_hi, self.d_hi, self.c_lo, self.d_lo)
         return self._derive(("xfac", x), d_lo=new_d_lo)
+
+    def with_uniform_scaling(self, x: float, y: float) -> "CompiledTaskSet":
+        """Both Section-V knobs as one column derivation: the compiled
+        :func:`repro.model.transform.apply_uniform_scaling`.
+
+        Eq. (13) is the :meth:`with_hi_lo_deadline_factor` column; Eq. (14)
+        then sets ``D(HI) = y * D(LO)`` and ``T(HI) = y * T(LO)`` for every
+        LO task, or ``inf`` for both when ``y = inf`` (termination).  Same
+        checks in the same order, same float operations, no ``MCTask``
+        rebuild, validation or fingerprint.
+        """
+        if not 0 < x <= 1:
+            raise ModelError(f"x must be in (0, 1], got {x}")
+        d_lo = _eq13_d_lo(x, self.is_hi, self.d_hi, self.c_lo, self.d_lo)
+        if math.isinf(y):
+            d_hi = np.where(self.is_hi, self.d_hi, math.inf)
+            t_hi = np.where(self.is_hi, self.t_hi, math.inf)
+        else:
+            if y < 1:
+                raise ModelError(f"y must be >= 1, got {y}")
+            d_hi = np.where(self.is_hi, self.d_hi, y * self.d_lo)
+            t_hi = np.where(self.is_hi, self.t_hi, y * self.t_lo)
+        return self._derive(("uniform", x, y), d_lo=d_lo, d_hi=d_hi, t_hi=t_hi)
 
     def with_lo_deadline(self, name: str, d_lo: float) -> "CompiledTaskSet":
         """Rescale one HI task's LO-mode deadline (per-task tuning move)."""
@@ -1026,6 +1055,35 @@ class CompiledTaskSet:
             name = self.names[int(np.flatnonzero(bad)[0])]
             raise ModelError(f"{name}: C(HI) <= D(HI) required")
         return self._derive(("gamma", gamma), c_hi=new_c_hi)
+
+
+def _eq13_d_lo(
+    x: ArrayLike,
+    is_hi: np.ndarray,
+    d_hi: np.ndarray,
+    c_lo: np.ndarray,
+    d_lo: np.ndarray,
+) -> np.ndarray:
+    """Eq. (13)'s ``D(LO)`` column: ``max(x * D(HI), C(LO))`` on HI rows.
+
+    The clamp and float operations of
+    :func:`repro.model.transform.shorten_hi_deadlines`; ``x`` is one
+    factor or one per row.
+    """
+    return np.where(is_hi, np.maximum(x * d_hi, c_lo), d_lo)
+
+
+def _task_order_sum(values: Sequence[float]) -> float:
+    """Left-to-right sum from ``0``: the accumulation order of
+    :meth:`CompiledTaskSet._compile_scalars` and the scalar oracle.
+
+    Neither ``sum()`` (compensated for floats from Python 3.12) nor a
+    NumPy reduction (pairwise) is guaranteed to match it in the last bit.
+    """
+    total = 0
+    for value in values:
+        total = total + value
+    return float(total)
 
 
 def _lattice_points(
@@ -1253,6 +1311,12 @@ class CompiledPopulation:
     reduction over ``P`` rows is bit-identical to the per-set reduction
     over ``n`` rows, which is itself bit-identical to the scalar oracle.
 
+    **Probes.**  :meth:`probe_lo_deadline_factors` rewrites members'
+    ``D(LO)`` rows in the LO-kind tables to Eq.-(13) probe values — the
+    exact-``x`` bisection's probe levels — without touching a member;
+    per-set fallbacks then evaluate :meth:`snapshot`, the probe snapshot
+    derived on demand.
+
     Build via :func:`compile_population`, not the constructor.
     """
 
@@ -1266,6 +1330,10 @@ class CompiledPopulation:
         "_hi_mats",
         "_bp_cats",
         "_eval_stacks",
+        # member index -> Eq.-(13) factor its LO tables hold, and the
+        # probe snapshots derived so far (probe_lo_deadline_factors)
+        "_lo_probes",
+        "_lo_derived",
     )
 
     def __init__(self) -> None:  # pragma: no cover - guarded constructor
@@ -1299,6 +1367,8 @@ class CompiledPopulation:
         self._hi_mats = {}
         self._bp_cats = {}
         self._eval_stacks = {}
+        self._lo_probes = {}
+        self._lo_derived = {}
         return self
 
     def __len__(self) -> int:
@@ -1313,34 +1383,39 @@ class CompiledPopulation:
     def _lo_bundle(self, bucket: int) -> Dict[str, np.ndarray]:
         """``(P, sets)`` DBF_LO parameters; padding rows evaluate to +0.0
         (``c_lo = 0`` zeroes the row; ``t_lo = inf`` keeps the floor at 0).
+
+        The three matrices are row blocks of one ``(3P, sets)`` matrix,
+        which doubles as the bucket's stacked ``"lo"`` evaluation matrix
+        (:meth:`_eval_bucket`), so a probe write
+        (:meth:`probe_lo_deadline_factors`) reaches both at once.
         """
         mats = self._lo_mats.get(bucket)
         if mats is not None:
             return mats
-        indices = self._bucket_members[bucket]
-        mems = [self.members[index] for index in indices]
+        mems = [self.members[index] for index in self._bucket_members[bucket]]
+        stack = np.empty((3 * bucket, len(mems)))
+        mats = {
+            "d_lo": stack[:bucket],
+            "t_lo": stack[bucket : 2 * bucket],
+            "c_lo": stack[2 * bucket :],
+        }
         if all(member.n == bucket for member in mems):
-            # Exact-height bucket: no padding rows, so each matrix is one
+            # Exact-height bucket: no padding rows, so each block is one
             # concatenate + one strided transpose-fill instead of a
             # per-slot assignment loop.
-            stack = self._stacked_columns(bucket, len(mems))
-            mats = {
-                "c_lo": stack(np.concatenate([m.c_lo for m in mems])),
-                "d_lo": stack(np.concatenate([m.d_lo for m in mems])),
-                "t_lo": stack(np.concatenate([m.t_lo for m in mems])),
-            }
-            self._lo_mats[bucket] = mats
-            return mats
-        shape = (bucket, len(indices))
-        c_lo = np.zeros(shape)
-        d_lo = np.zeros(shape)
-        t_lo = np.full(shape, np.inf, dtype=float)
-        for slot, member in enumerate(mems):
-            c_lo[: member.n, slot] = member.c_lo
-            d_lo[: member.n, slot] = member.d_lo
-            t_lo[: member.n, slot] = member.t_lo
-        mats = {"c_lo": c_lo, "d_lo": d_lo, "t_lo": t_lo}
+            for name, block in mats.items():
+                block.T[:] = np.concatenate(
+                    [getattr(m, name) for m in mems]
+                ).reshape(len(mems), bucket)
+        else:
+            mats["d_lo"][:] = 0.0
+            mats["t_lo"][:] = np.inf
+            mats["c_lo"][:] = 0.0
+            for slot, member in enumerate(mems):
+                for name, block in mats.items():
+                    block[: member.n, slot] = getattr(member, name)
         self._lo_mats[bucket] = mats
+        self._eval_stacks[("lo", bucket, False)] = stack
         return mats
 
     @staticmethod
@@ -1530,6 +1605,97 @@ class CompiledPopulation:
             )
 
     # ------------------------------------------------------------------
+    # Eq.-(13) probes in place (the exact-x bisection)
+    # ------------------------------------------------------------------
+    def probe_lo_deadline_factors(
+        self, indices: Sequence[int], xs: Sequence[float]
+    ) -> List[Tuple[np.ndarray, float]]:
+        """Point members' LO-kind tables at Eq.-(13) probe factors.
+
+        Member ``indices[k]``'s ``D(LO)`` column becomes the one
+        ``members[indices[k]].with_hi_lo_deadline_factor(xs[k])`` holds —
+        the same elementwise operations, run on the members' concatenated
+        real rows — in the ``"lo"`` parameter matrices (and with them the
+        stacked ``"lo"`` evaluation matrix) and in the ``"lo"`` breakpoint
+        table.  Only this population's own tables are written, never a
+        member: per-set fallbacks go through :meth:`snapshot`, which
+        derives the probe snapshot on first use.  The HI-kind tables keep
+        the members' columns, so a probed population serves LO demand
+        only (:meth:`eval_many` and :meth:`breakpoints_many` refuse the
+        HI kinds).
+
+        Returns each probed member's ``D(LO)`` row and its ``lo_excess``,
+        the only LO-mode aggregates that depend on ``x``, summed in task
+        order like :meth:`CompiledTaskSet._compile_scalars`.
+        """
+        for x in xs:
+            if not 0 < x <= 1:
+                raise ModelError(f"x must be in (0, 1], got {x}")
+        if not indices:
+            return []
+        mems = [self.members[index] for index in indices]
+        sizes = np.fromiter((m.n for m in mems), dtype=np.int64, count=len(mems))
+        cat = np.concatenate
+        c_lo = cat([m.c_lo for m in mems])
+        t_lo = cat([m.t_lo for m in mems])
+        d_lo = _eq13_d_lo(
+            np.repeat(np.asarray(xs, dtype=float), sizes),
+            cat([m.is_hi for m in mems]),
+            cat([m.d_hi for m in mems]),
+            c_lo,
+            cat([m.d_lo for m in mems]),
+        )
+        # A member's rows sit at ``starts[member] + within`` in the
+        # breakpoint table and at ``(within, slot)`` in its bucket.
+        within = np.arange(d_lo.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        starts, offsets, _, _ = self._bp_cat("lo")
+        first = starts[np.asarray(indices, dtype=np.int64)]
+        offsets[np.repeat(first, sizes) + within] = d_lo
+        member_bucket = [self._bucket_of[index] for index in indices]
+        row_bucket = np.repeat(member_bucket, sizes)
+        row_slot = np.repeat([self._slot_of[index] for index in indices], sizes)
+        for bucket in dict.fromkeys(member_bucket):
+            sel = row_bucket == bucket
+            self._lo_bundle(bucket)["d_lo"][within[sel], row_slot[sel]] = d_lo[sel]
+        self._lo_probes.update(zip(indices, xs))
+        if self._lo_derived:
+            for index in indices:
+                self._lo_derived.pop(index, None)
+        # Excess terms on the real rows only: a padding row's
+        # ``0 * max(inf - 0, 0)`` would be NaN.
+        terms = (c_lo / t_lo * np.maximum(t_lo - d_lo, 0.0)).tolist()
+        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        return [
+            (d_lo[lo:hi], _task_order_sum(terms[lo:hi]))
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
+
+    def snapshot(self, index: int) -> CompiledTaskSet:
+        """The snapshot whose columns this population holds for member ``index``.
+
+        The member itself, or — after :meth:`probe_lo_deadline_factors` —
+        its probe snapshot, derived with
+        :meth:`CompiledTaskSet.with_hi_lo_deadline_factor` on first use:
+        only members whose work leaves the fused path pay for one.
+        """
+        x = self._lo_probes.get(index)
+        if x is None:
+            return self.members[index]
+        derived = self._lo_derived.get(index)
+        if derived is None:
+            derived = self.members[index].with_hi_lo_deadline_factor(x)
+            self._lo_derived[index] = derived
+        return derived
+
+    def _check_kind(self, kind: str) -> None:
+        if kind not in ("dbf", "adb", "lo"):
+            raise ValueError(f"unknown kind: {kind!r}")
+        if kind != "lo" and self._lo_probes:
+            raise ValueError(
+                f"{kind!r} demand on a population probed at LO deadline factors"
+            )
+
+    # ------------------------------------------------------------------
     # Fused multi-set demand kernels
     # ------------------------------------------------------------------
     def fuses(self, member_index: int, n_points: int) -> bool:
@@ -1562,11 +1728,11 @@ class CompiledPopulation:
         Items whose delta array alone fills a whole evaluation chunk
         gain nothing from fusion (there is no call overhead left to
         amortize) and would pay for the bucket padding rows — they are
-        delegated to the member's own per-set kernel, which returns
-        bit-identical demand by the kernel contract.
+        delegated to the member's own per-set kernel (its probe
+        snapshot's, :meth:`snapshot`), which returns bit-identical
+        demand by the kernel contract.
         """
-        if kind not in ("dbf", "adb", "lo"):
-            raise ValueError(f"unknown kind: {kind!r}")
+        self._check_kind(kind)
         results: List[np.ndarray] = [np.empty(0)] * len(items)
         by_bucket: Dict[int, List[int]] = {}
         arrays: List[np.ndarray] = []
@@ -1577,7 +1743,7 @@ class CompiledPopulation:
                 continue
             bucket = self._bucket_of[member_index]
             if d.size * bucket >= _CHUNK_CELLS:
-                member = self.members[member_index]
+                member = self.snapshot(member_index)
                 if kind == "lo":
                     out = member.total_dbf_lo(d)
                 elif kind == "dbf":
@@ -1702,7 +1868,8 @@ class CompiledPopulation:
                 return wide[:1]
             return np.add.reduce(rows(block, param), axis=0)
 
-        stack_key = (kind, bucket, drop_terminated_carryover)
+        # Only ADB_HI reads the flag; the "lo" stack is _lo_bundle's.
+        stack_key = (kind, bucket, kind == "adb" and drop_terminated_carryover)
         stack = self._eval_stacks.get(stack_key)
         if stack is None:
             stack = np.concatenate(parts, axis=0)
@@ -1797,10 +1964,10 @@ class CompiledPopulation:
         member's own ``breakpoints_in``.  Candidate budgets are per set
         and stay with the caller.  Items denser than ``_FUSE_POINTS``
         lattice points, and items of members with points outside the
-        lattice, delegate to the member's own generator (same output).
+        lattice, delegate to the member's own generator (its probe
+        snapshot's, :meth:`snapshot`; same output).
         """
-        if kind not in ("dbf", "adb", "lo"):
-            raise ValueError(f"unknown kind: {kind!r}")
+        self._check_kind(kind)
         n_items = len(items)
         results: List[np.ndarray] = [np.empty(0)] * n_items
         if not n_items:
@@ -1819,9 +1986,9 @@ class CompiledPopulation:
         carry = carry_tab[midx]
         if carry.any():
             for pos in np.flatnonzero(carry):
-                results[int(pos)] = self.members[
+                results[int(pos)] = self.snapshot(
                     int(midx[pos])
-                ].breakpoints_in(float(wlo[pos]), float(whi[pos]), kind=kind)
+                ).breakpoints_in(float(wlo[pos]), float(whi[pos]), kind=kind)
             sizes = np.where(carry, 0, sizes)
         total_pairs = int(sizes.sum())
         if total_pairs == 0:
@@ -1852,9 +2019,9 @@ class CompiledPopulation:
             # per-set generator skips the owner-tagged fused temporaries
             # and returns the identical points.
             for pos in dense:
-                results[int(pos)] = self.members[
+                results[int(pos)] = self.snapshot(
                     int(midx[pos])
-                ].breakpoints_in(float(wlo[pos]), float(whi[pos]), kind=kind)
+                ).breakpoints_in(float(wlo[pos]), float(whi[pos]), kind=kind)
             keep_pair = item_cnt[item_of_pair] <= _FUSE_POINTS
             off = off[keep_pair]
             per = per[keep_pair]

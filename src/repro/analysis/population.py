@@ -23,6 +23,14 @@ elementary float operations as the per-set scan, so
 bitwise (and likewise for the other entry points).  Converged sets are
 masked out of later rounds; they contribute nothing to the fused calls.
 
+The exact-``x`` bisection never derives a snapshot per probe: it builds
+the group's base population once and, at each probe level, writes the
+pending sets' probe ``D(LO)`` rows into that population's LO tables and
+feeds the one LO scan (:func:`_lo_scan_rounds`) each probe's ``x``-
+dependent aggregates.  An error the per-set scan would raise for one set
+(a hyperperiod beyond the float range) becomes that set's outcome; the
+other sets go on.
+
 Results carry no perf snapshots (``SpeedupResult.perf`` is ``None``)
 and the shared :class:`~repro.analysis.kernels.AnalysisMemo` is neither
 consulted nor populated: population scans always compute, which keeps
@@ -32,8 +40,8 @@ their results trivially independent of call order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple, TypeVar, Union
 
 import numpy as np
 
@@ -45,14 +53,13 @@ from repro.analysis.kernels import (
     CompiledPopulation,
     CompiledTaskSet,
     compile_population,
-    compile_taskset,
     compile_tasksets,
 )
 from repro.analysis.resetting import _RTOL as _RESET_RTOL
 from repro.analysis.resetting import _tol as _reset_tol
 from repro.analysis.resetting import ResettingResult
 from repro.analysis.schedulability import _RTOL as _SCHED_RTOL
-from repro.analysis.schedulability import _scan_horizon
+from repro.analysis.schedulability import _bounded_horizon, _period_span
 from repro.analysis.speedup import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_RTOL,
@@ -64,11 +71,21 @@ from repro.model.taskset import TaskSet
 from repro.obs import trace
 
 Analyzable = Union[TaskSet, CompiledTaskSet]
+_T = TypeVar("_T")
 
 #: A scan outcome that is either a value or the exception the per-set
 #: path would have raised for that set (other sets are unaffected).
 SpeedupOutcome = Union[SpeedupResult, AnalysisBudgetExceeded]
 ResettingOutcome = Union[ResettingResult, AnalysisBudgetExceeded, ValueError]
+LoOutcome = Union[bool, ArithmeticError, ValueError]
+#: A tuned ``x`` (``None``: infeasible for every ``x <= 1``) or an error.
+TuningOutcome = Union[float, None, ArithmeticError, ValueError]
+
+#: Errors a per-set LO scan raises for its set alone (a hyperperiod past
+#: the float range): the lockstep returns them as that member's outcome.
+_MEMBER_ERRORS = (ArithmeticError, ValueError)
+#: A member's horizon period span, or the error computing it raised.
+_Span = Union[float, ArithmeticError, ValueError]
 
 
 def _count_batch(size: int) -> None:
@@ -362,123 +379,146 @@ def min_speedup_many(
 # LO-mode EDF demand test in lockstep
 # ---------------------------------------------------------------------------
 @dataclass
-class _LoState:
+class _LoScan:
+    """One member's LO-mode demand scan, the ``_lo_mode_scan`` state.
+
+    ``excess`` and ``d_lo`` belong to the scanned snapshot — a probe's in
+    the exact-``x`` bisection.  The ``x``-independent inputs (``lo_rate``,
+    ``lo_density``, ``lo_max_period`` and the horizon's period span) are
+    the population member's.
+    """
+
+    index: int
     speed: float
-    horizon: float
-    window_lo: float
-    step: float
-    max_window: float
+    excess: float
+    d_lo: np.ndarray
+    horizon: float = 0.0
+    window_lo: float = 0.0
+    step: float = 0.0
+    max_window: float = 0.0
 
 
-def _lo_schedulable_lockstep(
-    members: Sequence[CompiledTaskSet],
-    speeds: Sequence[float],
-    *,
-    pop: Optional[CompiledPopulation] = None,
-) -> List[bool]:
-    """All members' LO-mode demand scans, advanced one window per round.
+def _lo_scan_rounds(
+    pop: CompiledPopulation,
+    scans: Sequence[_LoScan],
+    spans: Dict[int, _Span],
+) -> List[LoOutcome]:
+    """All scans' LO-mode demand tests, advanced one window per round.
 
     Mirrors :func:`repro.analysis.schedulability._lo_mode_scan` (plus the
-    ``lo_mode_schedulable`` entry shortcuts) per member; the exhaustive
+    ``lo_mode_schedulable`` entry shortcuts) per scan; the exhaustive
     supply comparison per window matches the per-set verdict exactly
-    (stripe pruning there is verdict-preserving).
+    (stripe pruning there is verdict-preserving).  ``spans`` caches each
+    member's horizon period span across calls.  Like the per-set scan,
+    a member computes it only once its scan reaches the horizon: a
+    member whose hyperperiod overflows the float range gets the
+    ``OverflowError`` as its outcome, and only when the per-set scan
+    would raise it too.
     """
-    if pop is None:
-        pop = compile_population(members)
     pop.prepare_tables("lo")
-    verdicts: List[Optional[bool]] = [None] * len(members)
-    states: List[Optional[_LoState]] = [None] * len(members)
-    for index, member in enumerate(members):
-        speed = float(speeds[index])
+    outcomes: List[Optional[LoOutcome]] = [None] * len(scans)
+    active: List[int] = []
+    for pos, scan in enumerate(scans):
+        member = pop.members[scan.index]
+        speed = scan.speed
         if speed <= 0.0:
-            verdicts[index] = member.n == 0
+            outcomes[pos] = member.n == 0
             continue
         if member.n == 0:
-            verdicts[index] = True
+            outcomes[pos] = True
             continue
         rate = member.lo_rate
         if rate > speed * (1.0 + _SCHED_RTOL):
-            verdicts[index] = False
+            outcomes[pos] = False
             continue
-        excess = member.lo_excess
-        if excess <= 0.0:
-            verdicts[index] = True
+        if scan.excess <= 0.0:
+            outcomes[pos] = True
             continue
-        horizon = _scan_horizon(
-            [(float(d), float(p)) for d, p in zip(member.d_lo, member.t_lo)],
-            speed,
-            rate,
-            excess,
+        span = spans.get(scan.index)
+        if span is None:
+            try:
+                span = _period_span(member.t_lo.tolist())
+            except _MEMBER_ERRORS as error:
+                span = error
+            spans[scan.index] = span
+        if isinstance(span, Exception):
+            outcomes[pos] = span
+            continue
+        scan.horizon = _bounded_horizon(
+            speed, rate, scan.excess, max(scan.d_lo.tolist()), span
         )
+        scan.step = 2.0 * member.lo_max_period
         density = member.lo_density
-        states[index] = _LoState(
-            speed=speed,
-            horizon=horizon,
-            window_lo=0.0,
-            step=2.0 * member.lo_max_period,
-            max_window=200_000 / density if density > 0 else math.inf,
-        )
+        scan.max_window = 200_000 / density if density > 0 else math.inf
+        active.append(pos)
 
-    active = [index for index in range(len(members)) if states[index] is not None]
     while active:
         windows: List[Tuple[int, float, float]] = []
-        for index in active:
-            st = states[index]
-            assert st is not None
+        for pos in active:
+            scan = scans[pos]
             window_hi = min(
-                st.window_lo + st.step,
-                st.horizon,
-                st.window_lo + st.max_window,
+                scan.window_lo + scan.step,
+                scan.horizon,
+                scan.window_lo + scan.max_window,
             )
-            windows.append((index, st.window_lo, window_hi))
+            windows.append((scan.index, scan.window_lo, window_hi))
         breaks = pop.breakpoints_many(windows, kind="lo")
-        # Items too large to fuse go through the member's pruned
+        # Items too large to fuse go through the snapshot's pruned
         # lo_demand_ok — verdict-identical (pruned stripes provably hold
         # no violation), with stripe pruning intact.
-        eval_items = []
+        eval_items: List[Tuple[int, np.ndarray]] = []
+        eval_pos: List[int] = []
         verdict_of: Dict[int, bool] = {}
-        for (index, _, _), cand in zip(windows, breaks):
+        for pos, (index, _, _), cand in zip(active, windows, breaks):
             if not cand.size:
                 continue
             if pop.fuses(index, cand.size):
                 eval_items.append((index, cand))
+                eval_pos.append(pos)
             else:
-                st = states[index]
-                assert st is not None
-                verdict_of[index] = members[index].lo_demand_ok(
-                    cand, st.speed, _SCHED_RTOL
+                verdict_of[pos] = pop.snapshot(index).lo_demand_ok(
+                    cand, scans[pos].speed, _SCHED_RTOL
                 )
-        demands = pop.eval_many("lo", eval_items)
-        demand_of = {
-            index: values for (index, _), values in zip(eval_items, demands)
-        }
+        demand_of = dict(zip(eval_pos, pop.eval_many("lo", eval_items)))
         still_active: List[int] = []
-        for (index, _, window_hi), candidates in zip(windows, breaks):
-            st = states[index]
-            assert st is not None
+        for pos, (_, _, window_hi), candidates in zip(active, windows, breaks):
+            scan = scans[pos]
             if candidates.size:
-                if index in verdict_of:
-                    if not verdict_of[index]:
-                        verdicts[index] = False
+                if pos in verdict_of:
+                    if not verdict_of[pos]:
+                        outcomes[pos] = False
                         continue
                 else:
-                    demand = demand_of[index]
                     threshold = (
-                        st.speed * candidates * (1.0 + _SCHED_RTOL)
+                        scan.speed * candidates * (1.0 + _SCHED_RTOL)
                         + _SCHED_RTOL
                     )
-                    if bool(np.any(demand > threshold)):
-                        verdicts[index] = False
+                    if (demand_of[pos] > threshold).any():
+                        outcomes[pos] = False
                         continue
-            st.window_lo = window_hi
-            st.step *= 2.0
-            if st.window_lo < st.horizon:
-                still_active.append(index)
+            scan.window_lo = window_hi
+            scan.step *= 2.0
+            if scan.window_lo < scan.horizon:
+                still_active.append(pos)
             else:
-                verdicts[index] = True
+                outcomes[pos] = True
         active = still_active
 
-    return [bool(verdict) for verdict in verdicts]
+    return [outcome for outcome in outcomes if outcome is not None]
+
+
+def _lo_schedulable_lockstep(
+    members: Sequence[CompiledTaskSet], speeds: Sequence[float]
+) -> List[LoOutcome]:
+    """Every member's own LO-mode demand scan, one population, lockstep."""
+    return _lo_scan_rounds(
+        compile_population(members),
+        [
+            _LoScan(index, float(speed), member.lo_excess, member.d_lo)
+            for index, (member, speed) in enumerate(zip(members, speeds))
+        ],
+        {},
+    )
 
 
 def lo_mode_schedulable_many(
@@ -488,14 +528,23 @@ def lo_mode_schedulable_many(
 
     Bit-identical, set by set, to
     :func:`repro.analysis.schedulability.lo_mode_schedulable` at the same
-    ``speed``.
+    ``speed``; the first (by input order) set whose scan raises raises
+    its error.
     """
     if not tasksets:
         return []
     members = compile_tasksets(tasksets)
     _count_batch(len(members))
     with trace.span("population.lo_mode", sets=len(members)):
-        return _lo_schedulable_lockstep(members, [speed] * len(members))
+        outcomes = _lo_schedulable_lockstep(members, [speed] * len(members))
+    return [_raised(outcome) for outcome in outcomes]
+
+
+def _raised(outcome: Union[_T, ArithmeticError, ValueError]) -> _T:
+    """A lockstep outcome as the per-set call returns it: errors raise."""
+    if isinstance(outcome, (ArithmeticError, ValueError)):
+        raise outcome
+    return outcome
 
 
 # ---------------------------------------------------------------------------
@@ -758,74 +807,72 @@ def resetting_many(
 # ---------------------------------------------------------------------------
 @dataclass
 class _BisectState:
-    base: CompiledTaskSet
     floor: float
-    phase: str  # "hi" -> "lo" -> "bisect"
+    phase: str  # "plain", or "hi" -> "lo" -> "bisect"
     tol: float
     lo: float = 0.0
     hi: float = 1.0
     probe: float = 1.0
-    result: Optional[float] = None
-    done: bool = False
-    member: Optional[CompiledTaskSet] = field(default=None, repr=False)
 
 
 def _exact_x_lockstep(
     tasksets: Sequence[TaskSet], *, tol: float
-) -> List[Optional[float]]:
-    """All sets' exact-``x`` bisections, one fused LO scan per level.
+) -> List[TuningOutcome]:
+    """All sets' exact-``x`` bisections on one population.
 
     Mirrors :func:`repro.analysis.tuning.exact_preparation_factor`
     (compiled engine) per set: identical probe sequence, identical
-    derived snapshots, identical bisection arithmetic — every set
-    advances one probe per round and the probes' LO-mode scans run
-    through one population.  Sets without HI tasks resolve on the first
-    round via the same base-set LO scan.
+    bisection arithmetic, and every probe's LO-mode scan runs on the
+    ``D(LO)`` column the per-set path's
+    :meth:`~repro.analysis.kernels.CompiledTaskSet.with_hi_lo_deadline_factor`
+    snapshot holds.  The group's base population is built once; each
+    round writes the pending sets' probe rows into its LO tables
+    (:meth:`~repro.analysis.kernels.CompiledPopulation.probe_lo_deadline_factors`)
+    and runs one fused LO scan over them, so no probe snapshot is
+    derived unless a per-set fallback needs it.  Sets without HI tasks
+    resolve on the first round with their base columns.  A set whose
+    scan raises gets the error as its outcome; the others go on.
     """
-    results: List[Optional[float]] = [None] * len(tasksets)
-    states: List[Optional[_BisectState]] = [None] * len(tasksets)
-    for index, taskset in enumerate(tasksets):
-        base = compile_taskset(taskset)
-        if not taskset.hi_tasks:
-            # No HI tasks: one base-set feasibility probe settles it.
-            states[index] = _BisectState(
-                base=base, floor=0.0, phase="plain", tol=tol
-            )
-            continue
-        states[index] = _BisectState(
-            base=base,
-            floor=structural_floor(taskset),
-            phase="hi",
-            tol=tol,
-            probe=1.0,
-        )
-
-    pending = [index for index in range(len(tasksets)) if states[index] is not None]
+    bases = compile_tasksets(tasksets)
+    pop = compile_population(bases)
+    states = [
+        _BisectState(floor=structural_floor(taskset), phase="hi", tol=tol)
+        if taskset.hi_tasks
+        # No HI tasks: one base-set feasibility probe settles it.
+        else _BisectState(floor=0.0, phase="plain", tol=tol)
+        for taskset in tasksets
+    ]
+    outcomes: List[TuningOutcome] = [None] * len(tasksets)
+    spans: Dict[int, _Span] = {}
+    pending = list(range(len(tasksets)))
     while pending:
-        probe_members: List[CompiledTaskSet] = []
-        probe_owners: List[int] = []
-        for index in pending:
-            st = states[index]
-            assert st is not None
-            if st.phase == "plain":
-                st.member = st.base
-            else:
-                st.member = st.base.with_hi_lo_deadline_factor(st.probe)
-            probe_members.append(st.member)
-            probe_owners.append(index)
-        feasible = _lo_schedulable_lockstep(
-            probe_members, [1.0] * len(probe_members)
+        probed = [index for index in pending if states[index].phase != "plain"]
+        rows = dict(
+            zip(
+                probed,
+                pop.probe_lo_deadline_factors(
+                    probed, [states[index].probe for index in probed]
+                ),
+            )
         )
+        scans = []
+        for index in pending:
+            d_lo, excess = rows.get(
+                index, (bases[index].d_lo, bases[index].lo_excess)
+            )
+            scans.append(_LoScan(index, 1.0, excess, d_lo))
         next_pending: List[int] = []
-        for index, ok in zip(probe_owners, feasible):
+        for index, ok in zip(pending, _lo_scan_rounds(pop, scans, spans)):
             st = states[index]
-            assert st is not None
+            if isinstance(ok, Exception):
+                outcomes[index] = ok
+                continue
             if st.phase == "plain":
-                results[index] = 1.0 if ok else None
+                outcomes[index] = 1.0 if ok else None
                 continue
             if st.phase == "hi":
                 if not ok:
-                    results[index] = None
+                    outcomes[index] = None
                     continue
                 st.lo = max(st.floor, 1e-9)
                 st.hi = 1.0
@@ -835,7 +882,7 @@ def _exact_x_lockstep(
                 continue
             if st.phase == "lo":
                 if ok:
-                    results[index] = st.lo
+                    outcomes[index] = st.lo
                     continue
                 st.phase = "bisect"
             else:  # bisect: the probe was the midpoint
@@ -847,10 +894,10 @@ def _exact_x_lockstep(
                 st.probe = 0.5 * (st.lo + st.hi)
                 next_pending.append(index)
             else:
-                results[index] = st.hi
+                outcomes[index] = st.hi
         pending = next_pending
 
-    return results
+    return outcomes
 
 
 def min_preparation_factor_many(
@@ -864,7 +911,9 @@ def min_preparation_factor_many(
     ``"density"`` is closed-form (no batching needed); ``"exact"`` runs
     all bisections in lockstep, one fused LO-mode scan per probe level.
     Both return, set by set, exactly what
-    :func:`repro.analysis.tuning.min_preparation_factor` returns.
+    :func:`repro.analysis.tuning.min_preparation_factor` returns; the
+    first (by input order) set whose exact bisection raises raises its
+    error.
     """
     if method == "density":
         return [density_preparation_factor(taskset) for taskset in tasksets]
@@ -874,4 +923,5 @@ def min_preparation_factor_many(
         return []
     _count_batch(len(tasksets))
     with trace.span("population.exact_x", sets=len(tasksets)):
-        return _exact_x_lockstep(tasksets, tol=tol)
+        outcomes = _exact_x_lockstep(tasksets, tol=tol)
+    return [_raised(outcome) for outcome in outcomes]

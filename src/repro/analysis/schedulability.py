@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional, Sequence, Union
 
 from repro.analysis.kernels import MEMO, CompiledTaskSet, get_evaluator
 from repro.analysis.resetting import ResettingResult, resetting_time
@@ -36,16 +36,40 @@ def _scan_horizon(deadline_periods, speed: float, rate: float, excess: float) ->
     periods exact equality is measure-zero; a generous multiple of the
     largest period is used as a practical cutoff.
     """
-    denom = speed - rate
-    direct = excess / denom if denom > _RTOL * max(1.0, speed) else math.inf
-    periods = [p for _, p in deadline_periods]
-    max_d = max(d for d, _ in deadline_periods)
+    return _bounded_horizon(
+        speed,
+        rate,
+        excess,
+        max(d for d, _ in deadline_periods),
+        _period_span([p for _, p in deadline_periods]),
+    )
+
+
+def _period_span(periods: Sequence[float]) -> float:
+    """The periodic cap of :func:`_scan_horizon`, without the deadline.
+
+    ``float(hyperperiod)`` for integral periods — which raises
+    ``OverflowError`` once the hyperperiod exceeds the float range — and
+    ``1e4`` times the largest period otherwise.  It depends on the
+    periods alone, so a caller scanning many deadline variants of one
+    set (the exact-``x`` bisection) computes it once.
+    """
     if all(float(p).is_integer() for p in periods):
         lcm = 1
         for p in periods:
             lcm = math.lcm(lcm, int(p))
-        return min(direct, float(lcm) + max_d)
-    return min(direct, 1e4 * max(periods) + max_d)
+        return float(lcm)
+    return 1e4 * max(periods)
+
+
+def _bounded_horizon(
+    speed: float, rate: float, excess: float, max_d: float, span: float
+) -> float:
+    """:func:`_scan_horizon` from its parts: the envelope bound, capped at
+    ``span + max_d``."""
+    denom = speed - rate
+    direct = excess / denom if denom > _RTOL * max(1.0, speed) else math.inf
+    return min(direct, span + max_d)
 
 
 def lo_mode_schedulable(

@@ -4,27 +4,34 @@
 :class:`~repro.pipeline.request.AnalysisRequest` items through the
 population front-end (:mod:`repro.analysis.population`) instead of one
 :func:`~repro.pipeline.request.evaluate_request` call per item: the
-group advances stage-major — all ``x`` tunings, then all compiles, all
-LO tests, all Theorem-2 scans, all Corollary-5 scans and the per-item
-extras — so each stage's breakpoint generation and demand kernels run
-fused across every set in the group.  In the small-set regime (figs
-6–7) this converts hundreds of tiny kernel calls into a handful of
-population calls.  The batch runner
-(:class:`~repro.pipeline.runner.BatchRunner`) evaluates every group of
-two or more requests this way, inline and in pool workers; a singleton
-group keeps the per-item path, which is cheaper for one set.
+group advances stage-major — one batched compile of the base sets, then
+all ``x`` tunings, all LO tests, all Theorem-2 scans, all Corollary-5
+scans and the per-item extras — so each stage's breakpoint generation
+and demand kernels run fused across every set in the group.  In the
+small-set regime (figs 6–7) this converts hundreds of tiny kernel calls
+into a handful of population calls.  Tuning stays on compiled columns
+throughout: the exact-``x`` bisections run on one population, and a
+tuned item's configured snapshot derives from its base columns
+(:meth:`~repro.analysis.kernels.CompiledTaskSet.with_uniform_scaling`)
+instead of rebuilding, validating and compiling a task set.  The batch
+runner (:class:`~repro.pipeline.runner.BatchRunner`) evaluates every
+group of two or more requests this way, inline and in pool workers; a
+singleton group keeps the per-item path, which is cheaper for one set.
 
 **Byte-identity contract.**  Every per-item report equals the one
 ``evaluate_captured(request)`` produces, bit for bit: the lockstep scans
 are bit-exact mirrors of the per-set scans, the stage logic below
 replays ``_evaluate_request``'s control flow per item (tuning verdicts,
 ``lo_test`` defaulting, resetting policies, budget thresholds), and
-per-item analysis errors capture into the same
+per-item analysis errors — raised in a per-item step or returned as a
+member's lockstep outcome — capture into the same
 :class:`~repro.pipeline.request.AnalysisFailure` payloads with the same
-stage labels.  Only execution grouping changes, so the kernel perf
-counters (``kernel_evals``, ``cells``) differ from a per-item run; the
-runner keeps them ``jobs``-invariant by cutting the same groups at any
-job count.
+stage labels, so one failing set never aborts its group.  The per-item
+path (``apply_uniform_scaling`` and the per-set bisection) stays the
+independent reference the parity tests compare against.  Only execution
+grouping changes, so the kernel perf counters (``kernel_evals``,
+``cells``) differ from a per-item run; the runner keeps them
+``jobs``-invariant by cutting the same groups at any job count.
 
 Each stage runs under its own ``grouped.*`` trace span (tagged with
 item counts only), nested in ``pipeline.evaluate_grouped``, so a traced
@@ -34,7 +41,9 @@ Requests on the scalar engine (``engine="scalar"``) do not group; they
 fall back to per-item evaluation inside the same group, keeping mixed
 groups valid.  Multiproc requests (``cores`` set) take the same
 fallback: their partitioned admission already population-batches
-internally, per candidate task.
+internally, per candidate task.  So does a request whose ``y`` is NaN,
+which request validation admits: only the per-item transform's task
+validation reports it.
 """
 
 from __future__ import annotations
@@ -44,7 +53,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.closed_form import ClosedFormBounds, closed_form_bounds
-from repro.analysis.kernels import PERF, CompiledTaskSet, compile_taskset
+from repro.analysis.kernels import PERF, CompiledTaskSet, compile_tasksets
 from repro.analysis.population import (
     _exact_x_lockstep,
     _lo_schedulable_lockstep,
@@ -58,7 +67,6 @@ from repro.analysis.speedup import (
     SpeedupResult,
 )
 from repro.analysis.tuning import density_preparation_factor
-from repro.model.transform import apply_uniform_scaling
 from repro.obs import trace
 from repro.pipeline.request import (
     AnalysisFailure,
@@ -75,7 +83,6 @@ class _GroupItem:
 
     index: int
     request: AnalysisRequest
-    configured: Any  # TaskSet until compiled
     member: Optional[CompiledTaskSet] = None
     x_applied: Optional[float] = None
     y_applied: Optional[float] = None
@@ -139,15 +146,18 @@ def evaluate_chunk_grouped(
     reports: List[Optional[AnalysisReport]] = [None] * len(requests)
     live: List[_GroupItem] = []
     for index, request in enumerate(requests):
-        if request.engine != "compiled" or request.cores is not None:
-            # Scalar-engine and multiproc items evaluate per item; the
-            # multiproc evaluation batches internally (its partitioned
-            # admission runs the population kernels per candidate task).
+        if (
+            request.engine != "compiled"
+            or request.cores is not None
+            or (request.y is not None and math.isnan(request.y))
+        ):
+            # Scalar-engine, multiproc and NaN-y items evaluate per item
+            # (see the module docstring); the multiproc evaluation
+            # batches internally (its partitioned admission runs the
+            # population kernels per candidate task).
             reports[index] = evaluate_captured(request)
         else:
-            live.append(
-                _GroupItem(index=index, request=request, configured=request.taskset)
-            )
+            live.append(_GroupItem(index=index, request=request))
     if live:
         PERF.population_batches += 1
         PERF.population_sets += len(live)
@@ -165,9 +175,20 @@ def _evaluate_grouped(
     live: List[_GroupItem], reports: List[Optional[AnalysisReport]]
 ) -> None:
     # ------------------------------------------------------------------
-    # Stage 1: preparation-factor tuning (Section-VI convention).
+    # Stage 1: compile every item's base set in one batched pass (the
+    # shared registry makes it a lookup for sets analysed before).
+    # ------------------------------------------------------------------
+    with trace.span("grouped.compile", items=len(live)):
+        bases = compile_tasksets([item.request.taskset for item in live])
+        for item, base in zip(live, bases):
+            item.member = base
+
+    # ------------------------------------------------------------------
+    # Stage 2: preparation-factor tuning (Section-VI convention).
     # Exact bisections batch into one lockstep run; density is closed
-    # form; explicit x applies directly.
+    # form; explicit x applies directly.  A tuned item's configured
+    # snapshot derives from its base columns (apply_uniform_scaling's
+    # arithmetic, one column derivation).
     # ------------------------------------------------------------------
     def resolve_tuning(item: _GroupItem, x: Optional[float]) -> bool:
         """Apply a tuned x; False when the item settled (infeasible/failed)."""
@@ -188,11 +209,13 @@ def _evaluate_grouped(
         y_app = request.y if request.y is not None else 1.0
         item.x_applied = x_app
         item.y_applied = y_app
+        base = item.member
+        assert base is not None  # the compile stage ran for every live item
 
-        def apply() -> None:
-            item.configured = apply_uniform_scaling(taskset, x_app, y_app)
+        def configure() -> None:
+            item.member = base.with_uniform_scaling(x_app, y_app)
 
-        failed = _captured(apply, item)
+        failed = _captured(configure, item)
         if failed is not None:
             reports[item.index] = failed
             return False
@@ -228,30 +251,14 @@ def _evaluate_grouped(
             elif resolve_tuning(item, x_box[0]):
                 staged.append(item)
         if exact_items:
-            xs = _exact_x_lockstep(
+            outcomes = _exact_x_lockstep(
                 [item.request.taskset for item in exact_items], tol=1e-4
             )
-            for item, x in zip(exact_items, xs):
-                if resolve_tuning(item, x):
+            for item, outcome in zip(exact_items, outcomes):
+                if isinstance(outcome, Exception):
+                    reports[item.index] = _fail(item, outcome)
+                elif resolve_tuning(item, outcome):
                     staged.append(item)
-    live = staged
-
-    # ------------------------------------------------------------------
-    # Stage 2: compile configured sets (the shared registry makes this a
-    # lookup when the set was analysed before).
-    # ------------------------------------------------------------------
-    with trace.span("grouped.compile", items=len(live)):
-        staged = []
-        for item in live:
-
-            def compile_item(item: _GroupItem = item) -> None:
-                item.member = compile_taskset(item.configured)
-
-            failed = _captured(compile_item, item)
-            if failed is not None:
-                reports[item.index] = failed
-            else:
-                staged.append(item)
     live = staged
 
     # ------------------------------------------------------------------
@@ -272,8 +279,15 @@ def _evaluate_grouped(
             verdicts = _lo_schedulable_lockstep(
                 _members(lo_items), [1.0] * len(lo_items)
             )
+            settled: set[int] = set()
             for item, verdict in zip(lo_items, verdicts):
-                item.lo_ok = verdict
+                if isinstance(verdict, Exception):
+                    reports[item.index] = _fail(item, verdict)
+                    settled.add(item.index)
+                else:
+                    item.lo_ok = verdict
+            if settled:
+                live = [item for item in live if item.index not in settled]
 
     # ------------------------------------------------------------------
     # Stage 4: Theorem-2 minimum speedup for every item (the pipeline
@@ -319,7 +333,7 @@ def _evaluate_grouped(
                 [item.request.drop_terminated_carryover for item in reset_items],
                 [_budget(item.request) for item in reset_items],
             )
-            settled: set[int] = set()
+            settled = set()
             for item, outcome in zip(reset_items, outcomes):
                 if isinstance(outcome, Exception):
                     reports[item.index] = _fail(item, outcome)
