@@ -7,20 +7,22 @@ nominal speed + Theorem-2 requirement within the per-core speedup cap)
 runs two demand-curve scans per trial, so a 50-task set on 8 cores asks
 for hundreds of scans.
 
-Two interchangeable admission engines answer the same question:
+Admission runs on the analysis engines (:mod:`repro.analysis.kernels`):
 
-* ``"scalar"`` — the reference: one
-  :func:`~repro.analysis.schedulability.lo_mode_schedulable` plus one
-  :func:`~repro.analysis.speedup.min_speedup` call per (core, candidate)
-  trial, exactly the pre-rewrite behaviour.
-* ``"population"`` — kernel-backed: all of a task's per-core trial sets
+* ``"compiled"`` — kernel-backed: all of a task's per-core trial sets
   compile into one ragged struct-of-arrays population and both scans run
   in lockstep (:func:`repro.analysis.population.lo_mode_schedulable_many`
   / :func:`~repro.analysis.population.min_speedup_many`), sharing each
   round's breakpoint generation and fused demand kernels across every
-  core.  The lockstep scans are bit-exact mirrors of the per-set scans,
-  so **both engines admit exactly the same cores** — partitioning
-  decisions are byte-identical (property-tested on seeded populations).
+  core.
+* ``"scalar"`` — the reference oracle: one
+  :func:`~repro.analysis.schedulability.lo_mode_schedulable` plus one
+  :func:`~repro.analysis.speedup.min_speedup` call per (core, candidate)
+  trial, on the per-task scalar engine.
+
+The lockstep scans are bit-exact mirrors of the per-set scans, so
+**both engines admit exactly the same cores** — partitioning decisions
+are byte-identical (property-tested on seeded populations).
 
 Identical-content trials are evaluated once: every still-empty core
 offers the same trial set ``{candidate}``, so one verdict covers all of
@@ -58,8 +60,8 @@ if TYPE_CHECKING:  # type-only: importing repro.sim at runtime would
     from repro.sim.degradation import Rung  # cycle through repro.api.
 
 #: Admission engines accepted by :func:`speedup_admission` and the
-#: partitioning entry points.
-ADMISSION_ENGINES = ("population", "scalar")
+#: partitioning entry points: the analysis engine names.
+ADMISSION_ENGINES = ("compiled", "scalar")
 
 #: Relative slack on the per-core speedup-cap comparison (matches the
 #: verdict tolerance used by the analysis layer).
@@ -75,7 +77,7 @@ class SpeedupAdmission:
     ``speedup_cap``.
     """
 
-    def __init__(self, speedup_cap: float, *, engine: str = "population") -> None:
+    def __init__(self, speedup_cap: float, *, engine: str = "compiled") -> None:
         if speedup_cap <= 0.0:
             raise ValueError(f"speedup cap must be positive, got {speedup_cap}")
         if engine not in ADMISSION_ENGINES:
@@ -135,9 +137,10 @@ class SpeedupAdmission:
         return verdicts
 
     def _admit_scalar(self, trial: TaskSet) -> bool:
-        if not lo_mode_schedulable(trial):
+        if not lo_mode_schedulable(trial, engine="scalar"):
             return False
-        return min_speedup(trial).upper_bound <= self.speedup_cap * (1.0 + _CAP_RTOL)
+        requirement = min_speedup(trial, engine="scalar")
+        return requirement.upper_bound <= self.speedup_cap * (1.0 + _CAP_RTOL)
 
 
 class EdfVdDegradedAdmission:
@@ -189,7 +192,7 @@ class EdfVdDegradedAdmission:
 
 
 def speedup_admission(
-    speedup_cap: float, *, engine: str = "population"
+    speedup_cap: float, *, engine: str = "compiled"
 ) -> SpeedupAdmission:
     """Build the default (paper) admission test for ``partition_tasks``."""
     return SpeedupAdmission(speedup_cap, engine=engine)

@@ -12,10 +12,10 @@ delegated to an admission object (:mod:`repro.multiproc.admission`), so
 one heuristic loop serves both the paper's speedup scheme and the
 EDF-VD-with-degraded-quality baseline, and the speedup admission can
 batch all of a task's per-core trials through the population kernels
-(``engine="population"``, the default) instead of re-running the scalar
-analysis per (core, candidate) pair.  Both engines are byte-identical
-in their decisions; the batched one just shares each scan round's
-breakpoint generation and demand kernels across the cores.
+(``engine="compiled"``, the default) instead of running the scalar
+oracle per (core, candidate) pair (``engine="scalar"``).  Both engines
+are byte-identical in their decisions; the batched one just shares each
+scan round's breakpoint generation and demand kernels across the cores.
 
 Heuristics:
 
@@ -202,13 +202,13 @@ def partition_tasks(
     *,
     speedup_cap: float = 2.0,
     heuristic: str = "first_fit",
-    engine: str = "population",
+    engine: str = "compiled",
 ) -> List[TaskSet]:
     """Assign every task to one of ``n_cores`` cores.
 
-    ``engine`` selects the admission backend (``"population"`` batches
-    each task's per-core trials through the lockstep kernels,
-    ``"scalar"`` runs the per-set analysis per trial); the partitioning
+    ``engine`` selects the admission's analysis engine (``"compiled"``
+    batches each task's per-core trials through the lockstep kernels,
+    ``"scalar"`` runs the scalar oracle per trial); the partitioning
     decisions are byte-identical either way.
 
     Raises :class:`PartitioningError` when some task fits nowhere under
@@ -255,7 +255,7 @@ def partitioned_design(
     speedup_cap: float = 2.0,
     heuristic: str = "first_fit",
     evaluate_at_cap: bool = True,
-    engine: str = "population",
+    engine: str = "compiled",
 ) -> PartitionedDesign:
     """Partition and fully analyse every core.
 
@@ -297,7 +297,7 @@ def min_cores(
     speedup_cap: float = 2.0,
     heuristic: str = "first_fit",
     max_cores: int = 64,
-    engine: str = "population",
+    engine: str = "compiled",
 ) -> int:
     """Smallest core count the heuristic can partition ``taskset`` onto."""
     for n in range(1, max_cores + 1):

@@ -59,13 +59,13 @@ from repro.pipeline.request import (
     AnalysisFailure,
     AnalysisReport,
     AnalysisRequest,
+    evaluate_captured,
     evaluate_request,
 )
 from repro.pipeline.runner import (
     BatchRunner,
     BatchStats,
     PersistentPool,
-    evaluate_captured,
     run_batch,
 )
 

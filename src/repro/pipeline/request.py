@@ -16,26 +16,43 @@ recovery budget, closed-form and per-task-tuning extras — and one
   candidate budget / rejected the input — a failed item never crashes a
   sweep.
 
-:func:`evaluate_request` is the single taskset→verdict function (the API
-shape of Easwaran's demand-based test and the EDF-VD literature) that
-``BatchRunner`` fans out over processes; it is deliberately pure and
-deterministic so ``jobs=1`` and ``jobs=N`` produce identical reports and
-results can be cached under the request's content hash.
+The request semantics are written once, in the generator
+:func:`analysis_steps`: ``x``/``y`` configuration, the ``lo_test``
+default, the resetting policy, the verdict thresholds, the extras and
+report assembly.  It yields each scan it needs as a :class:`Step`
+(exact-``x`` tuning, the LO test, the Theorem-2 scan, the Corollary-5
+scan, and a final ``extras`` boundary) and receives the outcome back.
+Two evaluators answer the steps:
+
+* :func:`evaluate_request` answers one request's steps with the per-set
+  scan functions (:func:`answer_step`) — the single taskset→verdict
+  function (the API shape of Easwaran's demand-based test and the
+  EDF-VD literature) that ``BatchRunner`` runs for lone requests;
+* :func:`repro.pipeline.grouping.evaluate_chunk_grouped` advances a
+  group's generators stage by stage and answers each stage's steps with
+  one lockstep population scan.
+
+Both are pure and deterministic, so ``jobs=1`` and ``jobs=N`` produce
+identical reports and results can be cached under the request's content
+hash.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Generator, NamedTuple, Optional, Tuple
 
+from repro.analysis.budget import AnalysisBudgetExceeded
 from repro.analysis.closed_form import ClosedFormBounds, closed_form_bounds
+from repro.analysis.kernels import compile_taskset
+from repro.analysis.population import Analyzable
 from repro.analysis.resetting import ResettingResult, resetting_time
 from repro.analysis.result import AnalysisResult, decode_float, encode_float
 from repro.analysis.schedulability import lo_mode_schedulable
-from repro.analysis.speedup import SpeedupResult, min_speedup
-from repro.analysis.tuning import min_preparation_factor
+from repro.analysis.speedup import DEFAULT_MAX_CANDIDATES, SpeedupResult, min_speedup
+from repro.analysis.tuning import density_preparation_factor, exact_preparation_factor
 from repro.model.task import ModelError
 from repro.model.taskset import TaskSet
 from repro.model.transform import apply_uniform_scaling
@@ -45,6 +62,11 @@ from repro.pipeline.fault_tolerance import RetryPolicy
 from repro.pipeline.payload import FailurePayload, ReportPayload
 
 _RTOL = 1e-9
+
+#: Exceptions converted into per-item failure records instead of
+#: aborting a batch.  Deliberately narrow: programming errors
+#: (AttributeError, TypeError, ...) still surface immediately.
+CAPTURED_ERRORS = (ValueError, ArithmeticError, AnalysisBudgetExceeded)
 
 #: Resetting-time policies: compute only when HI mode is feasible at the
 #: target speedup ("auto", the `system_schedulable` convention), whenever
@@ -70,6 +92,11 @@ _MULTIPROC_FORBIDDEN = (
     "closed_form",
     "per_task",
 )
+
+#: Numeric request fields: a ``bool`` is rejected there (JSON ``true``
+#: would otherwise pass as 1 under its own cache key).
+_NUMERIC_FIELDS = ("speedup", "reset_budget", "x", "y", "cores", "speedup_cap",
+                   "degraded_y", "max_candidates")
 
 
 @dataclass(frozen=True)
@@ -171,23 +198,28 @@ class AnalysisRequest:
             raise ModelError(
                 f"AnalysisRequest needs a TaskSet, got {type(self.taskset).__name__}"
             )
-        if self.speedup is not None and self.speedup <= 0.0:
+        # Bounds read ``not (value > bound)`` so that NaN fails them too.
+        for name in _NUMERIC_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ModelError(f"{name} must be a number, got {value!r}")
+        if self.speedup is not None and not (self.speedup > 0.0):
             raise ModelError(f"speedup must be positive, got {self.speedup}")
-        if self.reset_budget is not None and self.reset_budget < 0.0:
+        if self.reset_budget is not None and not (self.reset_budget >= 0.0):
             raise ModelError(f"reset budget must be >= 0, got {self.reset_budget}")
         if self.auto_x is not None and self.auto_x not in AUTO_X_METHODS:
             raise ModelError(
                 f"auto_x must be one of {AUTO_X_METHODS}, got {self.auto_x!r}"
             )
-        if self.x is not None and self.x <= 0.0:
+        if self.x is not None and not (self.x > 0.0):
             raise ModelError(f"x must be positive, got {self.x}")
-        if self.y is not None and self.y < 1.0:
+        if self.y is not None and not (self.y >= 1.0):
             raise ModelError(f"y must be >= 1 (or inf), got {self.y}")
         if self.resetting not in RESETTING_POLICIES:
             raise ModelError(
                 f"resetting must be one of {RESETTING_POLICIES}, got {self.resetting!r}"
             )
-        if self.max_candidates is not None and self.max_candidates <= 0:
+        if self.max_candidates is not None and not (self.max_candidates > 0):
             raise ModelError(
                 f"max_candidates must be positive, got {self.max_candidates}"
             )
@@ -200,14 +232,14 @@ class AnalysisRequest:
                 f"heuristic must be one of {PARTITION_HEURISTICS}, "
                 f"got {self.heuristic!r}"
             )
-        if self.degraded_y is not None and self.degraded_y < 1.0:
+        if self.degraded_y is not None and not (self.degraded_y >= 1.0):
             raise ModelError(
                 f"degraded_y must be >= 1 (or inf), got {self.degraded_y}"
             )
         if self.cores is not None:
-            if self.cores < 1:
+            if not (self.cores >= 1):
                 raise ModelError(f"cores must be >= 1, got {self.cores}")
-            if self.speedup_cap is None or self.speedup_cap <= 0.0:
+            if self.speedup_cap is None or not (self.speedup_cap > 0.0):
                 raise ModelError(
                     "a multiproc request needs a positive speedup_cap, "
                     f"got {self.speedup_cap}"
@@ -480,41 +512,121 @@ class AnalysisReport:
             failure=failure,
         )
 
+    @classmethod
+    def captured(cls, request: AnalysisRequest, error: BaseException) -> "AnalysisReport":
+        """The failed report of an analysis error raised for ``request``,
+        staged by the error's ``operation`` (``"analysis"`` without one)."""
+        stage = str(getattr(error, "operation", "analysis"))
+        return cls.failed(request, AnalysisFailure.from_exception(stage, error))
+
+    @classmethod
+    def infeasible(cls, request: AnalysisRequest, x: Optional[float]) -> "AnalysisReport":
+        """The report of a request whose ``x`` admits no finite configuration."""
+        return cls(
+            name=request.taskset.name,
+            key=request.key,
+            lo_ok=False,
+            x_applied=x,
+            y_applied=request.y,
+            target_speedup=request.speedup,
+            reset_budget=request.reset_budget,
+        )
+
 
 # ---------------------------------------------------------------------------
-# The taskset -> verdict function
+# The request flow: one step generator, answered per set or in lockstep
 # ---------------------------------------------------------------------------
-def _budget_kwargs(request: AnalysisRequest) -> Dict[str, Any]:
-    if request.max_candidates is None:
-        return {}
-    return {"max_candidates": request.max_candidates}
+#: The scans :func:`analysis_steps` waits on, in the order it yields
+#: them; ``"extras"`` is the boundary before the per-item extras.
+STAGES = ("tuning", "lo_test", "speedup", "resetting", "extras")
+
+
+class Step(NamedTuple):
+    """One scan :func:`analysis_steps` waits on.
+
+    ``stage`` is one of :data:`STAGES`.  ``target`` is the set the scan
+    runs on: the base task set for exact-``x`` tuning, the configured
+    set otherwise, and ``None`` at the ``extras`` boundary, which asks
+    for nothing.  The remaining fields are the request's scan parameters.
+    """
+
+    stage: str
+    target: Optional[Analyzable] = None
+    engine: str = "compiled"
+    max_candidates: int = DEFAULT_MAX_CANDIDATES
+    speedup: float = 1.0
+    drop_terminated_carryover: bool = False
 
 
 def evaluate_request(request: AnalysisRequest) -> AnalysisReport:
     """Run the full dual-mode analysis for one request (pure function).
 
-    Exceptions propagate to the caller; :class:`~repro.pipeline.runner.
-    BatchRunner` converts them into :class:`AnalysisFailure` records so a
-    single degenerate task set never kills a sweep.  The whole evaluation
-    runs under a ``pipeline.evaluate`` span, so per-stage spans (tuning,
-    speedup, resetting) nest beneath it when tracing is on.
+    Drives :func:`analysis_steps` with :func:`answer_step`.  Exceptions
+    propagate to the caller; :func:`evaluate_captured` (and through it
+    :class:`~repro.pipeline.runner.BatchRunner`) converts them into
+    :class:`AnalysisFailure` records so a single degenerate task set
+    never kills a sweep.  The whole evaluation runs under a
+    ``pipeline.evaluate`` span, so per-stage spans (tuning, speedup,
+    resetting) nest beneath it when tracing is on.
     """
     with trace.span(
         "pipeline.evaluate", taskset=request.taskset.name, engine=request.engine
     ):
-        return _evaluate_request(request)
+        steps = analysis_steps(request)
+        outcome: Any = None
+        while True:
+            try:
+                step = steps.send(outcome)
+            except StopIteration as done:
+                return done.value
+            outcome = answer_step(step)
+
+
+def evaluate_captured(request: AnalysisRequest) -> AnalysisReport:
+    """Evaluate one request, converting analysis errors to failure reports."""
+    try:
+        return evaluate_request(request)
+    except CAPTURED_ERRORS as error:
+        return AnalysisReport.captured(request, error)
+
+
+def _configure(
+    request: AnalysisRequest, x: Optional[float], *, columns: bool
+) -> Optional[Tuple[float, float, Analyzable]]:
+    """Apply a given or tuned ``x``, with the request's ``y``.
+
+    Returns ``(x_applied, y_applied, configured)``, or ``None`` when no
+    finite configuration exists: ``x = 1`` leaves a set with HI tasks no
+    room for overrun.  With ``columns`` the configured set derives from
+    the base set's compiled columns
+    (:meth:`~repro.analysis.kernels.CompiledTaskSet.with_uniform_scaling`);
+    otherwise :func:`~repro.model.transform.apply_uniform_scaling`
+    rebuilds the tasks.  Both run the same float operations.
+    """
+    taskset = request.taskset
+    if x is None or (taskset.hi_tasks and x >= 1.0):
+        return None
+    x_applied = min(x, 1.0 - 1e-9) if taskset.hi_tasks else 1.0
+    y_applied = request.y if request.y is not None else 1.0
+    configured: Analyzable = (
+        compile_taskset(taskset).with_uniform_scaling(x_applied, y_applied)
+        if columns
+        else apply_uniform_scaling(taskset, x_applied, y_applied)
+    )
+    return x_applied, y_applied, configured
 
 
 def _evaluate_multiproc(request: AnalysisRequest) -> AnalysisReport:
     """Evaluate the three multiprocessor frontiers for one request.
 
     The speedup scheme partitions the (optionally ``x``-prepared) set
-    under the per-core Theorem-2 admission at ``speedup_cap``; the
-    EDF-VD-degraded baseline and the fluid reference evaluate the *raw*
-    set — the overrun-preparation shortening of HI deadlines is the
-    speedup protocol's own knob, the baselines have their own mode
-    mechanisms.  A :class:`~repro.multiproc.partition.PartitioningError`
-    is the expected "not schedulable this way" outcome, not a failure.
+    under the per-core Theorem-2 admission at ``speedup_cap``, on the
+    request's analysis engine; the EDF-VD-degraded baseline and the
+    fluid reference evaluate the *raw* set — the overrun-preparation
+    shortening of HI deadlines is the speedup protocol's own knob, the
+    baselines have their own mode mechanisms.  A
+    :class:`~repro.multiproc.partition.PartitioningError` is the
+    expected "not schedulable this way" outcome, not a failure.
     """
     # Lazy imports (the per_task precedent): keeps pipeline importable
     # without the multiproc/baselines packages on the module path walk.
@@ -529,23 +641,16 @@ def _evaluate_multiproc(request: AnalysisRequest) -> AnalysisReport:
     assert request.cores is not None and request.speedup_cap is not None
     x_applied: Optional[float] = None
     y_applied: Optional[float] = None
-    configured = taskset
+    configured: Analyzable = taskset
     lo_ok: Optional[bool] = None
     if request.x is not None:
-        if taskset.hi_tasks and request.x >= 1.0:
-            return AnalysisReport(
-                name=taskset.name,
-                key=request.key,
-                lo_ok=False,
-                x_applied=request.x,
-                y_applied=request.y,
-            )
-        x_applied = min(request.x, 1.0 - 1e-9) if taskset.hi_tasks else 1.0
-        y_applied = request.y if request.y is not None else 1.0
-        configured = apply_uniform_scaling(taskset, x_applied, y_applied)
+        # Partitioning assigns task objects, so the set is rebuilt.
+        prepared = _configure(request, request.x, columns=False)
+        if prepared is None:
+            return AnalysisReport.infeasible(request, request.x)
+        x_applied, y_applied, configured = prepared
         lo_ok = True
 
-    engine = "population" if request.engine == "compiled" else "scalar"
     speedup_ok = False
     used_cores: Optional[int] = None
     max_s_min: Optional[Any] = None
@@ -557,7 +662,7 @@ def _evaluate_multiproc(request: AnalysisRequest) -> AnalysisReport:
                 request.cores,
                 speedup_cap=request.speedup_cap,
                 heuristic=request.heuristic,
-                engine=engine,
+                engine=request.engine,
             )
         speedup_ok = True
         used_cores = design.used_cores
@@ -599,13 +704,31 @@ def _evaluate_multiproc(request: AnalysisRequest) -> AnalysisReport:
     )
 
 
-def _evaluate_request(request: AnalysisRequest) -> AnalysisReport:
+def analysis_steps(
+    request: AnalysisRequest,
+) -> Generator[Step, Any, AnalysisReport]:
+    """The full dual-mode analysis of one request, as a generator.
+
+    Yields a :class:`Step` for each scan and expects its outcome sent
+    back: the tuned ``x`` (``None`` when infeasible), the LO verdict, the
+    :class:`~repro.analysis.speedup.SpeedupResult`, the
+    :class:`~repro.analysis.resetting.ResettingResult`, and nothing for
+    ``extras``.  Returns the report.  An error thrown in at a step
+    propagates exactly as the per-set scan's exception would.  A
+    multiproc request returns its report without yielding.
+    """
     if request.cores is not None:
         return _evaluate_multiproc(request)
     taskset = request.taskset
+    engine = request.engine
+    budget = (
+        request.max_candidates
+        if request.max_candidates is not None
+        else DEFAULT_MAX_CANDIDATES
+    )
+    configured: Analyzable = taskset
     x_applied: Optional[float] = None
     y_applied: Optional[float] = None
-    configured = taskset
     lo_ok: Optional[bool] = None
 
     if request.tunes_configuration:
@@ -613,25 +736,14 @@ def _evaluate_request(request: AnalysisRequest) -> AnalysisReport:
         # guaranteeing LO-mode schedulability, so LO feasibility is decided
         # by the tuning outcome, not by a second demand test.
         x = request.x
-        if x is None:
-            x = min_preparation_factor(
-                taskset, method=request.auto_x, engine=request.engine
-            )
-        if x is None or (taskset.hi_tasks and x >= 1.0):
-            # x = 1 leaves no room for overrun (only matters for sets with
-            # HI tasks); no finite configuration exists.
-            return AnalysisReport(
-                name=taskset.name,
-                key=request.key,
-                lo_ok=False,
-                x_applied=x,
-                y_applied=request.y,
-                target_speedup=request.speedup,
-                reset_budget=request.reset_budget,
-            )
-        x_applied = min(x, 1.0 - 1e-9) if taskset.hi_tasks else 1.0
-        y_applied = request.y if request.y is not None else 1.0
-        configured = apply_uniform_scaling(taskset, x_applied, y_applied)
+        if x is None and request.auto_x == "exact":
+            x = yield Step("tuning", taskset, engine)
+        elif x is None:
+            x = density_preparation_factor(taskset)
+        prepared = _configure(request, x, columns=engine == "compiled")
+        if prepared is None:
+            return AnalysisReport.infeasible(request, x)
+        x_applied, y_applied, configured = prepared
         lo_ok = True
 
     run_lo_test = (
@@ -640,11 +752,9 @@ def _evaluate_request(request: AnalysisRequest) -> AnalysisReport:
         else not request.tunes_configuration
     )
     if run_lo_test:
-        lo_ok = lo_mode_schedulable(configured, engine=request.engine)
+        lo_ok = yield Step("lo_test", configured, engine)
 
-    speedup_result = min_speedup(
-        configured, engine=request.engine, **_budget_kwargs(request)
-    )
+    speedup_result = yield Step("speedup", configured, engine, budget)
 
     hi_ok: Optional[bool] = None
     if request.speedup is not None:
@@ -657,13 +767,12 @@ def _evaluate_request(request: AnalysisRequest) -> AnalysisReport:
         and math.isfinite(speedup_result.s_min)
         and (request.resetting == "always" or hi_ok)
     ):
-        resetting_result = resetting_time(
-            configured,
-            request.speedup,
-            drop_terminated_carryover=request.drop_terminated_carryover,
-            engine=request.engine,
-            **_budget_kwargs(request),
+        resetting_result = yield Step(
+            "resetting", configured, engine, budget,
+            request.speedup, request.drop_terminated_carryover,
         )
+
+    yield Step("extras")
 
     within_budget: Optional[bool] = None
     if request.reset_budget is not None:
@@ -682,7 +791,7 @@ def _evaluate_request(request: AnalysisRequest) -> AnalysisReport:
     if request.per_task:
         from repro.analysis.per_task_tuning import tune_per_task_deadlines
 
-        tuned = tune_per_task_deadlines(taskset, engine=request.engine)
+        tuned = tune_per_task_deadlines(taskset, engine=engine)
         if tuned is not None:
             per_task = {
                 "s_min": tuned.s_min,
@@ -706,3 +815,29 @@ def _evaluate_request(request: AnalysisRequest) -> AnalysisReport:
         closed_form=closed_form,
         per_task=per_task,
     )
+
+
+def answer_step(step: Step) -> Any:
+    """Answer one step with the per-set scan functions.
+
+    The per-item counterpart of the grouped evaluation's lockstep answers
+    (:mod:`repro.pipeline.grouping`).  The scans are looked up as module
+    globals at call time, so wrappers installed on them see every call.
+    """
+    if step.stage == "tuning":
+        return exact_preparation_factor(step.target, engine=step.engine)
+    if step.stage == "lo_test":
+        return lo_mode_schedulable(step.target, engine=step.engine)
+    if step.stage == "speedup":
+        return min_speedup(
+            step.target, max_candidates=step.max_candidates, engine=step.engine
+        )
+    if step.stage == "resetting":
+        return resetting_time(
+            step.target,
+            step.speedup,
+            drop_terminated_carryover=step.drop_terminated_carryover,
+            max_candidates=step.max_candidates,
+            engine=step.engine,
+        )
+    return None  # "extras" marks a stage boundary; it asks for nothing

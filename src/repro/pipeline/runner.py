@@ -53,9 +53,9 @@
   fault-handling counters (``faults.*``: retries, timeouts, pool
   rebuilds, corruption detections — all zero on an undisturbed run).
 
-The evaluation itself (:func:`~repro.pipeline.request.evaluate_request`,
-or its grouped mirror) is deterministic and order-independent, and the
-groups are the same at any job count, so ``jobs=1`` and ``jobs=N``
+The evaluation itself (:func:`~repro.pipeline.request.analysis_steps`,
+driven per item or per group) is deterministic and order-independent,
+and the groups are the same at any job count, so ``jobs=1`` and ``jobs=N``
 produce byte-identical reports, counters and trace content — the
 property the pipeline test suite pins down, and which the chaos harness
 (:mod:`repro.pipeline.chaos`) extends to "byte-identical *under injected
@@ -81,7 +81,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Type,
     TypeVar,
     Union,
     cast,
@@ -115,7 +114,7 @@ from repro.pipeline.request import (
     AnalysisFailure,
     AnalysisReport,
     AnalysisRequest,
-    evaluate_request,
+    evaluate_captured,
 )
 
 PathLike = Union[str, Path]
@@ -131,11 +130,6 @@ CHECKPOINT_VERSION = 2
 
 #: Checkpoint entry versions accepted on resume.
 _RESUMABLE_VERSIONS = frozenset({1, CHECKPOINT_VERSION})
-
-#: Exceptions converted into per-item failure records instead of
-#: aborting the batch.  Deliberately narrow: programming errors
-#: (AttributeError, TypeError, ...) still surface immediately.
-CAPTURED_ERRORS: Tuple[Type[BaseException], ...] = (ValueError, ArithmeticError)
 
 #: Fixed slack added to a chunk's wall-clock deadline on top of
 #: ``timeout * items``: absorbs fork/pickle/dispatch latency so the
@@ -161,24 +155,6 @@ _MAX_POLL_SECONDS = 0.5
 GROUP_SIZE = 64
 
 
-def _captured_errors() -> Tuple[Type[BaseException], ...]:
-    from repro.analysis.budget import AnalysisBudgetExceeded
-    from repro.model.task import ModelError
-
-    return CAPTURED_ERRORS + (AnalysisBudgetExceeded, ModelError)
-
-
-def evaluate_captured(request: AnalysisRequest) -> AnalysisReport:
-    """Evaluate one request, converting analysis errors to failure reports."""
-    try:
-        return evaluate_request(request)
-    except _captured_errors() as error:
-        stage = str(getattr(error, "operation", "analysis"))
-        return AnalysisReport.failed(
-            request, AnalysisFailure.from_exception(stage, error)
-        )
-
-
 #: Failure stages that describe the batch machinery rather than the
 #: analysis verdict.  They are transient: resume recomputes them and
 #: checkpoint compaction drops them.
@@ -194,8 +170,8 @@ def _is_infrastructure_failure(payload: ReportPayload) -> bool:
 def _evaluate_group(requests: Sequence[AnalysisRequest]) -> List[AnalysisReport]:
     """Evaluate one group: a lone request per item, two or more fused.
 
-    Reports are byte-identical either way; a singleton skips the grouped
-    path's stage bookkeeping, which only pays off across sets.
+    Reports are byte-identical either way; a singleton keeps the per-set
+    scans, which cost a half to a third of a one-member lockstep.
     """
     if len(requests) == 1:
         return [evaluate_captured(requests[0])]
@@ -242,19 +218,19 @@ def _kill_executor(executor: ProcessPoolExecutor) -> None:
 
 
 class PersistentPool:
-    """A supervised worker pool that outlives a single ``run()`` call.
+    """A supervised worker pool that can outlive a single ``run()`` call.
 
-    :class:`BatchRunner` builds and tears down a fresh
-    ``ProcessPoolExecutor`` per parallel run, which is right for a
-    one-shot CLI sweep but makes a long-lived work-queue core (the
-    analysis service) pay the full fork/spawn cost on every submission.
-    A ``PersistentPool`` owns the executor *across* runs:
+    Every parallel :class:`BatchRunner` run executes through one.  A
+    one-shot CLI sweep uses a private pool closed when the run ends; a
+    long-lived work-queue core (the analysis service) shares one across
+    runs so it does not pay the fork/spawn cost on every submission.
+    A ``PersistentPool`` owns the executor:
 
     * :meth:`acquire` lazily creates the pool (and recreates it after a
       :meth:`discard`);
-    * :meth:`discard` kills a broken or hung pool — the supervised-run
-      machinery calls it exactly where it used to kill its own pool, so
-      fault recovery (rebuild, requeue, quarantine) is unchanged;
+    * :meth:`discard` kills a broken or hung pool — the supervised run
+      calls it on every break, so fault recovery (rebuild, requeue,
+      quarantine) is the same for private and shared pools;
     * :meth:`close` shuts the pool down for good.
 
     The pool itself is not thread-safe; the work-queue core serialises
@@ -508,11 +484,10 @@ class BatchRunner:
         Deterministic worker-fault injection spec (chaos/testing only).
     pool:
         Optional :class:`PersistentPool` shared across runs.  Without
-        one (the CLI default) the runner builds a private executor per
-        parallel run and shuts it down afterwards — byte-identical
-        behaviour to the pre-core pipeline.  With one (the work-queue
-        core) executors survive between runs and broken pools are
-        discarded back to the shared supervisor.
+        one (the CLI default) each parallel run builds a private pool
+        and closes it when the run ends.  With one (the work-queue core)
+        executors survive between runs and broken pools are discarded
+        back to the shared supervisor.
     install_signal_handlers:
         Trap SIGINT/SIGTERM during :meth:`run` for graceful drain
         (main thread only).  The first signal stops scheduling, flushes
@@ -785,14 +760,26 @@ class BatchRunner:
                                 "inline", len(group), time.perf_counter() - t0
                             )
                 else:
-                    self._run_parallel(
-                        work,
-                        settle,
-                        commit,
-                        quarantine_item,
-                        shutdown,
-                        lambda: self._aborted(shutdown, done, len(requests)),
+                    # A private pool dies with the run; a shared persistent
+                    # pool stays warm for the core's next submission.
+                    pool = (
+                        self.pool
+                        if self.pool is not None
+                        else PersistentPool(self.jobs, self.injection)
                     )
+                    try:
+                        self._run_parallel(
+                            pool,
+                            work,
+                            settle,
+                            commit,
+                            quarantine_item,
+                            shutdown,
+                            lambda: self._aborted(shutdown, done, len(requests)),
+                        )
+                    finally:
+                        if pool is not self.pool:
+                            pool.close()
         finally:
             if appender is not None:
                 appender.close()
@@ -848,33 +835,6 @@ class BatchRunner:
     # ------------------------------------------------------------------
     # Supervised pool execution
     # ------------------------------------------------------------------
-    def _new_executor(self) -> ProcessPoolExecutor:
-        if self.injection is not None:
-            return ProcessPoolExecutor(
-                max_workers=self.jobs,
-                initializer=chaos_pool_initializer,
-                initargs=(self.injection,),
-            )
-        return ProcessPoolExecutor(max_workers=self.jobs)
-
-    def _acquire_executor(self) -> ProcessPoolExecutor:
-        """A ready executor: the shared persistent pool's, or a private one."""
-        if self.pool is not None:
-            return self.pool.acquire()
-        return self._new_executor()
-
-    def _discard_executor(self, executor: ProcessPoolExecutor) -> None:
-        """Kill an executor after a break (via the shared pool when present)."""
-        if self.pool is not None:
-            self.pool.discard(executor)
-        else:
-            self._kill_pool(executor)
-
-    @staticmethod
-    def _kill_pool(executor: ProcessPoolExecutor) -> None:
-        """Terminate a pool *now*, including hung workers."""
-        _kill_executor(executor)
-
     def _chunk_deadline(self, chunk: List[_Tracked], now: float) -> Optional[float]:
         """Watchdog deadline for a chunk, or None when any item opts out."""
         total = 0.0
@@ -887,6 +847,7 @@ class BatchRunner:
 
     def _run_parallel(
         self,
+        pool: PersistentPool,
         work: Sequence[Tuple[str, AnalysisRequest]],
         settle: Callable[..., None],
         commit: Callable[[], None],
@@ -929,7 +890,7 @@ class BatchRunner:
             self.faults.pool_rebuilds += 1
             consecutive_rebuilds += 1
             if executor is not None:
-                self._discard_executor(executor)
+                pool.discard(executor)
                 executor = None
             collateral = [flight for flight in in_flight.values()]
             in_flight.clear()
@@ -952,7 +913,7 @@ class BatchRunner:
             """Submit one chunk; False when the pool broke at submit time."""
             nonlocal executor
             if executor is None:
-                executor = self._acquire_executor()
+                executor = pool.acquire()
             payload: List[_ChunkItem] = [
                 (slot, item.key, item.request) for slot, item in enumerate(chunk)
             ]
@@ -999,7 +960,7 @@ class BatchRunner:
         while ready or delayed or solitary or in_flight:
             if shutdown.requested:
                 if executor is not None:
-                    self._discard_executor(executor)
+                    pool.discard(executor)
                     executor = None
                 commit()
                 raise make_abort()
@@ -1102,11 +1063,6 @@ class BatchRunner:
                         self.faults.retries += 1
                         requeue(item, item.policy.delay(item.key, item.counted))
                 break_pool(culprit_known=True)
-
-        if executor is not None and self.pool is None:
-            # A private executor dies with the run; a shared persistent
-            # pool stays warm for the core's next submission.
-            executor.shutdown(wait=True)
 
     # ------------------------------------------------------------------
     # Generic fan-out (no cache/checkpoint): used by the resilience suite

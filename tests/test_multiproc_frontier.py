@@ -421,7 +421,7 @@ class TestPartitionProperties:
     def test_engines_byte_identical(self, ts, n_cores, heuristic):
         try:
             pop = partition_tasks(
-                ts, n_cores, heuristic=heuristic, engine="population"
+                ts, n_cores, heuristic=heuristic, engine="compiled"
             )
         except PartitioningError:
             with pytest.raises(PartitioningError):
@@ -457,7 +457,7 @@ class TestPartitionProperties:
 
     def test_min_cores_respects_engine_and_matches(self):
         ts = _workload(0.5, 2, seed=14, name="mc")
-        pop = min_cores(ts, speedup_cap=2.0, engine="population")
+        pop = min_cores(ts, speedup_cap=2.0, engine="compiled")
         sca = min_cores(ts, speedup_cap=2.0, engine="scalar")
         assert pop == sca >= 1
 
@@ -489,7 +489,7 @@ class TestEngineByteIdentityPopulation:
         for i in range(200):
             ts = _workload(0.6, 2, seed=9000 + i, name=f"p{i}")
             try:
-                pop = _assignment(partition_tasks(ts, 2, engine="population"))
+                pop = _assignment(partition_tasks(ts, 2, engine="compiled"))
             except PartitioningError:
                 pop = None
             try:

@@ -29,12 +29,11 @@ from repro.analysis.schedulability import lo_mode_schedulable
 from repro.analysis.speedup import min_speedup
 from repro.analysis.tuning import min_preparation_factor
 from repro.generator.taskgen import GeneratorConfig, generate_taskset, population
-from repro.model.task import MCTask
+from repro.model.task import MCTask, ModelError
 from repro.model.taskset import TaskSet
 from repro.model.transform import apply_uniform_scaling, terminate_lo_tasks
 from repro.obs.metrics import MetricsRegistry
 from repro.pipeline import AnalysisRequest, BatchRunner, evaluate_captured
-from repro.pipeline.grouping import evaluate_chunk_grouped
 from tests.conftest import multi_window_set
 
 
@@ -404,6 +403,38 @@ def _requests(tasksets):
         ),
         AnalysisRequest(taskset=degraded, speedup=2.0, per_task=True, lo_test=True),
     ]
+    # The remaining request branches: an explicit x >= 1 on a set with
+    # HI tasks, an exact tuning infeasible even at x = 1 (LO utilization
+    # above 1), explicit lo_test both ways, resetting="never", a budget
+    # without a speedup, no speedup at all, and a multiproc item (on the
+    # scalar engine, whose admission runs no population batch).
+    overloaded = TaskSet(
+        [
+            MCTask.hi("h", c_lo=3.0, c_hi=4.0, d_lo=4.0, d_hi=4.0, period=4.0),
+            MCTask.lo("l", c=2.0, d_lo=4.0, t_lo=4.0),
+        ],
+        name="overloaded",
+    )
+    requests += [
+        AnalysisRequest(taskset=tasksets[10], speedup=2.0, x=1.0, y=2.0),
+        AnalysisRequest(taskset=overloaded, speedup=2.0, auto_x="exact", y=2.0),
+        AnalysisRequest(
+            taskset=tasksets[11], speedup=2.0, auto_x="exact", y=2.0, lo_test=True
+        ),
+        AnalysisRequest(taskset=tasksets[12], speedup=2.0, lo_test=False),
+        AnalysisRequest(
+            taskset=tasksets[13], speedup=2.0, x=0.5, y=2.0, resetting="never",
+            reset_budget=500.0,
+        ),
+        AnalysisRequest(
+            taskset=tasksets[14], auto_x="exact", y=2.0, reset_budget=500.0
+        ),
+        AnalysisRequest(taskset=tasksets[15]),
+        AnalysisRequest(
+            taskset=tasksets[16], cores=2, speedup_cap=2.0, x=0.6, y=2.0,
+            engine="scalar",
+        ),
+    ]
     return requests
 
 
@@ -489,17 +520,31 @@ class TestGroupedFailures:
         _clear_caches()
         assert [r.to_dict() for r in api.analyze_many(requests)] == reference
 
-    def test_nan_y_fails_like_per_item(self, table1):
-        # Request validation admits y = NaN; the per-item transform's task
-        # validation turns it into a failure naming the first LO task.
-        requests = [
-            AnalysisRequest(taskset=table1, speedup=2.0, x=0.5, y=math.nan),
-            AnalysisRequest(taskset=table1, speedup=2.0, x=0.5, y=2.0),
-        ]
-        reference = [evaluate_captured(request).to_dict() for request in requests]
-        assert reference[0]["failure"]["error_type"] == "ModelError"
-        grouped = [report.to_dict() for report in evaluate_chunk_grouped(requests)]
-        assert repr(grouped) == repr(reference)
+    @pytest.mark.parametrize(
+        "options",
+        [
+            {"speedup": math.nan},
+            {"reset_budget": math.nan},
+            {"x": math.nan},
+            {"x": 0.5, "y": math.nan},
+            {"speedup": True},
+            {"x": True},
+            {"max_candidates": True},
+            {"cores": True, "speedup_cap": 2.0},
+            {"cores": 2, "speedup_cap": math.nan},
+            {"cores": 2, "speedup_cap": 2.0, "degraded_y": math.nan},
+        ],
+    )
+    def test_nan_and_bool_options_rejected(self, table1, options):
+        # NaN fails every bound and a bool is no number: the request
+        # boundary rejects both, so neither evaluation path sees them.
+        with pytest.raises(ModelError):
+            AnalysisRequest(taskset=table1, **options)
+        # inf stays accepted wherever a bound admits it.
+        AnalysisRequest(
+            taskset=table1, speedup=math.inf, reset_budget=math.inf, x=0.5,
+            y=math.inf,
+        )
 
     def test_population_front_ends_raise_like_per_set(self, table1):
         bad = overflow_horizon_set()

@@ -20,6 +20,7 @@ from __future__ import annotations
 import asyncio
 import http.client
 import json
+import math
 import threading
 import time
 
@@ -330,6 +331,26 @@ class TestServiceEndToEnd:
             assert status == 400
             assert payload["wire_version"] == WIRE_VERSION
             assert "malformed JSON" in payload["error"]
+
+    def test_nan_or_bool_option_is_structured_400(self, tasksets):
+        from repro.io import taskset_to_json
+
+        document = json.loads(taskset_to_json(tasksets[0]))
+        with ServiceThread(WorkQueueCore(jobs=1)) as svc:
+            for options in (
+                {"speedup": math.nan},
+                {"x": 0.5, "y": math.nan},
+                {"speedup": True},
+            ):
+                body = json.dumps({
+                    "wire_version": WIRE_VERSION,
+                    "taskset": document,
+                    "options": options,
+                }).encode()
+                status, payload = svc.raw("POST", "/analyze", body)
+                assert status == 400
+                assert payload["wire_version"] == WIRE_VERSION
+                assert "rejected" in payload["error"]
 
     def test_unknown_wire_version_is_structured_400(self):
         with ServiceThread(WorkQueueCore(jobs=1)) as svc:
