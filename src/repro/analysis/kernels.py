@@ -70,12 +70,14 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union, cast
+from typing import (
+    Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple,
+    TypeVar, Union, cast,
+)
 
 import numpy as np
 
 from repro.analysis import points as pts
-from repro.analysis.budget import CandidateBudget
 from repro.analysis.dbf import (
     FLOOR_SLACK,
     adb_hi_excess_bound,
@@ -232,6 +234,98 @@ def perf_snapshot() -> Dict[str, Any]:
 def perf_reset() -> None:
     """Zero :data:`PERF` (benchmarks call this between timed passes)."""
     PERF.reset()
+
+
+# ---------------------------------------------------------------------------
+# Scan generators and their per-set driver
+# ---------------------------------------------------------------------------
+_R = TypeVar("_R")
+
+#: A scan written once as a generator: it yields ``(phase, payload)``
+#: requests for the demand arithmetic it needs, receives each answer
+#: back, and returns its result.  :func:`drive` answers one scan on one
+#: evaluator; the lockstep scans of :mod:`repro.analysis.population`
+#: answer every scan parked at a phase with one fused call.
+Steps = Generator[Tuple[str, Any], Any, _R]
+
+
+def drive(steps: "Steps[_R]", answers: Mapping[str, Callable[[Any], Any]]) -> _R:
+    """Run one scan generator to its result, answering each request
+    ``(phase, payload)`` with ``answers[phase](payload)``.  An error the
+    generator raises propagates to the caller."""
+    reply: Any = None
+    while True:
+        try:
+            phase, payload = steps.send(reply)
+        except StopIteration as done:
+            return cast(_R, done.value)
+        reply = answers[phase](payload)
+
+
+def window_peak_steps(
+    candidates: np.ndarray, best_ratio: float = 0.0
+) -> "Steps[Tuple[float, float]]":
+    """The stripe-pruned peak of ``DBF_HI(Delta) / Delta`` over a window's
+    breakpoints, as a scan generator.
+
+    Yields ``("dbf", deltas)`` and expects ``DBF_HI`` at ``deltas`` back
+    as a float array; returns ``(ratio, delta)`` for the first candidate
+    attaining the maximum ratio *among the candidates whose demand was
+    evaluated*.  Demand is evaluated at every ``_STRIPE``-th breakpoint
+    first; a stripe of in-between candidates is only filled in when its
+    upper bound ``DBF_HI(c_right) / Delta_first`` (demand is
+    nondecreasing, division is monotone) can still reach ``max(best_ratio,
+    coarse peak)`` within the ``_PRUNE_GUARD`` margin.  Every skipped
+    candidate therefore has a ratio strictly below both the running best
+    and this window's maximum, so the supremum scan's ``(best_ratio,
+    best_delta)`` trajectory — including first-argmax tie-breaking — is
+    bit-identical to the scalar engine's exhaustive evaluation.
+    :meth:`CompiledTaskSet.window_peak` drives it with the set's own
+    kernel, the Theorem-2 lockstep with fused population calls.
+    """
+    m = candidates.size
+    if m < 3 * _STRIPE:
+        ratios = (yield "dbf", candidates) / candidates
+        idx = int(np.argmax(ratios))
+        return float(ratios[idx]), float(candidates[idx])
+    coarse = np.arange(_STRIPE - 1, m, _STRIPE)
+    if coarse[-1] != m - 1:
+        coarse = np.append(coarse, m - 1)
+    d_coarse = yield "dbf", candidates[coarse]
+    r_coarse = d_coarse / candidates[coarse]
+    at_coarse = int(np.argmax(r_coarse))
+    coarse_peak = float(r_coarse[at_coarse])
+    best_eff = best_ratio if best_ratio > coarse_peak else coarse_peak
+    starts = np.empty(coarse.size, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = coarse[:-1] + 1
+    bounds = d_coarse / candidates[starts]
+    live_idx = np.flatnonzero(bounds * (1.0 + _PRUNE_GUARD) >= best_eff)
+    if live_idx.size == coarse.size:
+        ratios = (yield "dbf", candidates) / candidates
+        idx = int(np.argmax(ratios))
+        return float(ratios[idx]), float(candidates[idx])
+    segments = [np.arange(starts[j], coarse[j], dtype=np.int64) for j in live_idx]
+    segments = [seg for seg in segments if seg.size]
+    peak = coarse_peak
+    peak_index = int(coarse[at_coarse])
+    if segments:
+        interior = np.concatenate(segments)
+        r_interior = (yield "dbf", candidates[interior]) / candidates[interior]
+        at = int(np.argmax(r_interior))
+        # Exact tie-break: on ratio equality prefer the earlier
+        # breakpoint so the pruned scan reports the same critical
+        # delta as the scalar oracle's left-to-right argmax.
+        if float(r_interior[at]) > peak or (
+            float(r_interior[at]) == peak  # repro-lint: ignore[RL002] first-strict-maximum tie-break is exact by spec
+            and int(interior[at]) < peak_index
+        ):
+            peak = float(r_interior[at])
+            peak_index = int(interior[at])
+        PERF.pruned += int(m - coarse.size - interior.size)
+    else:
+        PERF.pruned += int(m - coarse.size)
+    return peak, float(candidates[peak_index])
 
 
 # ---------------------------------------------------------------------------
@@ -754,71 +848,12 @@ class CompiledTaskSet:
     def window_peak(
         self, candidates: np.ndarray, best_ratio: float = 0.0
     ) -> Tuple[float, float]:
-        """Peak of ``DBF_HI(Delta) / Delta`` over a window's breakpoints.
-
-        Returns ``(ratio, delta)`` for the first candidate attaining the
-        maximum ratio *among the candidates whose demand was evaluated*.
-        Demand is evaluated at every ``_STRIPE``-th breakpoint first; a
-        stripe of in-between candidates is only filled in when its upper
-        bound ``DBF_HI(c_right) / Delta_first`` (demand is nondecreasing,
-        division is monotone) can still reach ``max(best_ratio,
-        coarse peak)`` within the ``_PRUNE_GUARD`` margin.  Every skipped
-        candidate therefore has a ratio strictly below both the running
-        best and this window's maximum, so the supremum scan's
-        ``(best_ratio, best_delta)`` trajectory — including first-argmax
-        tie-breaking — is bit-identical to the scalar engine's
-        exhaustive evaluation.
-        """
-        m = candidates.size
-        if m < 3 * _STRIPE:
-            demand = np.asarray(self.total_dbf_hi(candidates), dtype=float)
-            ratios = demand / candidates
-            idx = int(np.argmax(ratios))
-            return float(ratios[idx]), float(candidates[idx])
-        coarse = np.arange(_STRIPE - 1, m, _STRIPE)
-        if coarse[-1] != m - 1:
-            coarse = np.append(coarse, m - 1)
-        d_coarse = np.asarray(self.total_dbf_hi(candidates[coarse]), dtype=float)
-        r_coarse = d_coarse / candidates[coarse]
-        at_coarse = int(np.argmax(r_coarse))
-        coarse_peak = float(r_coarse[at_coarse])
-        best_eff = best_ratio if best_ratio > coarse_peak else coarse_peak
-        starts = np.empty(coarse.size, dtype=np.int64)
-        starts[0] = 0
-        starts[1:] = coarse[:-1] + 1
-        bounds = d_coarse / candidates[starts]
-        live_idx = np.flatnonzero(bounds * (1.0 + _PRUNE_GUARD) >= best_eff)
-        if live_idx.size == coarse.size:
-            demand = np.asarray(self.total_dbf_hi(candidates), dtype=float)
-            ratios = demand / candidates
-            idx = int(np.argmax(ratios))
-            return float(ratios[idx]), float(candidates[idx])
-        segments = [
-            np.arange(starts[j], coarse[j], dtype=np.int64) for j in live_idx
-        ]
-        segments = [seg for seg in segments if seg.size]
-        peak = coarse_peak
-        peak_index = int(coarse[at_coarse])
-        if segments:
-            interior = np.concatenate(segments)
-            d_interior = np.asarray(
-                self.total_dbf_hi(candidates[interior]), dtype=float
-            )
-            r_interior = d_interior / candidates[interior]
-            at = int(np.argmax(r_interior))
-            # Exact tie-break: on ratio equality prefer the earlier
-            # breakpoint so the pruned scan reports the same critical
-            # delta as the scalar oracle's left-to-right argmax.
-            if float(r_interior[at]) > peak or (
-                float(r_interior[at]) == peak  # repro-lint: ignore[RL002] first-strict-maximum tie-break is exact by spec
-                and int(interior[at]) < peak_index
-            ):
-                peak = float(r_interior[at])
-                peak_index = int(interior[at])
-            PERF.pruned += int(m - coarse.size - interior.size)
-        else:
-            PERF.pruned += int(m - coarse.size)
-        return peak, float(candidates[peak_index])
+        """Peak of ``DBF_HI(Delta) / Delta`` over a window's breakpoints:
+        :func:`window_peak_steps` driven with this set's own kernel."""
+        return drive(
+            window_peak_steps(candidates, best_ratio),
+            {"dbf": lambda deltas: np.asarray(self.total_dbf_hi(deltas), dtype=float)},
+        )
 
     def lo_demand_ok(
         self, candidates: np.ndarray, speed: float, rtol: float
@@ -939,7 +974,6 @@ class CompiledTaskSet:
         hi: float,
         *,
         kind: str = "dbf",
-        budget: Optional[CandidateBudget] = None,
     ) -> np.ndarray:
         """Sorted, de-duplicated system breakpoints in ``(lo, hi]``.
 
@@ -970,8 +1004,6 @@ class CompiledTaskSet:
             points = points[keep]
         PERF.candidates += int(points.size)
         PERF.kernel_seconds += time.perf_counter() - start
-        if budget is not None and kind != "lo":
-            budget.charge(points.size)
         return points
 
     # ------------------------------------------------------------------
@@ -1961,8 +1993,8 @@ class CompiledPopulation:
         run with the per-set semantics (exact dedup == ``np.unique``,
         then the relative-1e-12 merge for the HI kinds, reset at owner
         boundaries) — so every returned array is bit-identical to the
-        member's own ``breakpoints_in``.  Candidate budgets are per set
-        and stay with the caller.  Items denser than ``_FUSE_POINTS``
+        member's own ``breakpoints_in``.  Candidate budgets are charged
+        by each member's scan generator.  Items denser than ``_FUSE_POINTS``
         lattice points, and items of members with points outside the
         lattice, delegate to the member's own generator (its probe
         snapshot's, :meth:`snapshot`; same output).
@@ -2241,11 +2273,10 @@ class ScalarEvaluator:
         hi: float,
         *,
         kind: str = "dbf",
-        budget: Optional[CandidateBudget] = None,
     ) -> np.ndarray:
         if kind == "lo":
             return pts.dbf_lo_breakpoints_in(self.taskset, lo, hi)
-        return pts.breakpoints_in(self.taskset, lo, hi, kind=kind, budget=budget)
+        return pts.breakpoints_in(self.taskset, lo, hi, kind=kind)
 
 
 ENGINES = ("compiled", "scalar")

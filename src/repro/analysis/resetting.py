@@ -18,18 +18,29 @@ Existence: with ``rate = sum C_i(HI)/T_i(HI)`` the demand satisfies
 ``sum ADB_HI(Delta) <= rate * Delta + B*``, so for ``s > rate`` the
 crossing occurs no later than ``B* / (s - rate)``; for ``s <= rate`` the
 system may never drain and ``Delta_R = +inf``.
+
+The scan is written once, as the generator :func:`crossing_steps`,
+which :func:`resetting_time` and the population lockstep
+(:mod:`repro.analysis.population`) both drive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Union
+from typing import Any, Dict, Iterable, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.budget import CandidateBudget
-from repro.analysis.kernels import MEMO, CompiledTaskSet, get_evaluator
+from repro.analysis.kernels import (
+    MEMO,
+    CompiledTaskSet,
+    Evaluator,
+    Steps,
+    drive,
+    get_evaluator,
+)
 from repro.analysis.result import decode_float, encode_float
 from repro.model.taskset import TaskSet
 from repro.obs import trace
@@ -149,10 +160,6 @@ def resetting_time(
         ``"compiled"`` (fused kernels, memoised per task-set content) or
         ``"scalar"`` (per-task oracle loops; never memoised).
     """
-    if s <= 0.0:
-        raise ValueError(f"speedup must be positive, got {s}")
-    if len(taskset) == 0:
-        return ResettingResult(0.0, s, True, 0.0)
     ev = get_evaluator(taskset, engine)
 
     memo_key = None
@@ -167,43 +174,74 @@ def resetting_time(
         cached = MEMO.lookup(memo_key)
         if cached is not None:
             return cached
+
+    def adb(request: Tuple[np.ndarray, np.ndarray, bool]) -> Tuple[np.ndarray, ...]:
+        *points, drop = request
+        return tuple(
+            np.asarray(ev.total_adb_hi(p, drop_terminated_carryover=drop), dtype=float)
+            for p in points
+        )
+
     with trace.span("resetting.scan", engine=engine, n_tasks=len(taskset)):
-        result = _resetting_scan(
-            ev,
-            s,
-            drop_terminated_carryover=drop_terminated_carryover,
-            max_candidates=max_candidates,
+        result = drive(
+            crossing_steps(
+                ev,
+                s,
+                drop_terminated_carryover=drop_terminated_carryover,
+                max_candidates=max_candidates,
+            ),
+            {
+                "zero": lambda drop: float(
+                    ev.total_adb_hi(0.0, drop_terminated_carryover=drop)
+                ),
+                "breaks": lambda window: ev.breakpoints_in(*window, kind="adb"),
+                "adb": adb,
+            },
         )
     if memo_key is not None:
         MEMO.store(memo_key, result)
     return result
 
 
-def _resetting_scan(
-    ev,
+def crossing_steps(
+    ev: Evaluator,
     s: float,
     *,
-    drop_terminated_carryover: bool,
-    max_candidates: int,
-) -> ResettingResult:
-    """The Corollary-5 first-crossing scan over an engine evaluator."""
+    drop_terminated_carryover: bool = False,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+) -> Steps[ResettingResult]:
+    """Corollary 5's first-crossing scan at speedup ``s``, as a scan
+    generator.
 
-    def demand(delta):
-        return ev.total_adb_hi(
-            delta, drop_terminated_carryover=drop_terminated_carryover
-        )
+    Reads the set's scalars from ``ev`` and yields:
 
-    rate = ev.rate
-    excess = ev.adb_excess(drop_terminated_carryover=drop_terminated_carryover)
-    demand_zero = float(demand(0.0))
+    * ``("zero", drop)`` — ``sum ADB_HI(0)`` as a float;
+    * ``("breaks", (lo, hi))`` — the ``ADB_HI`` breakpoints in ``(lo, hi]``;
+    * ``("adb", (breaks, mids, drop))`` — ``sum ADB_HI`` at both arrays,
+      as a pair of float arrays;
+
+    with ``drop`` the ``drop_terminated_carryover`` flag.  The demand at
+    the crossing it settles on comes from ``ev`` directly.  Returns the
+    :class:`ResettingResult`.  Raises ``ValueError`` for a speedup that
+    is not positive (NaN included) and
+    :class:`~repro.analysis.budget.AnalysisBudgetExceeded` once the scan
+    has examined more than ``max_candidates`` breakpoints.
+    """
+    if not (s > 0.0):
+        raise ValueError(f"speedup must be positive, got {s}")
+    if ev.n == 0:
+        return ResettingResult(0.0, s, True, 0.0)
+    drop = bool(drop_terminated_carryover)
+    demand_zero = yield "zero", drop
     if demand_zero <= _tol(0.0):
         return ResettingResult(0.0, s, True, demand_zero)
+    rate = ev.rate
     if s <= rate + _RTOL * max(1.0, rate):
         return ResettingResult(math.inf, s, False, math.inf)
 
     # The envelope gives ADB(h) <= rate*h + B* = s*h at h = B*/(s - rate),
     # so the first crossing lies at or before this horizon.
-    horizon = excess / (s - rate)
+    horizon = ev.adb_excess(drop_terminated_carryover=drop) / (s - rate)
     if ev.candidate_density("adb") <= 0.0:
         # Every task is terminated: the arrived demand is the constant
         # carry-over block, and the crossing is exactly demand / s.
@@ -228,20 +266,20 @@ def _resetting_scan(
             f"s={s:.6g}, demand rate={rate:.6g}, crossing horizon={horizon:.6g}, "
             f"scan reached Delta={window_lo:.6g} of {scan_end:.6g}"
         )
-        breaks = ev.breakpoints_in(window_lo, window_hi, kind="adb", budget=budget)
+        breaks = yield "breaks", (window_lo, window_hi)
+        budget.charge(breaks.size)
         if breaks.size:
-            values = np.asarray(demand(breaks), dtype=float)
             prevs = np.concatenate(([prev_delta], breaks[:-1]))
-            prev_vals = np.concatenate(([prev_demand], values[:-1]))
             # Interior crossing strictly inside (prevs[j], breaks[j]): the
             # demand there is linear from prev_vals[j] to its left limit at
             # breaks[j].  Probe midpoints to recover the segment lines
             # exactly.  A crossing landing exactly on a breakpoint does not
             # count — the demand jumps upward there, so the post-jump value
             # decides instead.
-            lengths = breaks - prevs
             mids = 0.5 * (prevs + breaks)
-            mid_vals = np.asarray(demand(mids), dtype=float)
+            values, mid_vals = yield "adb", (breaks, mids, drop)
+            prev_vals = np.concatenate(([prev_demand], values[:-1]))
+            lengths = breaks - prevs
             left_limits = 2.0 * mid_vals - prev_vals
             with np.errstate(divide="ignore", invalid="ignore"):
                 slopes = np.where(lengths > 0, (left_limits - prev_vals) / np.where(lengths > 0, lengths, 1.0), np.inf)
@@ -262,7 +300,8 @@ def _resetting_scan(
             if first_int <= first_brk and first_int < breaks.size:
                 j = first_int
                 crossing = float(max(crossings[j], prevs[j]))
-                return ResettingResult(crossing, s, False, float(demand(crossing)))
+                demand = ev.total_adb_hi(crossing, drop_terminated_carryover=drop)
+                return ResettingResult(crossing, s, False, float(demand))
             if first_brk < breaks.size:
                 j = first_brk
                 return ResettingResult(float(breaks[j]), s, True, float(values[j]))

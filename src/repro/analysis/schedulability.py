@@ -8,15 +8,27 @@
 
 Both scans are pseudo-polynomial: beyond the envelope horizon
 ``B / (speed - rate)`` the demand can no longer catch the supply line.
+The LO-mode scan is written once, as the generator
+:func:`lo_scan_steps`, which :func:`lo_mode_schedulable` and the
+population lockstep (:mod:`repro.analysis.population`) both drive.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Union
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
-from repro.analysis.kernels import MEMO, CompiledTaskSet, get_evaluator
+import numpy as np
+
+from repro.analysis.kernels import (
+    MEMO,
+    CompiledTaskSet,
+    Evaluator,
+    Steps,
+    drive,
+    get_evaluator,
+)
 from repro.analysis.resetting import ResettingResult, resetting_time
 from repro.analysis.result import decode_float, encode_float
 from repro.analysis.speedup import SpeedupResult, min_speedup, speedup_schedulable
@@ -50,9 +62,7 @@ def _period_span(periods: Sequence[float]) -> float:
 
     ``float(hyperperiod)`` for integral periods — which raises
     ``OverflowError`` once the hyperperiod exceeds the float range — and
-    ``1e4`` times the largest period otherwise.  It depends on the
-    periods alone, so a caller scanning many deadline variants of one
-    set (the exact-``x`` bisection) computes it once.
+    ``1e4`` times the largest period otherwise.
     """
     if all(float(p).is_integer() for p in periods):
         lcm = 1
@@ -79,10 +89,6 @@ def lo_mode_schedulable(
     engine: str = "compiled",
 ) -> bool:
     """Exact EDF demand test for LO mode at the given processor speed."""
-    if speed <= 0.0:
-        return len(taskset) == 0
-    if len(taskset) == 0:
-        return True
     ev = get_evaluator(taskset, engine)
     memo_key = None
     if isinstance(ev, CompiledTaskSet):
@@ -90,14 +96,50 @@ def lo_mode_schedulable(
         cached = MEMO.lookup(memo_key)
         if cached is not None:
             return cached
-    verdict = _lo_mode_scan(ev, speed)
+
+    def window_ok(window: Tuple[float, float, float]) -> bool:
+        lo, hi, supply = window
+        candidates = ev.breakpoints_in(lo, hi, kind="lo")
+        return not candidates.size or ev.lo_demand_ok(candidates, supply, _RTOL)
+
+    verdict = drive(lo_scan_steps(ev, speed), {"window": window_ok})
     if memo_key is not None:
         MEMO.store(memo_key, verdict)
     return verdict
 
 
-def _lo_mode_scan(ev, speed: float) -> bool:
-    """The LO-mode demand scan over an engine evaluator."""
+class LoProbe(NamedTuple):
+    """A set's LO-mode scan inputs at an Eq.-(13) probe: the probe's
+    ``D(LO)`` column and ``lo_excess`` (the only LO aggregates that depend
+    on ``x``) beside the set's own.  The population's exact-``x``
+    bisection scans these instead of deriving a probe snapshot."""
+
+    n: int
+    lo_rate: float
+    lo_max_period: float
+    lo_density: float
+    t_lo: np.ndarray
+    d_lo: np.ndarray
+    lo_excess: float
+
+
+def lo_scan_steps(ev: Union[Evaluator, LoProbe], speed: float) -> Steps[bool]:
+    """The exact LO-mode EDF demand test at ``speed``, as a scan generator.
+
+    Reads the set's LO-mode scalars from ``ev`` and yields:
+
+    * ``("window", (lo, hi, speed))`` — whether ``DBF_LO(Delta) <=
+      speed * Delta`` (within ``_RTOL``) at every ``DBF_LO`` breakpoint
+      in ``(lo, hi]``.
+
+    Returns the verdict; a NaN ``speed`` fails the test.  Raises
+    ``OverflowError`` when the scan reaches a horizon whose hyperperiod
+    exceeds the float range.
+    """
+    if not (speed > 0.0):
+        return ev.n == 0
+    if ev.n == 0:
+        return True
     rate = ev.lo_rate
     if rate > speed * (1.0 + _RTOL):
         return False
@@ -107,11 +149,12 @@ def _lo_mode_scan(ev, speed: float) -> bool:
     excess = ev.lo_excess
     if excess <= 0.0:
         return True
-    horizon = _scan_horizon(
-        [(float(d), float(p)) for d, p in zip(ev.d_lo, ev.t_lo)],
+    horizon = _bounded_horizon(
         speed,
         rate,
         excess,
+        max(ev.d_lo.tolist()),
+        _period_span(ev.t_lo.tolist()),
     )
     window_lo = 0.0
     step = 2.0 * ev.lo_max_period
@@ -119,14 +162,11 @@ def _lo_mode_scan(ev, speed: float) -> bool:
     max_window = 200_000 / density if density > 0 else math.inf
     while window_lo < horizon:
         window_hi = min(window_lo + step, horizon, window_lo + max_window)
-        candidates = ev.breakpoints_in(window_lo, window_hi, kind="lo")
-        if candidates.size:
-            # Engine-dispatched: the compiled engine stripe-prunes the
-            # supply comparison (kernels.CompiledTaskSet.lo_demand_ok),
-            # the scalar engine evaluates every candidate; the verdict is
-            # identical either way.
-            if not ev.lo_demand_ok(candidates, speed, _RTOL):
-                return False
+        # The compiled engine stripe-prunes the supply comparison
+        # (kernels.CompiledTaskSet.lo_demand_ok), the scalar engine
+        # evaluates every candidate; the verdict is identical either way.
+        if not (yield "window", (window_lo, window_hi, speed)):
+            return False
         window_lo = window_hi
         step *= 2.0
     return True

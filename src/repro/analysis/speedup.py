@@ -37,14 +37,17 @@ Demand evaluation goes through :mod:`repro.analysis.kernels`: the
 default ``engine="compiled"`` uses the fused struct-of-arrays kernels
 (with fingerprint-keyed memoisation of whole results), while
 ``engine="scalar"`` walks the per-task oracle loops of
-:mod:`repro.analysis.dbf` — both produce bit-identical results.
+:mod:`repro.analysis.dbf` — both produce bit-identical results.  The
+scan is written once, as the generator :func:`supremum_steps`:
+:func:`min_speedup` answers it on one evaluator, and
+:mod:`repro.analysis.population` answers many sets' scans in lockstep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Optional, Union
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -54,6 +57,8 @@ from repro.analysis.kernels import (
     PERF,
     CompiledTaskSet,
     Evaluator,
+    Steps,
+    drive,
     get_evaluator,
 )
 from repro.analysis.result import decode_float, encode_float
@@ -155,47 +160,71 @@ DEFAULT_RTOL = 1e-9
 DEFAULT_MAX_CANDIDATES = 2_000_000
 
 
-def _zero_interval_demand(ev: Evaluator) -> bool:
+def _positive_at_zero(demand_at_zero: float) -> bool:
     """True when ``sum DBF_HI(tau_i, 0) > 0`` (infinite speedup needed)."""
-    return float(ev.total_dbf_hi(0.0)) > 1e-12
+    return demand_at_zero > 1e-12
 
 
-def _supremum_scan(
+#: A paused supremum scan: ``(window_lo, window_hi, best_ratio, best_delta)``.
+ScanState = Tuple[float, float, float, Optional[float]]
+
+
+def supremum_steps(
     ev: Evaluator,
     *,
-    rtol: float,
-    max_candidates: int,
-    on_budget: str,
-    window_lo: float,
-    window_hi: float,
-    best_ratio: float = 0.0,
-    best_delta: Optional[float] = None,
-    examined: int = 0,
-) -> SpeedupResult:
-    """Run (or resume) the Eq.-8 supremum scan from explicit scan state.
+    rtol: float = DEFAULT_RTOL,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    on_budget: str = "inexact",
+    resume: Optional[ScanState] = None,
+) -> Steps[SpeedupResult]:
+    """Theorem 2's Eq.-8 supremum scan, as a scan generator.
 
-    ``window_lo``/``best_ratio``/``best_delta``/``examined`` let a caller
-    that already examined a prefix of the breakpoints — e.g.
-    :func:`speedup_schedulable` after exhausting its direct-scan budget —
-    continue from where it stopped instead of rescanning from zero.
+    Reads the set's scalars from ``ev`` and yields the demand arithmetic
+    it needs (:func:`~repro.analysis.kernels.drive` and the population
+    lockstep answer it):
+
+    * ``("zero", None)`` — ``sum DBF_HI(0)`` as a float;
+    * ``("peak", (lo, hi, best_ratio))`` — the number of ``DBF_HI``
+      breakpoints in ``(lo, hi]`` and their ``(ratio, delta)`` peak, as
+      :meth:`~repro.analysis.kernels.CompiledTaskSet.window_peak` returns
+      it (``(0, best_ratio, None)`` for a window without breakpoints).
+
+    Returns the :class:`SpeedupResult`, or raises
+    :class:`~repro.analysis.budget.AnalysisBudgetExceeded` on budget
+    exhaustion with ``on_budget="raise"``.  ``resume`` continues from a
+    paused scan state — e.g. :func:`speedup_schedulable` after
+    exhausting its direct-scan budget — instead of rescanning from zero,
+    and skips the entry shortcuts (the caller has checked them).
     """
+    if resume is None:
+        if ev.n == 0:
+            return SpeedupResult(0.0, None, True, 0.0, 0)
+        if _positive_at_zero((yield "zero", None)):
+            return SpeedupResult(math.inf, None, True, math.inf, 0)
+        # dbf_excess is a sum of non-negative intercepts, so exact zero is
+        # equivalent to <= 0 — no float equality needed.  A zero intercept
+        # means DBF_HI(Delta) <= rate * Delta everywhere while the ratio
+        # tends to the rate: the supremum is the rate (0.0 when every
+        # task is terminated).
+        if ev.dbf_excess <= 0.0:
+            return SpeedupResult(ev.rate, None, True, ev.rate, 0)
+        resume = (0.0, ev.initial_window(), 0.0, None)
+    window_lo, window_hi, best_ratio, best_delta = resume
     rate = ev.rate
     excess = ev.dbf_excess
+    examined = 0
 
     while True:
         window_hi = ev.clamp_window(window_lo, window_hi, kind="dbf")
-        candidates = ev.breakpoints_in(window_lo, window_hi, kind="dbf")
-        if candidates.size:
-            # The engine evaluates the window's ratio peak; the compiled
-            # engine prunes stripes that provably cannot beat best_ratio
-            # (kernels.CompiledTaskSet.window_peak), the scalar engine
-            # evaluates every candidate.  Both yield the identical
-            # (best_ratio, best_delta) trajectory.
-            peak_ratio, peak_delta = ev.window_peak(candidates, best_ratio)
-            if peak_ratio > best_ratio:
-                best_ratio = peak_ratio
-                best_delta = peak_delta
-            examined += int(candidates.size)
+        # The compiled engine prunes stripes that provably cannot beat
+        # best_ratio (kernels.window_peak_steps), the scalar engine
+        # evaluates every candidate.  Both yield the identical
+        # (best_ratio, best_delta) trajectory.
+        size, peak_ratio, peak_delta = yield "peak", (window_lo, window_hi, best_ratio)
+        if peak_ratio > best_ratio:
+            best_ratio = peak_ratio
+            best_delta = peak_delta
+        examined += size
 
         # Envelope pruning: any Delta > window_hi has ratio <= rate + B/Delta.
         future_cap = rate + excess / window_hi
@@ -228,6 +257,19 @@ def _supremum_scan(
                 return SpeedupResult(best_ratio, best_delta, True, best_ratio, examined)
         else:
             window_hi = 2.0 * window_hi
+
+
+def _answers(ev: Evaluator) -> Dict[str, Callable[[Any], Any]]:
+    """Answer :func:`supremum_steps` requests on one evaluator."""
+
+    def peak(window: Tuple[float, float, float]) -> Tuple[int, float, Optional[float]]:
+        lo, hi, best_ratio = window
+        candidates = ev.breakpoints_in(lo, hi, kind="dbf")
+        if not candidates.size:
+            return 0, best_ratio, None
+        return (int(candidates.size), *ev.window_peak(candidates, best_ratio))
+
+    return {"zero": lambda _: float(ev.total_dbf_hi(0.0)), "peak": peak}
 
 
 def min_speedup(
@@ -263,8 +305,6 @@ def min_speedup(
     """
     if on_budget not in ("inexact", "raise"):
         raise ValueError(f"on_budget must be 'inexact' or 'raise', got {on_budget!r}")
-    if len(taskset) == 0:
-        return SpeedupResult(0.0, None, True, 0.0, 0)
     ev = get_evaluator(taskset, engine)
 
     memo_key = None
@@ -276,24 +316,12 @@ def min_speedup(
 
     before = PERF.snapshot() if memo_key is not None else None
     with trace.span("speedup.min_speedup", engine=engine, n_tasks=len(taskset)) as sp:
-        if _zero_interval_demand(ev):
-            result = SpeedupResult(math.inf, None, True, math.inf, 0)
-        # dbf_excess is a sum of non-negative intercepts, so exact zero is
-        # equivalent to <= 0 — no float equality needed.  A zero intercept
-        # means DBF_HI(Delta) <= rate * Delta everywhere while the ratio
-        # tends to the rate: the supremum is the rate (0.0 when every
-        # task is terminated).
-        elif ev.dbf_excess <= 0.0:
-            result = SpeedupResult(ev.rate, None, True, ev.rate, 0)
-        else:
-            result = _supremum_scan(
-                ev,
-                rtol=rtol,
-                max_candidates=max_candidates,
-                on_budget=on_budget,
-                window_lo=0.0,
-                window_hi=ev.initial_window(),
-            )
+        result = drive(
+            supremum_steps(
+                ev, rtol=rtol, max_candidates=max_candidates, on_budget=on_budget
+            ),
+            _answers(ev),
+        )
         sp.add("candidates", result.candidates_examined)
     if memo_key is not None:
         result = replace(result, perf=PERF.delta_since(before))
@@ -325,15 +353,16 @@ def speedup_schedulable(
     if len(taskset) == 0:
         return True
     ev = get_evaluator(taskset, engine)
-    if _zero_interval_demand(ev):
+    if _positive_at_zero(float(ev.total_dbf_hi(0.0))):
         return False
     rate = ev.rate
     excess = ev.dbf_excess
-    if s < rate * (1.0 - rtol):
+    # Written so that a NaN speedup fails the test.
+    if not (s >= rate * (1.0 - rtol)):
         return False
     if excess <= 0.0:  # zero intercept: DBF_HI <= rate * Delta <= s * Delta
         return True
-    if s <= 0.0:
+    if not (s > 0.0):
         return False
     horizon = excess / max(s - rate, rtol * max(1.0, s))
     window_lo, step = 0.0, ev.initial_window()
@@ -370,15 +399,14 @@ def speedup_schedulable(
                     # supply-line test, so the supremum over the examined
                     # prefix is best_ratio <= s; resume the certified scan
                     # from here instead of rescanning from zero.
-                    cont = _supremum_scan(
-                        ev,
-                        rtol=rtol,
-                        max_candidates=max_candidates,
-                        on_budget="inexact",
-                        window_lo=window_hi,
-                        window_hi=2.0 * window_hi,
-                        best_ratio=best_ratio,
-                        best_delta=best_delta,
+                    cont = drive(
+                        supremum_steps(
+                            ev,
+                            rtol=rtol,
+                            max_candidates=max_candidates,
+                            resume=(window_hi, 2.0 * window_hi, best_ratio, best_delta),
+                        ),
+                        _answers(ev),
                     )
                     return cont.upper_bound <= s * (1.0 + rtol)
             window_lo = window_hi

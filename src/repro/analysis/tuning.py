@@ -16,14 +16,17 @@ Two methods are provided:
   Sufficient, closed-form, and the convention of the EDF-VD literature.
 * ``"exact"`` — bisection on ``x`` against the exact LO-mode demand
   test (:func:`repro.analysis.schedulability.lo_mode_schedulable`);
-  returns a (slightly conservative) minimal feasible ``x``.
+  returns a (slightly conservative) minimal feasible ``x``.  The
+  bisection is written once, as the generator :func:`bisection_steps`,
+  which :func:`exact_preparation_factor` and the population lockstep
+  (:mod:`repro.analysis.population`) both drive.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.analysis.kernels import MEMO, compile_taskset
+from repro.analysis.kernels import MEMO, Steps, compile_taskset, drive
 from repro.analysis.schedulability import lo_mode_schedulable
 from repro.model.task import Criticality, ModelError
 from repro.model.taskset import TaskSet
@@ -59,20 +62,56 @@ def structural_floor(taskset: TaskSet) -> float:
     return max(floors) if floors else 0.0
 
 
+#: Relative tolerance of the exact-``x`` bisection.
+EXACT_X_TOL = 1e-4
+
+
+def bisection_steps(
+    taskset: TaskSet, *, tol: float = EXACT_X_TOL
+) -> Steps[Optional[float]]:
+    """The exact-``x`` bisection, as a scan generator.
+
+    Yields ``("probe", x)`` and expects back the LO-mode verdict of
+    ``taskset`` with its HI tasks' ``D(LO)`` set by Eq. (13) at ``x``
+    (``x = None``: the set as it is, asked once when it has no HI
+    tasks).  LO-mode feasibility is monotone non-decreasing in ``x``
+    (longer LO deadlines only reduce the demand in every interval), so
+    bisection on ``(floor, 1]`` is sound.  Returns the minimal feasible
+    ``x`` within ``tol`` (slightly conservative), or ``None`` when even
+    ``x = 1`` fails.
+    """
+    if not taskset.hi_tasks:
+        return 1.0 if (yield "probe", None) else None
+    hi = 1.0
+    if not (yield "probe", hi):
+        return None
+    lo = max(structural_floor(taskset), 1e-9)
+    if (yield "probe", lo):
+        return lo
+    while hi - lo > tol * hi:
+        mid = 0.5 * (lo + hi)
+        if (yield "probe", mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def exact_preparation_factor(
-    taskset: TaskSet, *, tol: float = 1e-4, engine: str = "compiled"
+    taskset: TaskSet, *, tol: float = EXACT_X_TOL, engine: str = "compiled"
 ) -> Optional[float]:
     """Minimal ``x`` under the exact LO-mode demand test, via bisection.
 
-    LO-mode feasibility is monotone non-decreasing in ``x`` (longer LO
-    deadlines only reduce the demand in every interval), so bisection on
-    ``(floor, 1]`` is sound.  Returns ``None`` when even ``x = 1`` fails.
-    On the compiled engine each probe rescales one column of a shared
+    Drives :func:`bisection_steps` with the per-set LO test.  On the
+    compiled engine each probe rescales one column of a shared
     :class:`~repro.analysis.kernels.CompiledTaskSet` instead of
     rebuilding (and re-validating) a task set.
     """
+    steps = bisection_steps(taskset, tol=tol)
     if not taskset.hi_tasks:
-        return 1.0 if lo_mode_schedulable(taskset, engine=engine) else None
+        return drive(
+            steps, {"probe": lambda _: lo_mode_schedulable(taskset, engine=engine)}
+        )
 
     memo_key = None
     if engine == "compiled":
@@ -93,29 +132,13 @@ def exact_preparation_factor(
         def feasible(x: float) -> bool:
             return lo_mode_schedulable(shorten_hi_deadlines(taskset, x), engine=engine)
 
-    result: Optional[float]
     with trace.span("tuning.bisect", engine=engine, n_tasks=len(taskset)) as sp:
 
         def probed(x: float) -> bool:
             sp.add("probes")
             return feasible(x)
 
-        hi = 1.0
-        if not probed(hi):
-            result = None
-        else:
-            lo = structural_floor(taskset)
-            lo = max(lo, 1e-9)
-            if probed(lo):
-                result = lo
-            else:
-                while hi - lo > tol * hi:
-                    mid = 0.5 * (lo + hi)
-                    if probed(mid):
-                        hi = mid
-                    else:
-                        lo = mid
-                result = hi
+        result = drive(steps, {"probe": probed})
     if memo_key is not None:
         MEMO.store(memo_key, result)
     return result
@@ -125,7 +148,7 @@ def min_preparation_factor(
     taskset: TaskSet,
     *,
     method: str = "density",
-    tol: float = 1e-4,
+    tol: float = EXACT_X_TOL,
     engine: str = "compiled",
 ) -> Optional[float]:
     """Minimal feasible overrun-preparation factor ``x``.

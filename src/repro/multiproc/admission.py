@@ -20,7 +20,7 @@ Admission runs on the analysis engines (:mod:`repro.analysis.kernels`):
   :func:`~repro.analysis.speedup.min_speedup` call per (core, candidate)
   trial, on the per-task scalar engine.
 
-The lockstep scans are bit-exact mirrors of the per-set scans, so
+The lockstep scans drive the per-set scans' own generators, so
 **both engines admit exactly the same cores** — partitioning decisions
 are byte-identical (property-tested on seeded populations).
 

@@ -16,10 +16,11 @@ the generator; this module only decides how a stage's scans run.
 
 **Byte-identity contract.**  Every report equals the one
 ``evaluate_captured(request)`` produces, bit for bit: the lockstep
-scans are bit-exact mirrors of the per-set scans, and an error a
-lockstep scan returns for one member is thrown into that member's
-generator, so the request fails exactly as the per-set exception would
-and one failing set never aborts its group.  Only execution grouping
+scans drive the per-set scans' own generators with bit-identical
+demand answers, and an error a lockstep scan returns for one member is
+thrown into that member's generator, so the request fails exactly as
+the per-set exception would and one failing set never aborts its
+group.  Only execution grouping
 changes, so the kernel perf counters (``kernel_evals``, ``cells``)
 differ from a per-item run; the runner keeps them ``jobs``-invariant by
 cutting the same groups at any job count.
@@ -71,7 +72,7 @@ def _answer_lockstep(stage: str, steps: Sequence[Step]) -> List[Any]:
     if stage == "extras":
         return [None] * len(steps)
     if stage == "tuning":
-        return _exact_x_lockstep([step.target for step in steps], tol=1e-4)
+        return _exact_x_lockstep([step.target for step in steps])
     members = compile_tasksets([step.target for step in steps])
     budgets = [step.max_candidates for step in steps]
     if stage == "lo_test":

@@ -14,6 +14,10 @@ job in HI mode: its demand rises once, up to ``gap + C(LO)`` with
 ``gap = D(HI) - D(LO)``, and stays at ``C(HI)`` after.  Past the last
 such point ``A`` the excess repeats every ``H`` again, so the scan runs
 over ``(0, A + H]``.
+
+The LO-mode verdict has its own oracle: Eq. (4) in ``Fraction``
+arithmetic at every LO deadline in ``(0, H + max D(LO)]``, which is
+exact for utilization at most 1 (see :func:`exact_lo_feasible`).
 """
 
 import math
@@ -25,8 +29,13 @@ import pytest
 
 from repro.analysis import kernels
 from repro.analysis.dbf import adb_hi
-from repro.analysis.population import min_speedup_many, resetting_many
+from repro.analysis.population import (
+    lo_mode_schedulable_many,
+    min_speedup_many,
+    resetting_many,
+)
 from repro.analysis.resetting import resetting_time
+from repro.analysis.schedulability import lo_mode_schedulable
 from repro.analysis.speedup import min_speedup, speedup_schedulable
 from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
@@ -88,6 +97,54 @@ def exact_s_min(taskset: TaskSet) -> Optional[Fraction]:
     )
     rate = sum(Fraction(t.c_hi) / Fraction(t.t_hi) for t in periodic)
     return max(best, rate)
+
+
+def exact_dbf_lo(task: MCTask, delta: Fraction) -> Fraction:
+    """Eq. (4) with an exact floor."""
+    jobs = (delta - Fraction(task.d_lo)) // Fraction(task.t_lo) + 1
+    return max(jobs, 0) * Fraction(task.c_lo)
+
+
+def exact_lo_feasible(taskset: TaskSet) -> bool:
+    """LO-mode EDF feasibility at unit speed, exactly.
+
+    With LO utilization ``U <= 1`` and integer parameters,
+    ``DBF_LO(Delta + H) = DBF_LO(Delta) + U*H <= DBF_LO(Delta) + H`` once
+    ``Delta >= max D(LO)``, so a violation past ``H + max D(LO)`` implies
+    one a hyperperiod earlier; the demand only steps at deadlines.
+    """
+    if sum(Fraction(t.c_lo) / Fraction(t.t_lo) for t in taskset) > 1:
+        return False
+    horizon = math.lcm(*(int(t.t_lo) for t in taskset)) + max(
+        int(t.d_lo) for t in taskset
+    )
+    deadlines = {
+        k * int(t.t_lo) + int(t.d_lo)
+        for t in taskset
+        for k in range(horizon // int(t.t_lo) + 1)
+    }
+    return all(
+        sum(exact_dbf_lo(t, Fraction(d)) for t in taskset) <= d
+        for d in deadlines
+        if d <= horizon
+    )
+
+
+def near_full_lo_taskset(rng: np.random.Generator, name: str) -> TaskSet:
+    """Integer parameters, constrained deadlines, LO utilization in [0.9, 1]."""
+    while True:
+        tasks: List[MCTask] = []
+        for i in range(int(rng.integers(2, 6))):
+            period = int(rng.choice(PERIODS[:10]))
+            c = int(rng.integers(1, period // 2 + 1))
+            d = int(rng.integers(c, period + 1))
+            if rng.random() < 0.3:
+                tasks.append(MCTask.hi(f"h{i}", c, min(2 * c, period), d, period, period))
+            else:
+                tasks.append(MCTask.lo(f"l{i}", c, d, period))
+        utilization = sum(Fraction(t.c_lo) / Fraction(t.t_lo) for t in tasks)
+        if Fraction(9, 10) <= utilization <= 1:
+            return TaskSet(tasks, name=name)
 
 
 def carried_task(name: str, c: int, d_lo: int, d_hi: int) -> MCTask:
@@ -253,3 +310,39 @@ class TestCarriedJobArrivedDemand:
         [population] = resetting_many([ts], 1.0)
         scalar = resetting_time(ts, 1.0, engine="scalar")
         assert scalar == resetting_time(ts, 1.0) == population
+
+
+class TestLoModeAgainstOracle:
+    """The LO-mode demand test on every driver against :func:`exact_lo_feasible`."""
+
+    @staticmethod
+    def _verdicts(sets):
+        kernels.clear_memo()
+        population = lo_mode_schedulable_many(sets)
+        for ts, pop in zip(sets, population):
+            assert lo_mode_schedulable(ts, engine="scalar") == lo_mode_schedulable(ts) == pop
+        return population
+
+    def test_late_violation_at_full_utilization(self):
+        # U = 2/5 + 3/6 + 1/10 = 1 exactly: the horizon is the
+        # hyperperiod plus the largest deadline, 30 + 6 = 36, and the
+        # first violation, DBF_LO(29) = 30, lies in its second half.
+        ts = TaskSet(
+            [
+                MCTask.lo("a", c=2, d_lo=4, t_lo=5),
+                MCTask.lo("b", c=3, d_lo=5, t_lo=6),
+                MCTask.lo("c", c=1, d_lo=6, t_lo=10),
+            ]
+        )
+        demand = [sum(exact_dbf_lo(t, Fraction(d)) for t in ts) for d in range(1, 37)]
+        assert [d for d, dbf in enumerate(demand, start=1) if dbf > d][0] == 29
+        assert demand[28] == 30
+        assert exact_lo_feasible(ts) is False
+        assert self._verdicts([ts]) == [False]
+
+    def test_near_full_integer_sets(self):
+        rng = np.random.default_rng(1996)
+        sets = [near_full_lo_taskset(rng, f"lo{i}") for i in range(40)]
+        want = [exact_lo_feasible(ts) for ts in sets]
+        assert True in want and False in want
+        assert self._verdicts(sets) == want

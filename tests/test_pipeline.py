@@ -305,6 +305,52 @@ class TestReportShape:
         assert report.hi_ok is None
         assert report.within_budget is None
 
+    @pytest.mark.parametrize("engine", ["compiled", "scalar"])
+    @pytest.mark.parametrize(
+        "options, lo_ok, hi_ok, within_budget, x_applied",
+        [
+            ({"x": 0.3}, True, True, True, 0.3),
+            ({"x": 0.3, "lo_test": True}, False, True, True, 0.3),
+            ({"auto_x": "exact"}, True, True, True, 0.5),
+            ({}, True, False, False, None),
+            ({"lo_test": False}, None, False, False, None),
+            ({"x": 1.0}, False, None, None, 1.0),
+        ],
+        ids=["x", "x-lo_test", "exact_x", "no_knob", "no_lo_test", "x_is_1"],
+    )
+    def test_request_semantics(
+        self, engine, options, lo_ok, hi_ok, within_budget, x_applied
+    ):
+        """Which scans a request runs, pinned by value.  The set's
+        structural floor is x = 0.2, its exact x 0.5 and its density x
+        0.8.  An x knob decides LO feasibility by itself unless
+        ``lo_test`` asks for the demand test too (x = 0.3 then fails it);
+        without a knob the HI task keeps D(LO) = D(HI) and needs an
+        infinite speedup."""
+        ts = TaskSet(
+            [
+                MCTask.hi("h", c_lo=2, c_hi=4, d_lo=10, d_hi=10, period=10),
+                MCTask.lo("l", c=3, d_lo=4, t_lo=4),
+            ]
+        )
+        knob = "x" in options or "auto_x" in options
+        report = evaluate_request(
+            AnalysisRequest(
+                taskset=ts,
+                speedup=2.0,
+                reset_budget=50.0,
+                y=2.0 if knob else None,
+                engine=engine,
+                **options,
+            )
+        )
+        assert report.lo_ok is lo_ok
+        assert report.hi_ok is hi_ok
+        assert report.within_budget is within_budget
+        assert report.x_applied == x_applied
+        if hi_ok is False:
+            assert math.isinf(report.s_min)
+
     def test_validation_rejects_bad_options(self):
         ts = table1_taskset()
         with pytest.raises(Exception):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from repro.analysis import kernels
 from repro.analysis.dbf import (
     adb_hi,
     dbf_hi,
@@ -14,10 +15,12 @@ from repro.analysis.dbf import (
     hi_mode_rate,
     total_dbf_hi,
 )
+from repro.analysis.population import min_speedup_many
 from repro.analysis.resetting import resetting_time
-from repro.analysis.speedup import min_speedup
+from repro.analysis.speedup import DEFAULT_RTOL, min_speedup
 from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
+from repro.model.transform import apply_uniform_scaling
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -221,3 +224,76 @@ class TestCurveProperties:
         crossing = total_curve(ts, horizon, builder=adb_hi_curve).first_crossing(s)
         assert crossing is not None
         assert crossing == pytest.approx(bound, rel=1e-6)
+
+
+# ----------------------------------------------------------------------
+# Metamorphic relations of the exact s_min, on every scan driver
+# ----------------------------------------------------------------------
+knob_y = st.one_of(st.floats(min_value=1.0, max_value=4.0), st.just(math.inf))
+
+
+def _s_min_everywhere(sets):
+    """Each set's Theorem-2 result from the scalar engine, the compiled
+    engine and the population lockstep, which must agree exactly."""
+    kernels.clear_memo()
+    results = min_speedup_many(sets)
+    for ts, population in zip(sets, results):
+        assert min_speedup(ts, engine="scalar") == min_speedup(ts) == population
+    return results
+
+
+def _not_above(low, high):
+    """``low <= high`` within the scan's relative tolerance."""
+    return low.s_min <= high.s_min * (1.0 + DEFAULT_RTOL)
+
+
+class TestSpeedupMetamorphic:
+    @given(
+        ts=tasksets(),
+        x1=st.floats(min_value=0.05, max_value=1.0),
+        x2=st.floats(min_value=0.05, max_value=1.0),
+        y=knob_y,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_s_min_does_not_grow_as_x_shrinks(self, ts, x1, x2, y):
+        """Shorter LO deadlines of HI tasks (Eq. 13) leave less carry-over
+        demand at the switch."""
+        small, large = sorted((x1, x2))
+        at_small, at_large = _s_min_everywhere(
+            [apply_uniform_scaling(ts, small, y), apply_uniform_scaling(ts, large, y)]
+        )
+        assert _not_above(at_small, at_large)
+
+    @given(
+        ts=tasksets(),
+        x=st.floats(min_value=0.05, max_value=1.0),
+        y1=knob_y,
+        y2=knob_y,
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_s_min_does_not_grow_as_y_grows(self, ts, x, y1, y2):
+        """Stretching LO tasks' HI-mode deadlines and periods (Eq. 14,
+        termination at ``y = inf``) only removes HI-mode demand."""
+        small, large = sorted((y1, y2))
+        at_small, at_large = _s_min_everywhere(
+            [apply_uniform_scaling(ts, x, small), apply_uniform_scaling(ts, x, large)]
+        )
+        assert _not_above(at_large, at_small)
+
+    @given(
+        ts=tasksets(),
+        task=lo_tasks(),
+        position=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_terminated_lo_task_changes_nothing(self, ts, task, position):
+        """A LO task terminated at the switch (``D(HI) = T(HI) = inf``)
+        adds no HI-mode demand and no breakpoint."""
+        terminated = MCTask.lo(
+            "dropped", c=task.c_lo, d_lo=task.d_lo, t_lo=task.t_lo,
+            d_hi=math.inf, t_hi=math.inf,
+        )
+        tasks = list(ts)
+        tasks.insert(min(position, len(tasks)), terminated)
+        before, after = _s_min_everywhere([ts, TaskSet(tasks)])
+        assert after.to_dict() == before.to_dict()

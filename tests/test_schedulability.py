@@ -4,6 +4,8 @@ import math
 
 import pytest
 
+from repro.analysis.population import lo_mode_schedulable_many, resetting_many
+from repro.analysis.resetting import resetting_time
 from repro.analysis.schedulability import (
     SchedulabilityReport,
     hi_mode_schedulable,
@@ -73,6 +75,26 @@ class TestHiMode:
     def test_matches_speedup_result(self, table1):
         assert hi_mode_schedulable(table1, 4.0 / 3.0)
         assert not hi_mode_schedulable(table1, 1.2)
+
+
+class TestNanSpeed:
+    """Every guard is written so that a NaN speed fails: a NaN compares
+    false both ways, so ``speed <= 0.0`` would let it through."""
+
+    @pytest.mark.parametrize("front_end", ["scalar", "compiled", "population"])
+    def test_nan_is_never_schedulable(self, table1, front_end):
+        nan = math.nan
+        if front_end == "population":
+            assert lo_mode_schedulable_many([table1], nan) == [False]
+            with pytest.raises(ValueError, match="speedup must be positive, got nan"):
+                resetting_many([table1], nan)
+            return
+        # Table I needs s_min = 4/3: unit speed already fails HI mode.
+        assert hi_mode_schedulable(table1, 1.0, engine=front_end) is False
+        assert hi_mode_schedulable(table1, nan, engine=front_end) is False
+        assert lo_mode_schedulable(table1, nan, engine=front_end) is False
+        with pytest.raises(ValueError, match="speedup must be positive, got nan"):
+            resetting_time(table1, nan, engine=front_end)
 
 
 class TestSystemReport:
