@@ -13,8 +13,8 @@ Usage::
                    [--retries N] [--timeout SECS] [--quarantine out.jsonl]
     repro-mc serve [--host H] [--port P] [--jobs N] [--cache DIR]
     repro-mc chaos [--quick] [--jobs N] [--families kill,poison,...]
-    repro-mc lint [paths ...] [--format json|sarif] [--write-baseline]
-                  [--lint-cache FILE] [--changed-only] [--write-contracts]
+    repro-mc lint [paths ...] [--format json|sarif] [--rules RL001,...]
+                  [--write-baseline] [--write-contracts]
 
 ``--quick`` shrinks the synthetic population sizes so the whole
 evaluation finishes in about a minute (the benchmark harness under
@@ -555,18 +555,6 @@ def main(argv=None) -> int:
         help="comma-separated subset of lint rules to run (default: all)",
     )
     parser.add_argument(
-        "--lint-cache",
-        metavar="FILE.json",
-        help="incremental 'lint' cache file: warm runs re-analyze only "
-        "changed files plus their reverse-dependency cone",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="'lint' reports findings only for files re-analyzed this run "
-        "(requires --lint-cache to be meaningful)",
-    )
-    parser.add_argument(
         "--contracts",
         metavar="FILE.json",
         help="'lint' serialized-surface contract file consumed by RL006 "
@@ -592,11 +580,8 @@ def main(argv=None) -> int:
             baseline_path=args.baseline,
             update_baseline=args.write_baseline,
             rules=args.rules,
-            cache_path=args.lint_cache,
-            changed_only=args.changed_only,
             contracts_path=args.contracts,
             write_contracts=args.write_contracts,
-            jobs=args.jobs,
         )
 
     if args.paths:

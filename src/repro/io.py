@@ -178,14 +178,14 @@ def write_series_csv(
     Infinite values are written as the string ``inf`` (readable by
     ``float``); lengths must agree.
     """
-    for name, values in columns.items():  # repro-lint: ignore[RL009] validation only; order never reaches the file
+    for name, values in columns.items():
         if len(values) != len(xs):
             raise ValueError(f"column {name!r} has {len(values)} rows, expected {len(xs)}")
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow([x_label, *columns.keys()])  # repro-lint: ignore[RL009] column order is the caller's explicit series order, built deterministically
+        writer.writerow([x_label, *columns.keys()])
         for i, x in enumerate(xs):
-            writer.writerow([x, *(values[i] for values in columns.values())])  # repro-lint: ignore[RL009] column order is the caller's explicit series order, built deterministically
+            writer.writerow([x, *(values[i] for values in columns.values())])
 
 
 def write_records_csv(path: PathLike, records: Sequence[Dict]) -> None:

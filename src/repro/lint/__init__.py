@@ -7,9 +7,8 @@ The analysis core makes promises the test suite can only sample:
   coin-flip (RL002);
 * pipeline output is byte-identical for ``jobs=1`` and ``jobs=N`` and
   cache keys are stable across runs, which requires every source of
-  entropy (wall clock, unseeded RNG, process identity, set iteration
-  order) to stay out of fingerprint-, cache- and counter-affecting
-  code (RL003, RL009);
+  entropy (wall clock, unseeded RNG, process identity) to stay out of
+  fingerprint-, cache- and counter-affecting code (RL003);
 * functions shipped to the :class:`~repro.pipeline.runner.BatchRunner`
   process pool must be picklable and must not communicate through
   module-level globals (RL004);
@@ -19,17 +18,12 @@ The analysis core makes promises the test suite can only sample:
   test happens to import (RL001);
 * the public API surface stays documented and fully typed, and
   deprecated shims actually warn (RL005);
-* serialized surfaces never drift without a version bump (RL006), the
-  kernels keep their float64/row-order discipline (RL007), and every
-  settled pipeline item is counted exactly once (RL008).
+* serialized surfaces never drift without a version bump (RL006).
 
-Since v2 the engine runs in two phases: it first indexes every file
-into a :class:`~repro.lint.model.ProjectModel` (import graph, name
-resolver, call graph, per-function dataflow), then runs rules with
-that whole-program context.  Results are cached incrementally
-(:mod:`repro.lint.cache`): a warm run over an unchanged tree
-re-analyzes nothing, and an edit re-analyzes only the file's reverse
-dependency cone.  Suppressions (``# repro-lint: ignore[RL002]
+The engine parses every file into a
+:class:`~repro.lint.model.ProjectModel` (alias tables, top-level
+definitions, re-export resolution), then runs the rules with that
+whole-program context.  Suppressions (``# repro-lint: ignore[RL002]
 reason``) require a reason; grandfathered findings live in a committed
 JSON baseline (:mod:`repro.lint.baseline`); reporters render text,
 JSON and SARIF 2.1.0 (:mod:`repro.lint.report`,

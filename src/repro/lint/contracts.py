@@ -37,12 +37,17 @@ from __future__ import annotations
 import ast
 import copy
 import hashlib
+import json
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.lint.model import ProjectModel
 
 #: Schema stamp of the committed contract file.
 CONTRACTS_VERSION = 1
+
+#: Default committed contract file, relative to the working directory.
+DEFAULT_CONTRACTS_NAME = "lint-contracts.json"
 
 #: Item kinds a surface may reference.
 _FUNCTION = "function"
@@ -189,3 +194,19 @@ def compute_contracts(model: ProjectModel) -> Dict[str, Any]:
         "lint_contracts_version": CONTRACTS_VERSION,
         "surfaces": surfaces,
     }
+
+
+def load_contracts(path: Optional[Path]) -> Optional[Dict[str, Any]]:
+    """The committed contract document, or ``None`` when absent or foreign."""
+    if path is None or not path.is_file():
+        return None
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError):
+        return None
+    if (
+        not isinstance(payload, dict)
+        or payload.get("lint_contracts_version") != CONTRACTS_VERSION
+    ):
+        return None
+    return payload

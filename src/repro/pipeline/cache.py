@@ -46,8 +46,8 @@ PathLike = Union[str, Path]
 
 #: Version of the checksummed on-disk cache entry format.  Entries are
 #: CRC-wrapped (``{"crc": ..., "entry": {"cache_format": 2, "report":
-#: ...}}``); pre-checksum entries (a bare report payload) are still
-#: accepted on read.
+#: ...}}``); pre-checksum entries (a bare report payload) read as
+#: corrupt and are recomputed.
 CACHE_FORMAT_VERSION = 2
 
 
@@ -124,22 +124,22 @@ class ResultCache:
             self.io_errors += 1
             return None
         entry = decode_durable_line(text)
-        if entry is not None and "cache_format" in entry:
-            if entry.get("cache_format") != CACHE_FORMAT_VERSION:
-                entry = None
-            else:
-                report = entry.get("report")
-                entry = report if isinstance(report, dict) else None
-        if entry is not None and not ("name" in entry and "key" in entry):
-            entry = None  # legacy shape must at least look like a report
-        if entry is None:
+        report = (
+            entry.get("report")
+            if entry is not None
+            and entry.get("cache_format") == CACHE_FORMAT_VERSION
+            else None
+        )
+        if not (
+            isinstance(report, dict) and "name" in report and "key" in report
+        ):
             self.corrupt += 1
             try:  # a corrupt entry only wastes a recompute once
                 path.unlink()
             except OSError:
                 pass
             return None
-        return cast(ReportPayload, entry)
+        return cast(ReportPayload, report)
 
     def get(self, key: str) -> Optional[ReportPayload]:
         """Look a report payload up; promotes disk entries into memory."""

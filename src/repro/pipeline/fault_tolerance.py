@@ -169,12 +169,10 @@ def encode_durable_line(entry: Mapping[str, Any]) -> str:
 def decode_durable_line(line: str) -> Optional[Dict[str, Any]]:
     """Verify and unwrap one durable line; ``None`` on any corruption.
 
-    Accepts two shapes: the CRC wrapper written by
-    :func:`encode_durable_line`, and — for checkpoints written before
-    the durable format — a bare JSON object (no ``crc``), returned
-    as-is so old checkpoints stay resumable.  Torn tails, bit flips and
-    truncated JSON all come back as ``None``: the caller treats the
-    line as "recompute", never as data.
+    Only the CRC wrapper written by :func:`encode_durable_line` is
+    accepted.  Torn tails, bit flips, truncated JSON and bare objects
+    without a ``crc`` (the pre-CRC line format) all come back as
+    ``None``: the caller treats the line as "recompute", never as data.
     """
     line = line.strip()
     if not line:
@@ -183,10 +181,8 @@ def decode_durable_line(line: str) -> Optional[Dict[str, Any]]:
         parsed = json.loads(line)
     except json.JSONDecodeError:
         return None
-    if not isinstance(parsed, dict):
+    if not isinstance(parsed, dict) or "crc" not in parsed:
         return None
-    if "crc" not in parsed:
-        return parsed  # legacy (pre-CRC) line: accepted, unverified
     entry = parsed.get("entry")
     if not isinstance(entry, dict):
         return None

@@ -123,13 +123,13 @@ ItemT = TypeVar("ItemT")
 ResultT = TypeVar("ResultT")
 
 #: Version stamped into every checkpoint entry.  Version 2 entries are
-#: CRC-wrapped durable lines; version 1 (pre-CRC) lines are still
-#: accepted on resume.  Unknown versions are skipped rather than
-#: misinterpreted.
+#: CRC-wrapped durable lines; version 1 (pre-CRC) lines fail the CRC
+#: check on resume and are recomputed.  Unknown versions are skipped
+#: rather than misinterpreted.
 CHECKPOINT_VERSION = 2
 
 #: Checkpoint entry versions accepted on resume.
-_RESUMABLE_VERSIONS = frozenset({1, CHECKPOINT_VERSION})
+_RESUMABLE_VERSIONS = frozenset({CHECKPOINT_VERSION})
 
 #: Fixed slack added to a chunk's wall-clock deadline on top of
 #: ``timeout * items``: absorbs fork/pickle/dispatch latency so the

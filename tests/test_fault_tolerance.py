@@ -115,9 +115,9 @@ class TestDurableLines:
         for cut in (1, len(line) // 2, len(line) - 2):
             assert decode_durable_line(line[:cut]) is None
 
-    def test_legacy_bare_line_accepted(self):
+    def test_legacy_bare_line_is_corrupt(self):
         entry = {"checkpoint_version": 1, "key": "abc", "report": {}}
-        assert decode_durable_line(json.dumps(entry)) == entry
+        assert decode_durable_line(json.dumps(entry)) is None
 
     def test_blank_and_garbage(self):
         assert decode_durable_line("") is None
@@ -460,16 +460,20 @@ class TestCacheCorruption:
         assert rerun.stats.cache_hits == 2
         assert rerun.stats.computed == 1
 
-    def test_pre_checksum_entry_still_readable(self, tmp_path, population):
+    def test_pre_checksum_entry_is_recomputed(self, tmp_path, population):
         cache = ResultCache(tmp_path / "cache")
-        BatchRunner(jobs=1, cache=cache, install_signal_handlers=False).run(
-            population[:1]
-        )
+        reference = BatchRunner(
+            jobs=1, cache=cache, install_signal_handlers=False
+        ).run(population[:1])
         key = population[0].key
         entry_file = tmp_path / "cache" / key[:2] / f"{key}.json"
         wrapped = decode_durable_line(entry_file.read_text())
         # Rewrite as the legacy (bare report, no CRC) format.
         entry_file.write_text(json.dumps(wrapped["report"]))
         fresh = ResultCache(tmp_path / "cache")
-        assert fresh.get(key) is not None
-        assert fresh.corrupt == 0
+        rerun = BatchRunner(jobs=1, cache=fresh, install_signal_handlers=False)
+        reports = rerun.run(population[:1])
+        assert _dicts(reports) == _dicts(reference)
+        assert fresh.corrupt == 1
+        assert rerun.stats.cache_hits == 0
+        assert rerun.stats.computed == 1

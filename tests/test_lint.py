@@ -62,7 +62,7 @@ class TestRegistry:
     def test_all_rules_registered(self):
         assert sorted(available_rules()) == [
             "RL000", "RL001", "RL002", "RL003", "RL004",
-            "RL005", "RL006", "RL007", "RL008", "RL009",
+            "RL005", "RL006",
         ]
 
     def test_unknown_rule_rejected(self, tmp_path):

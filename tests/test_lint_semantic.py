@@ -1,14 +1,11 @@
-"""Tests for repro-lint v2's semantic layer.
+"""Tests for repro-lint's semantic layer.
 
-Covers the whole-program project model (import graph, name resolution),
-the dataflow pass (value lattice, CFG-lite path enumeration), the four
-semantic rules (RL006 contract drift, RL007 dtype discipline, RL008
-exactly-once accounting, RL009 iteration order) with must-fire and
-must-not-fire fixtures, the incremental cache (warm fast path, cone
-invalidation, contract-surface edits), the SARIF reporter, and the
-acceptance proofs over the real tree: ``src/`` is clean under the
-semantic rules, the committed contract file is fresh, and RL008's path
-ledger balances every settle path in the real pipeline.
+Covers the whole-program project model (module naming, re-export
+resolution), RL006 contract drift with must-fire and must-not-fire
+fixtures, the SARIF reporter, and the acceptance proofs over the real
+tree: RL006 stays silent on a pristine copy of ``src/`` and fires on a
+``ReportPayload`` field added without a version bump, and the
+committed contract file is fresh.
 
 Fixture trees use the same ``repro/...`` layout as ``test_lint.py`` so
 dotted module names land inside the rules' scopes.
@@ -22,29 +19,11 @@ import shutil
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.lint import lint_paths, render_sarif
 from repro.lint.cli import run_lint_command
 from repro.lint.contracts import compute_contracts
-from repro.lint.dataflow import (
-    ARRAY,
-    FLOAT32,
-    FLOAT64,
-    INT,
-    LIST,
-    SCALAR,
-    SET,
-    Dataflow,
-    enumerate_paths,
-)
-from repro.lint.engine import Finding, lint_project
+from repro.lint.engine import Finding
 from repro.lint.model import ModuleInfo, build_model, module_name
-from repro.lint.rules.accounting import (
-    DISPOSITIONS,
-    UNIT_DISPOSITIONS,
-    settle_path_report,
-)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CONTRACTS_FILE = REPO_ROOT / "lint-contracts.json"
@@ -64,13 +43,6 @@ def run(root: Path, rules=None, *, contracts_path=None):
 
 def codes(findings):
     return sorted({f.rule for f in findings})
-
-
-def parse_fn(source: str) -> ast.FunctionDef:
-    tree = ast.parse(textwrap.dedent(source))
-    fn = tree.body[0]
-    assert isinstance(fn, ast.FunctionDef)
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -109,15 +81,6 @@ class TestProjectModel:
         files = sorted(root.rglob("*.py"))
         return build_model(files)
 
-    def test_import_graph_edges(self, tmp_path):
-        model = self._model(tmp_path)
-        closure = model.import_closure("repro.pipeline.top")
-        assert "repro.pipeline.facade" in closure
-        assert "repro.pipeline.impl" in closure  # transitive
-        assert "repro.pipeline.loner" not in closure
-        importers = model.importers_of("repro.pipeline.facade")
-        assert "repro.pipeline.top" in importers
-
     def test_resolve_name_follows_reexport_chain(self, tmp_path):
         model = self._model(tmp_path)
         resolved = model.resolve_name("repro.pipeline.facade", "crunch")
@@ -127,204 +90,10 @@ class TestProjectModel:
         assert isinstance(node, ast.FunctionDef)
         assert node.name == "crunch"
 
-    def test_resolve_qualified(self, tmp_path):
-        model = self._model(tmp_path)
-        resolved = model.resolve_qualified("repro.pipeline.facade.crunch")
-        assert resolved is not None
-        assert resolved[0].module == "repro.pipeline.impl"
-
-    def test_model_digest_tracks_content(self, tmp_path):
-        model = self._model(tmp_path)
-        before = model.digest()
-        target = tmp_path / "repro" / "pipeline" / "loner.py"
-        target.write_text("LONER = 2\n")
-        files = sorted(tmp_path.rglob("*.py"))
-        assert build_model(files).digest() != before
-
     def test_parse_rejects_broken_source(self, tmp_path):
         bad = tmp_path / "broken.py"
         bad.write_text("def f(:\n")
         assert ModuleInfo.parse(bad) is None
-
-
-# ---------------------------------------------------------------------------
-# Dataflow: path enumeration
-# ---------------------------------------------------------------------------
-
-
-class TestEnumeratePaths:
-    def _paths(self, source: str, **kwargs):
-        fn = parse_fn(source)
-        return enumerate_paths(fn.body, **kwargs)
-
-    def test_straight_line_is_one_path(self):
-        paths, truncated = self._paths("""\
-            def f(x):
-                a = x + 1
-                return a
-        """)
-        assert not truncated
-        assert len(paths) == 1
-        assert len(paths[0]) == 2
-
-    def test_if_else_splits(self):
-        paths, _ = self._paths("""\
-            def f(x):
-                if x:
-                    a = 1
-                else:
-                    a = 2
-                return a
-        """)
-        assert len(paths) == 2
-
-    def test_if_without_else_has_skip_path(self):
-        paths, _ = self._paths("""\
-            def f(x):
-                if x:
-                    a = 1
-                return x
-        """)
-        assert len(paths) == 2
-        assert min(len(p) for p in paths) == 1  # the skip path
-
-    def test_return_terminates_a_path(self):
-        paths, _ = self._paths("""\
-            def f(x):
-                if x:
-                    return 1
-                return 2
-        """)
-        assert len(paths) == 2
-        assert all(isinstance(p[-1], ast.Return) for p in paths)
-
-    def test_loop_runs_zero_or_once(self):
-        paths, _ = self._paths("""\
-            def f(items):
-                total = 0
-                for item in items:
-                    total = total + item
-                return total
-        """)
-        assert len(paths) == 2  # zero-iteration and one-iteration
-
-    def test_try_explores_body_and_handler(self):
-        paths, _ = self._paths("""\
-            def f(x):
-                try:
-                    a = x()
-                except ValueError:
-                    a = 0
-                return a
-        """)
-        assert len(paths) == 2
-
-    def test_limit_sets_truncated_flag(self):
-        branches = "\n".join(
-            f"    if x == {i}:\n        a = {i}" for i in range(10)
-        )
-        paths, truncated = self._paths(
-            f"def f(x):\n{branches}\n    return x\n", limit=16
-        )
-        assert truncated
-        assert len(paths) <= 16
-
-    def test_atomic_keeps_statement_whole(self):
-        fn = parse_fn("""\
-            def f(items, out):
-                for i in items:
-                    out[i] = i
-                return out
-        """)
-        atomic = lambda stmt: isinstance(stmt, ast.For)  # noqa: E731
-        paths, truncated = enumerate_paths(fn.body, atomic=atomic)
-        assert not truncated
-        assert len(paths) == 1
-        assert any(isinstance(stmt, ast.For) for stmt in paths[0])
-
-
-# ---------------------------------------------------------------------------
-# Dataflow: value lattice
-# ---------------------------------------------------------------------------
-
-
-class TestValueLattice:
-    def _flow(self, source: str):
-        fn = parse_fn(source)
-        aliases = {"np": "numpy", "numpy": "numpy", "hashlib": "hashlib"}
-        return fn, Dataflow.of_function(fn, aliases)
-
-    def _value_of_return(self, source: str):
-        fn, flow = self._flow(source)
-        ret = fn.body[-1]
-        assert isinstance(ret, ast.Return) and ret.value is not None
-        return flow.value_of(ret.value)
-
-    def test_set_literal(self):
-        value = self._value_of_return("""\
-            def f():
-                s = {1, 2}
-                return s
-        """)
-        assert value.kind == SET
-
-    def test_sorted_is_ordered_list(self):
-        value = self._value_of_return("""\
-            def f(s):
-                out = sorted(s)
-                return out
-        """)
-        assert value.kind == LIST
-        assert value.ordered
-
-    def test_np_zeros_defaults_float64(self):
-        value = self._value_of_return("""\
-            def f():
-                a = np.zeros(4)
-                return a
-        """)
-        assert value.kind == ARRAY
-        assert value.dtype == FLOAT64
-        assert not value.explicit_dtype
-
-    def test_np_array_infers_from_literal(self):
-        value = self._value_of_return("""\
-            def f():
-                a = np.array([1, 2])
-                return a
-        """)
-        assert value.kind == ARRAY
-        assert value.dtype == INT
-
-    def test_astype_float32_tracked(self):
-        value = self._value_of_return("""\
-            def f(a):
-                b = a.astype(np.float32)
-                return b
-        """)
-        assert value.kind == ARRAY
-        assert value.dtype == FLOAT32
-        assert value.is_float_array
-
-    def test_true_division_promotes_to_float(self):
-        value = self._value_of_return("""\
-            def f():
-                x = 1 / 2
-                return x
-        """)
-        assert value.kind == SCALAR
-        assert value.dtype == FLOAT64
-
-    def test_branch_join_decays_disagreement(self):
-        value = self._value_of_return("""\
-            def f(flag):
-                if flag:
-                    x = {1}
-                else:
-                    x = [1]
-                return x
-        """)
-        assert value.kind not in (SET, LIST)
 
 
 # ---------------------------------------------------------------------------
@@ -509,559 +278,6 @@ class TestContractFileFreshness:
 
 
 # ---------------------------------------------------------------------------
-# RL007: dtype discipline
-# ---------------------------------------------------------------------------
-
-
-class TestRL007DtypeDiscipline:
-    def _findings(self, tmp_path, body: str):
-        make_tree(tmp_path, {
-            "repro/analysis/kernels.py": (
-                "import numpy as np\n\n" + textwrap.dedent(body)
-            ),
-        })
-        return run(tmp_path, rules=["RL007"])
-
-    def test_inferring_constructor_without_dtype_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def f(values):
-                return np.array(values)
-        """)
-        assert len(findings) == 1
-        assert "explicit dtype" in findings[0].message
-
-    def test_explicit_dtype_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def f(values):
-                return np.array(values, dtype=float)
-        """) == []
-
-    def test_fixed_default_constructors_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def f(n):
-                return np.zeros(n), np.linspace(0.0, 1.0, n)
-        """) == []
-
-    def test_astype_float32_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def f(a):
-                return a.astype(np.float32)
-        """)
-        assert len(findings) == 1
-        assert "float32" in findings[0].message
-
-    def test_np_sum_on_float_array_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def f(n):
-                a = np.zeros(n)
-                return np.sum(a)
-        """)
-        assert len(findings) == 1
-        assert "np.add.reduce" in findings[0].message
-
-    def test_method_sum_on_float_array_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def f(n):
-                a = np.zeros(n)
-                return a.sum()
-        """)
-        assert len(findings) == 1
-        assert "np.add.reduce" in findings[0].message
-
-    def test_add_reduce_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def f(n):
-                a = np.zeros(n)
-                return np.add.reduce(a)
-        """) == []
-
-    def test_int_array_sum_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def f(n):
-                counts = np.zeros(n, dtype=int)
-                return counts.sum()
-        """) == []
-
-    def test_set_feed_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def f():
-                return np.array({1.0, 2.0}, dtype=float)
-        """)
-        assert len(findings) == 1
-        assert "sort first" in findings[0].message
-
-    def test_sorted_set_feed_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def f(s):
-                return np.array(sorted(s), dtype=float)
-        """) == []
-
-    def test_mixed_float32_float64_arithmetic_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def f(n, a):
-                lo = np.zeros(n)
-                narrow = a.astype(np.float32)
-                return lo + narrow
-        """)
-        assert any(
-            "promotes implicitly" in f.message for f in findings
-        )
-
-    def test_out_of_scope_module_ignored(self, tmp_path):
-        make_tree(tmp_path, {
-            "repro/analysis/other.py": """\
-                import numpy as np
-
-                def f(values):
-                    return np.array(values)
-            """,
-        })
-        assert run(tmp_path, rules=["RL007"]) == []
-
-    def test_real_kernel_modules_clean(self):
-        for rel in ("analysis/kernels.py", "analysis/population.py"):
-            target = REPO_ROOT / "src" / "repro" / rel
-            assert run(target, rules=["RL007"]) == [], rel
-
-
-# ---------------------------------------------------------------------------
-# RL008: exactly-once accounting
-# ---------------------------------------------------------------------------
-
-
-class TestRL008Accounting:
-    def _findings(self, tmp_path, body: str):
-        make_tree(tmp_path, {
-            "repro/pipeline/core.py": textwrap.dedent(body),
-        })
-        return run(tmp_path, rules=["RL008"])
-
-    def test_store_without_increment_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def settle_all(n, items, stats):
-                payloads = [None] * n
-                for i, item in enumerate(items):
-                    if item.ok:
-                        payloads[i] = item.payload
-                        stats.computed += 1
-                    else:
-                        payloads[i] = item.error
-                return payloads
-        """)
-        assert len(findings) == 1
-        assert "without incrementing a disposition counter" in (
-            findings[0].message
-        )
-
-    def test_double_count_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def settle_all(n, items, stats):
-                payloads = [None] * n
-                for i, item in enumerate(items):
-                    payloads[i] = item.payload
-                    stats.computed += 1
-                    stats.cache_hits += 1
-                return payloads
-        """)
-        assert len(findings) == 1
-        assert "exactly one disposition" in findings[0].message
-
-    def test_balanced_paths_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def settle_all(n, items, stats, cache):
-                payloads = [None] * n
-                for i, item in enumerate(items):
-                    hit = cache.get(item.key)
-                    if hit is not None:
-                        payloads[i] = hit
-                        stats.cache_hits += 1
-                    else:
-                        payloads[i] = item.compute()
-                        stats.computed += 1
-                return payloads
-        """) == []
-
-    def test_dedup_fanout_loop_is_atomic_and_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def settle_groups(n, groups, stats):
-                payloads = [None] * n
-                for payload, indices in groups:
-                    for j in indices:
-                        payloads[j] = payload
-                    stats.computed += 1
-                    stats.deduplicated += len(indices) - 1
-                return payloads
-        """) == []
-
-    def test_orphan_increment_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def bump_only(stats):
-                stats.computed += 1
-        """)
-        assert len(findings) == 1
-        assert "never stores a settled payload" in findings[0].message
-
-    def test_closure_settling_enclosing_buffer_clean(self, tmp_path):
-        # The real runner's shape: `settle` closes over `run`'s buffer.
-        assert self._findings(tmp_path, """\
-            def run(n, items, stats):
-                payloads = [None] * n
-
-                def settle(i, item):
-                    if item.failed:
-                        payloads[i] = item.error
-                        stats.quarantined += 1
-                    else:
-                        payloads[i] = item.payload
-                        stats.computed += 1
-
-                for i, item in enumerate(items):
-                    settle(i, item)
-                return payloads
-        """) == []
-
-    def test_merge_skipped_on_a_path_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def _settle(self, result):
-                if result.ok:
-                    self.stats = self.stats + result.stats
-        """)
-        assert len(findings) == 1
-        assert "skips the stats merge" in findings[0].message
-
-    def test_merge_on_every_path_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def _settle(self, result):
-                if result.ok:
-                    self.stats = self.stats + result.stats
-                else:
-                    self.stats = self.stats + result.partial_stats
-        """) == []
-
-    def test_double_merge_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def _settle(self, result):
-                self.stats = self.stats + result.stats
-                self.stats = self.stats + result.stats
-        """)
-        assert len(findings) == 1
-        assert "more than once" in findings[0].message
-
-    def test_stats_class_missing_disposition_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            class BatchStats:
-                def __add__(self, other):
-                    return BatchStats(
-                        total=self.total + other.total,
-                        computed=self.computed + other.computed,
-                        cache_hits=self.cache_hits + other.cache_hits,
-                        resumed=self.resumed + other.resumed,
-                        deduplicated=(
-                            self.deduplicated + other.deduplicated
-                        ),
-                    )
-
-                def settled(self):
-                    return (
-                        self.computed + self.cache_hits + self.resumed
-                        + self.deduplicated + self.quarantined
-                    )
-
-                def reconciles(self):
-                    return self.settled() == self.total
-        """)
-        assert len(findings) == 1
-        assert "__add__" in findings[0].message
-        assert "quarantined" in findings[0].message
-
-    def test_out_of_scope_module_ignored(self, tmp_path):
-        make_tree(tmp_path, {
-            "repro/analysis/x.py": """\
-                def settle_all(n, items, stats):
-                    payloads = [None] * n
-                    for i, item in enumerate(items):
-                        payloads[i] = item
-                    return payloads
-            """,
-        })
-        assert run(tmp_path, rules=["RL008"]) == []
-
-
-class TestRL008RealPipelineProof:
-    """Acceptance: the five dispositions cover every real settle path."""
-
-    def _report(self, rel: str):
-        path = REPO_ROOT / "src" / "repro" / "pipeline" / rel
-        tree = ast.parse(path.read_text())
-        return settle_path_report(tree, module=f"repro.pipeline.{rel[:-3]}")
-
-    def test_disposition_set_is_the_contract(self):
-        assert sorted(DISPOSITIONS) == [
-            "cache_hits", "computed", "deduplicated", "quarantined",
-            "resumed",
-        ]
-        assert sorted(UNIT_DISPOSITIONS) == [
-            "cache_hits", "computed", "quarantined", "resumed",
-        ]
-
-    def test_every_settle_path_in_runner_is_balanced(self):
-        report = self._report("runner.py")
-        settlers = [f for f in report["functions"] if f["settles"]]
-        assert settlers, "runner must contain settle functions"
-        for fn in settlers:
-            assert not fn["truncated"], fn["name"]
-            assert fn["paths"], fn["name"]
-            for path in fn["paths"]:
-                assert len(path["increments"]) == path["stores"], (
-                    fn["name"], path
-                )
-
-    def test_unit_dispositions_all_exercised_in_runner(self):
-        report = self._report("runner.py")
-        seen = {
-            name
-            for fn in report["functions"]
-            for path in fn["paths"]
-            for name in path["increments"]
-        }
-        assert seen == UNIT_DISPOSITIONS
-
-    def test_core_merges_stats_exactly_once_per_path(self):
-        report = self._report("core.py")
-        merging = [f for f in report["functions"] if f["merging"]]
-        assert merging, "core must contain the stats merge"
-        for fn in merging:
-            assert not fn["truncated"], fn["name"]
-            for path in fn["paths"]:
-                assert path["merges"] == 1, (fn["name"], path)
-
-    def test_real_pipeline_clean_under_rl008(self):
-        for rel in ("core.py", "runner.py", "fault_tolerance.py"):
-            target = REPO_ROOT / "src" / "repro" / "pipeline" / rel
-            assert run(target, rules=["RL008"]) == [], rel
-
-
-# ---------------------------------------------------------------------------
-# RL009: iteration order
-# ---------------------------------------------------------------------------
-
-
-class TestRL009IterationOrder:
-    def _findings(self, tmp_path, body: str):
-        make_tree(tmp_path, {
-            "repro/pipeline/order.py": textwrap.dedent(body),
-        })
-        return run(tmp_path, rules=["RL009"])
-
-    def test_for_over_set_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def f(keys):
-                pending = {k for k in keys}
-                out = []
-                for key in pending:
-                    out.append(key)
-                return out
-        """)
-        assert len(findings) == 1
-        assert "set order is process-dependent" in findings[0].message
-
-    def test_sorted_set_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def f(keys):
-                pending = {k for k in keys}
-                out = []
-                for key in sorted(pending):
-                    out.append(key)
-                return out
-        """) == []
-
-    def test_glob_iteration_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def f(base):
-                return [p.name for p in base.glob("*.json")]
-        """)
-        assert len(findings) == 1
-        assert "filesystem enumeration" in findings[0].message
-
-    def test_sorted_glob_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def f(base):
-                return [p.name for p in sorted(base.glob("*.json"))]
-        """) == []
-
-    def test_dict_walk_in_serializing_function_fires(self, tmp_path):
-        findings = self._findings(tmp_path, """\
-            def f(d, handle):
-                for key, value in d.items():
-                    handle.write(f"{key}={value}")
-        """)
-        assert len(findings) == 1
-        assert "serializes" in findings[0].message
-
-    def test_sorted_dict_walk_in_serializing_function_clean(
-        self, tmp_path
-    ):
-        assert self._findings(tmp_path, """\
-            def f(d, handle):
-                for key, value in sorted(d.items()):
-                    handle.write(f"{key}={value}")
-        """) == []
-
-    def test_dict_walk_without_sink_clean(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            def f(d):
-                return sum(v for v in d.values())
-        """) == []
-
-    def test_json_dump_with_sort_keys_is_not_a_sink(self, tmp_path):
-        assert self._findings(tmp_path, """\
-            import json
-
-            def f(d, handle):
-                rows = {k: v for k, v in d.items()}
-                json.dump(rows, handle, sort_keys=True)
-        """) == []
-
-    def test_out_of_scope_module_ignored(self, tmp_path):
-        make_tree(tmp_path, {
-            "repro/analysis/x.py": """\
-                def f(s):
-                    return [x for x in {1, 2, 3}]
-            """,
-        })
-        assert run(tmp_path, rules=["RL009"]) == []
-
-
-# ---------------------------------------------------------------------------
-# Incremental cache
-# ---------------------------------------------------------------------------
-
-
-def _chain_fixture(tmp_path: Path) -> Path:
-    """base <- mid <- top, plus an unrelated bystander module."""
-    return make_tree(tmp_path, {
-        "repro/pipeline/base.py": """\
-            def ground(x: int) -> int:
-                \"\"\"Documented.\"\"\"
-                return x * 2
-        """,
-        "repro/pipeline/mid.py": """\
-            from repro.pipeline.base import ground
-
-            def lift(x: int) -> int:
-                \"\"\"Documented.\"\"\"
-                return ground(x) + 1
-        """,
-        "repro/pipeline/top.py": """\
-            from repro.pipeline.mid import lift
-
-            def peak(x: int) -> int:
-                \"\"\"Documented.\"\"\"
-                return lift(x) + 1
-        """,
-        "repro/pipeline/bystander.py": """\
-            def watch(x: int) -> int:
-                \"\"\"Documented.\"\"\"
-                return x
-        """,
-    })
-
-
-class TestIncrementalCache:
-    def test_warm_run_reanalyzes_nothing(self, tmp_path):
-        root = _chain_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        cold = lint_project([root], cache_path=cache)
-        assert cold.cold
-        assert len(cold.analyzed_files) == 4
-        warm = lint_project([root], cache_path=cache)
-        assert not warm.cold
-        assert warm.analyzed_files == []
-        assert len(warm.cached_files) == 4
-        assert warm.findings == cold.findings
-
-    def test_leaf_edit_reanalyzes_only_the_cone(self, tmp_path):
-        root = _chain_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        lint_project([root], cache_path=cache)
-        base = root / "repro" / "pipeline" / "base.py"
-        base.write_text(base.read_text() + "\nEXTRA = 1\n")
-        run2 = lint_project([root], cache_path=cache)
-        analyzed = {p.name for p in run2.analyzed_files}
-        assert analyzed == {"base.py", "mid.py", "top.py"}
-        assert {p.name for p in run2.cached_files} == {"bystander.py"}
-
-    def test_new_finding_in_edited_file_surfaces(self, tmp_path):
-        root = _chain_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        assert lint_project([root], cache_path=cache).findings == []
-        base = root / "repro" / "pipeline" / "base.py"
-        base.write_text(
-            base.read_text() + "\nimport time\nSTAMP = time.time()\n"
-        )
-        run2 = lint_project([root], cache_path=cache)
-        assert codes(run2.findings) == ["RL003"]
-
-    def test_rule_set_change_invalidates_cache(self, tmp_path):
-        root = _chain_fixture(tmp_path)
-        cache = tmp_path / "cache.json"
-        lint_project([root], cache_path=cache)
-        run2 = lint_project([root], rules=["RL003"], cache_path=cache)
-        assert run2.cold  # different engine key: stored state unusable
-
-    def test_contract_surface_edit_fires_rl006_through_cache(
-        self, tmp_path
-    ):
-        root = _checkpoint_fixture(tmp_path)
-        contracts = tmp_path / "contracts.json"
-        _write_contracts(root, contracts)
-        cache = tmp_path / "cache.json"
-        run1 = lint_project(
-            [root], cache_path=cache, contracts_path=contracts
-        )
-        assert run1.findings == []
-        payload = root / "repro" / "pipeline" / "payload.py"
-        payload.write_text(payload.read_text().replace(
-            "fingerprint: str", "fingerprint: str\n    extra: int"
-        ))
-        run2 = lint_project(
-            [root], cache_path=cache, contracts_path=contracts
-        )
-        assert codes(run2.findings) == ["RL006"]
-        # runner.py holds the anchor and sits in payload's reverse cone.
-        assert {p.name for p in run2.analyzed_files} >= {
-            "payload.py", "runner.py"
-        }
-
-    def test_warm_run_is_at_least_5x_faster_than_cold(self, tmp_path):
-        # A tree big enough that the cold run does real work: 40
-        # modules, each with imports and a few hundred statements.
-        files = {}
-        for i in range(40):
-            lines = [
-                "import math",
-                f"def fn_{i}(x: float) -> float:",
-                '    """Documented."""',
-                "    acc = x",
-            ]
-            lines += [
-                f"    acc = acc + math.sqrt(acc + {j}.0)"
-                for j in range(200)
-            ]
-            lines.append("    return acc")
-            files[f"repro/pipeline/gen_{i:02d}.py"] = "\n".join(lines) + "\n"
-        root = make_tree(tmp_path, files)
-        cache = tmp_path / "cache.json"
-        cold = lint_project([root], cache_path=cache)
-        warm = lint_project([root], cache_path=cache)
-        assert cold.cold and not warm.cold
-        assert warm.analyzed_files == []
-        assert warm.duration_s * 5 <= cold.duration_s, (
-            f"warm {warm.duration_s:.4f}s vs cold {cold.duration_s:.4f}s"
-        )
-
-
-# ---------------------------------------------------------------------------
 # SARIF reporter
 # ---------------------------------------------------------------------------
 
@@ -1091,7 +307,7 @@ class TestSarif:
         assert driver["name"] == "repro-lint"
         ids = [rule["id"] for rule in driver["rules"]]
         assert ids == sorted(ids)
-        assert len(ids) == 10
+        assert len(ids) == 7
         for rule in driver["rules"]:
             assert rule["shortDescription"]["text"]
 
@@ -1131,18 +347,3 @@ class TestSarif:
         assert doc["version"] == "2.1.0"
         assert doc["runs"][0]["results"][0]["ruleId"] == "RL002"
 
-
-# ---------------------------------------------------------------------------
-# Acceptance: the shipped tree is clean under the semantic rules
-# ---------------------------------------------------------------------------
-
-
-class TestSemanticRulesSelfCheck:
-    @pytest.mark.parametrize("rule", ["RL006", "RL007", "RL008", "RL009"])
-    def test_src_clean_under_semantic_rule(self, rule):
-        findings = lint_paths(
-            [REPO_ROOT / "src"], rules=[rule],
-            contracts_path=CONTRACTS_FILE,
-        )
-        assert findings == [], [f"{f.path}:{f.line} {f.message}"
-                                for f in findings]

@@ -33,11 +33,11 @@ from repro.pipeline import (
     BatchRunner,
     ResultCache,
     decode_durable_line,
+    encode_durable_line,
     evaluate_request,
     run_batch,
 )
-
-CHECKPOINT_VERSION = 1
+from repro.pipeline.runner import CHECKPOINT_VERSION
 
 
 @pytest.fixture(autouse=True)
@@ -418,10 +418,13 @@ class TestWorkerFailureResume:
     def test_worker_death_is_recomputed_on_resume(self, tmp_path):
         request = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         ck = tmp_path / "ck.jsonl"
-        ck.write_text(json.dumps(self._worker_failure_entry(request)) + "\n")
+        entry = self._worker_failure_entry(request)
+        ck.write_text(encode_durable_line(entry) + "\n")
 
         runner = BatchRunner(checkpoint=ck, resume=True)
         (report,) = runner.run([request])
+        # Dropped as an infrastructure failure, not as a corrupt line.
+        assert runner.faults.checkpoint_corrupt_lines == 0
         assert runner.stats.resumed == 0
         assert runner.stats.computed == 1
         assert report.failure is None
@@ -451,7 +454,9 @@ class TestWorkerFailureResume:
         run_batch([request], checkpoint=ck)
         good_line = ck.read_text()
         ck.write_text(
-            good_line + json.dumps(self._worker_failure_entry(request)) + "\n"
+            good_line
+            + encode_durable_line(self._worker_failure_entry(request))
+            + "\n"
         )
         runner = BatchRunner(checkpoint=ck, resume=True)
         runner.run([request])
@@ -512,11 +517,12 @@ class TestCheckpointHygiene:
             "message": "older attempt",
         }
         # Older failed attempt first, then the success: last wins.
-        # (A bare legacy line: resume accepts both framings.)
-        ck.write_text(json.dumps(stale) + "\n" + good_line + "\n")
+        # Both lines are CRC-framed, so neither is dropped as corrupt.
+        ck.write_text(encode_durable_line(stale) + "\n" + good_line + "\n")
 
         runner = BatchRunner(checkpoint=ck, resume=True)
         (report,) = runner.run([request])
+        assert runner.faults.checkpoint_corrupt_lines == 0
         assert runner.stats.resumed == 1
         assert report.failure is None
         lines = ck.read_text().splitlines()

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from repro.analysis.kernels import compile_taskset, compile_tasksets
 from repro.experiments.table1 import table1_degraded_taskset, table1_taskset
 from repro.generator.taskgen import GeneratorConfig, generate_taskset
 from repro.model.task import Criticality, MCTask
@@ -83,6 +87,75 @@ class TestFingerprint:
     def test_request_fingerprint_is_hex_digest(self):
         key = request_fingerprint(table1_taskset(), {"speedup": 2.0})
         assert len(key) == 64 and set(key) <= set("0123456789abcdef")
+
+
+#: Content addresses measured on the canonical sets.  Every cache entry
+#: and checkpoint line is keyed by one of these digests, so a change
+#: here orphans every stored artifact and needs a version bump.
+PINNED_ADDRESSES = {
+    "table1": "6889289c4a563c0586997492b537ae7c14607628a1ed1b7fb28e0a24167aa9e6",
+    "table1_degraded": "badb0260685d1aec29d106e9d018901a43e6e00f0cd821488b31160371d412fe",
+    "table1_speedup": "6171864e61e6799534b03c909c502fab5a26126f3ae588e1cd89b63e84eadda5",
+    "table1_tuned": "1e19a7bef5743c1cad9c68dc304b1066b318b8c0e170a5d5d361ce0c36e0d68c",
+    "table1_multicore": "b5257e65cd58df3ddfc40e2157887b37c2df629c7700052dce33576b4f44af6b",
+    "g0": "a60e839d12dd2b883eabc3a4de23b753fec5a8f27ae580843b27bd30ddee9d37",
+    "g0_compiled": "a60e839d12dd2b883eabc3a4de23b753fec5a8f27ae580843b27bd30ddee9d37",
+    "g0_scaled": "d0cb75217f53ecc15487aae864f19ac632a2fb94e0f3b025b0e950dff421208b",
+    "g0_request": "b16fa71e08f8bf051f027d6bedbaf2963a0dbbb9858073bf23b0179cb07bbef6",
+}
+
+
+def content_addresses():
+    """The digests :data:`PINNED_ADDRESSES` pins, computed afresh."""
+    table1 = table1_taskset()
+    g0 = generate_taskset(
+        0.6, np.random.default_rng(2015), GeneratorConfig(), name="g0"
+    )
+    return {
+        "table1": taskset_fingerprint(table1),
+        "table1_degraded": taskset_fingerprint(table1_degraded_taskset()),
+        "table1_speedup": AnalysisRequest(taskset=table1, speedup=2.0).key,
+        "table1_tuned": AnalysisRequest(
+            taskset=table1, speedup=2.0, auto_x="exact", y=2.0,
+            reset_budget=50.0,
+        ).key,
+        "table1_multicore": AnalysisRequest(
+            taskset=table1, cores=2, speedup_cap=2.0
+        ).key,
+        "g0": taskset_fingerprint(g0),
+        "g0_compiled": compile_tasksets([g0])[0].fingerprint,
+        "g0_scaled": (
+            compile_taskset(g0).with_uniform_scaling(0.5, 2.0).fingerprint
+        ),
+        "g0_request": AnalysisRequest(
+            taskset=g0, speedup=3.0, reset_budget=500.0
+        ).key,
+    }
+
+
+class TestPinnedContentAddresses:
+    def test_in_process(self):
+        assert content_addresses() == PINNED_ADDRESSES
+
+    def test_under_another_hash_seed(self):
+        root = Path(__file__).resolve().parent.parent
+        seed = "12345" if os.environ.get("PYTHONHASHSEED") == "7" else "7"
+        script = (
+            "import json, sys\n"
+            f"sys.path[:0] = [{str(root / 'src')!r}, {str(root)!r}]\n"
+            "from tests.test_pipeline import content_addresses\n"
+            "print(json.dumps(content_addresses()))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == PINNED_ADDRESSES
 
 
 class TestDeterminism:
@@ -178,7 +251,7 @@ class TestCheckpointResume:
         assert runner.stats.resumed == 0
         assert runner.stats.computed == 1
 
-    def test_legacy_uncrc_checkpoint_line_still_resumes(self, tmp_path):
+    def test_legacy_uncrc_checkpoint_line_is_recomputed(self, tmp_path):
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         ck = tmp_path / "legacy.jsonl"
         BatchRunner(checkpoint=ck).run([req])
@@ -188,8 +261,9 @@ class TestCheckpointResume:
         ck.write_text(json.dumps(entry) + "\n")
         runner = BatchRunner(checkpoint=ck, resume=True)
         runner.run([req])
-        assert runner.stats.resumed == 1
-        assert runner.stats.computed == 0
+        assert runner.stats.resumed == 0
+        assert runner.stats.computed == 1
+        assert runner.faults.checkpoint_corrupt_lines == 1
 
     def test_corrupt_checkpoint_line_is_recomputed(self, tmp_path):
         requests = [
@@ -397,6 +471,20 @@ class TestBatchStatsMerge:
         assert (a + zero).to_dict() == a.to_dict()
         assert a.reconciles()
         assert (a + a).reconciles()
+
+    @pytest.mark.parametrize(
+        "disposition",
+        ["computed", "cache_hits", "resumed", "deduplicated", "quarantined"],
+    )
+    def test_every_disposition_settles_and_merges(self, disposition):
+        from repro.pipeline.runner import BatchStats
+
+        one = BatchStats(total=1, **{disposition: 1})
+        assert one.reconciles()
+        assert one.to_dict()[disposition] == 1
+        two = one + one
+        assert getattr(two, disposition) == 2
+        assert two.reconciles()
 
 
 class TestWorkQueueCore:
