@@ -114,12 +114,13 @@ _FUSE_POINTS = 4_096
 # gathered once and evaluated in a single fused call.
 _GATHER_RUNS = 4
 
-#: Population bucket sizing: sets with at most this many tasks get an
-#: exact-height bucket (zero padding rows — small sets are where padding
-#: is proportionally worst and where the figs 6-7 sweeps live), larger
-#: sets fall back to power-of-two heights so a ragged population of
-#: many distinct large sizes cannot explode the bucket count.
-_EXACT_BUCKET_MAX = 16
+#: Population bucket sizing: every set with at most this many tasks
+#: shares one bucket as tall as its tallest such member, so a fused pass
+#: over the small sets of the figs 6-7 sweeps is one kernel call, not one
+#: per task count (padding rows are cheap cells; per-call overhead is
+#: what small sets pay for).  Larger sets keep power-of-two heights, so
+#: one large outlier never pads a group's small sets to its height.
+_SHARED_BUCKET_MAX = 16
 
 #: Stripe width of the pruned window-peak evaluation: demand is evaluated
 #: at every ``_STRIPE``-th breakpoint first, and the stripes in between
@@ -1156,11 +1157,12 @@ class _BoundedRegistry:
         self.maxsize = maxsize
         self._data: "OrderedDict[Any, Any]" = OrderedDict()
 
-    def get(self, key: Any) -> Optional[Any]:
-        value = self._data.get(key)
-        if value is not None:
+    def get(self, key: Any, default: Any = None) -> Any:
+        try:
             self._data.move_to_end(key)
-        return value
+        except KeyError:
+            return default
+        return self._data[key]
 
     def put(self, key: Any, value: Any) -> None:
         self._data[key] = value
@@ -1319,11 +1321,11 @@ def clear_compile_cache() -> None:
 class CompiledPopulation:
     """Ragged/padded struct-of-arrays layout over many compiled task sets.
 
-    Members are grouped into height *buckets*: a set with
-    ``n <= _EXACT_BUCKET_MAX`` tasks gets an exact-height bucket
-    (``P = n``, no padding), larger sets land in power-of-two buckets
-    (``P = 2^ceil(log2 n)``) so ragged large populations cannot explode
-    the bucket count.
+    Members are grouped into height *buckets*: every set with
+    ``n <= _SHARED_BUCKET_MAX`` tasks shares one bucket whose height is
+    the tallest such member's (at least 1: members may be empty), larger
+    sets land in power-of-two buckets (``P = 2^ceil(log2 n)``) so ragged
+    large populations cannot explode the bucket count.
     Each bucket lazily materialises per-parameter ``(P, sets)`` matrices
     with the member's full task rows (original order, terminated rows
     included) in the top ``n`` rows and *neutral padding* below.  A fused
@@ -1381,9 +1383,12 @@ class CompiledPopulation:
         bucket_of: List[int] = []
         slot_of: List[int] = []
         bucket_members: Dict[int, List[int]] = {}
+        shared = max(
+            [1] + [m.n for m in members if m.n <= _SHARED_BUCKET_MAX]
+        )
         for index, member in enumerate(members):
-            if member.n <= _EXACT_BUCKET_MAX:
-                height = member.n if member.n > 1 else 1
+            if member.n <= _SHARED_BUCKET_MAX:
+                height = shared
             else:
                 height = 1 << (member.n - 1).bit_length()
             slots = bucket_members.setdefault(height, [])
@@ -1412,6 +1417,34 @@ class CompiledPopulation:
     # ------------------------------------------------------------------
     # Lazy padded parameter matrices
     # ------------------------------------------------------------------
+    def _concat(self, bucket: int) -> Callable[[str], np.ndarray]:
+        """``cat(name)``: the bucket members' ``name`` columns, concatenated."""
+        mems = [self.members[index] for index in self._bucket_members[bucket]]
+        return lambda name: np.concatenate([getattr(m, name) for m in mems])
+
+    def _padded(
+        self, bucket: int, columns: Mapping[str, Tuple[float, np.ndarray]]
+    ) -> Tuple[Dict[str, np.ndarray], np.ndarray]:
+        """The bucket's padded ``(P, sets)`` parameter matrices, in one pass.
+
+        ``columns`` maps each parameter to its neutral padding value and
+        the bucket members' concatenated rows.  The matrices are the
+        leading-axis slices of one C-contiguous ``(parameters, P, sets)``
+        block, set to the padding values first; one fancy-index
+        assignment then puts each member's rows at the top of its slot.
+        Returns the matrices and the block.
+        """
+        sizes = np.fromiter(
+            (self.members[index].n for index in self._bucket_members[bucket]),
+            dtype=np.int64,
+        )
+        block = np.empty((len(columns), bucket, sizes.size))
+        block[...] = np.array([pad for pad, _ in columns.values()])[:, None, None]
+        rows = np.arange(int(sizes.sum())) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        slots = np.repeat(np.arange(sizes.size), sizes)
+        block[:, rows, slots] = [values for _, values in columns.values()]
+        return dict(zip(columns, block)), block
+
     def _lo_bundle(self, bucket: int) -> Dict[str, np.ndarray]:
         """``(P, sets)`` DBF_LO parameters; padding rows evaluate to +0.0
         (``c_lo = 0`` zeroes the row; ``t_lo = inf`` keeps the floor at 0).
@@ -1424,47 +1457,18 @@ class CompiledPopulation:
         mats = self._lo_mats.get(bucket)
         if mats is not None:
             return mats
-        mems = [self.members[index] for index in self._bucket_members[bucket]]
-        stack = np.empty((3 * bucket, len(mems)))
-        mats = {
-            "d_lo": stack[:bucket],
-            "t_lo": stack[bucket : 2 * bucket],
-            "c_lo": stack[2 * bucket :],
-        }
-        if all(member.n == bucket for member in mems):
-            # Exact-height bucket: no padding rows, so each block is one
-            # concatenate + one strided transpose-fill instead of a
-            # per-slot assignment loop.
-            for name, block in mats.items():
-                block.T[:] = np.concatenate(
-                    [getattr(m, name) for m in mems]
-                ).reshape(len(mems), bucket)
-        else:
-            mats["d_lo"][:] = 0.0
-            mats["t_lo"][:] = np.inf
-            mats["c_lo"][:] = 0.0
-            for slot, member in enumerate(mems):
-                for name, block in mats.items():
-                    block[: member.n, slot] = getattr(member, name)
+        cat = self._concat(bucket)
+        mats, block = self._padded(
+            bucket,
+            {
+                "d_lo": (0.0, cat("d_lo")),
+                "t_lo": (np.inf, cat("t_lo")),
+                "c_lo": (0.0, cat("c_lo")),
+            },
+        )
         self._lo_mats[bucket] = mats
-        self._eval_stacks[("lo", bucket, False)] = stack
+        self._eval_stacks[("lo", bucket, False)] = block.reshape(3 * bucket, -1)
         return mats
-
-    @staticmethod
-    def _stacked_columns(bucket: int, n_sets: int) -> Callable[[np.ndarray], np.ndarray]:
-        """``(bucket * n_sets,)`` member-major flat -> C-ordered ``(bucket, n_sets)``.
-
-        The strided transpose-fill keeps the result C-contiguous (the
-        reduction-order contract of the fused kernels) while filling a
-        whole bucket in one assignment.
-        """
-
-        def stack(flat: np.ndarray) -> np.ndarray:
-            mat = np.empty((bucket, n_sets))
-            mat.T[:] = flat.reshape(n_sets, bucket)
-            return mat
-
-        return stack
 
     def _hi_bundle(self, bucket: int) -> Dict[str, np.ndarray]:
         """``(P, sets)`` DBF_HI/ADB_HI parameters over *full* task rows.
@@ -1477,73 +1481,33 @@ class CompiledPopulation:
         case.  ``c_hi_drop`` zeroes terminated rows for the
         ``drop_terminated_carryover`` flavour.  Padding rows zero the
         ``c_hi``/``c_lo``/``chd`` columns, so they evaluate to +0.0 under
-        every flavour.
+        every flavour.  Every parameter is derived on the members'
+        concatenated rows, with the same elementwise ops as the per-set
+        columns.
         """
         mats = self._hi_mats.get(bucket)
         if mats is not None:
             return mats
-        indices = self._bucket_members[bucket]
-        mems = [self.members[index] for index in indices]
-        if all(member.n == bucket for member in mems):
-            # Exact-height bucket: derive every parameter on the members'
-            # concatenated rows (same elementwise ops as the per-member
-            # columns) and fill each matrix in one strided assignment.
-            stack = self._stacked_columns(bucket, len(mems))
-            cat = np.concatenate
-            t_hi_cat = cat([m.t_hi for m in mems])
-            c_lo_cat = cat([m.c_lo for m in mems])
-            c_hi_cat = cat([m.c_hi for m in mems])
-            d_lo_cat = cat([m.d_lo for m in mems])
-            finite = np.where(cat([m.hi_inf for m in mems]), 0.0, t_hi_cat)
-            mats = {
-                "t_hi": stack(t_hi_cat),
-                "t_hi_mult": stack(finite),
-                "gap": stack(cat([m.d_hi for m in mems]) - d_lo_cat),
-                "gap_star": stack(t_hi_cat - d_lo_cat),
-                "one_plus": stack(1.0 + finite),
-                "c_lo": stack(c_lo_cat),
-                "chd": stack(c_hi_cat - c_lo_cat),
-                "c_hi": stack(c_hi_cat),
-                "c_hi_drop": stack(
-                    np.where(cat([m.terminated for m in mems]), 0.0, c_hi_cat)
-                ),
-            }
-            self._hi_mats[bucket] = mats
-            return mats
-        shape = (bucket, len(indices))
-        t_hi = np.full(shape, np.inf, dtype=float)
-        t_hi_mult = np.zeros(shape)
-        gap = np.full(shape, np.inf, dtype=float)
-        gap_star = np.full(shape, np.inf, dtype=float)
-        one_plus = np.ones(shape)
-        c_lo = np.zeros(shape)
-        chd = np.zeros(shape)
-        c_hi = np.zeros(shape)
-        c_hi_drop = np.zeros(shape)
-        for slot, index in enumerate(indices):
-            member = self.members[index]
-            n = member.n
-            finite_period = np.where(member.hi_inf, 0.0, member.t_hi)
-            t_hi[:n, slot] = member.t_hi
-            t_hi_mult[:n, slot] = finite_period
-            gap[:n, slot] = member.d_hi - member.d_lo
-            gap_star[:n, slot] = member.t_hi - member.d_lo
-            one_plus[:n, slot] = 1.0 + finite_period
-            c_lo[:n, slot] = member.c_lo
-            chd[:n, slot] = member.c_hi - member.c_lo
-            c_hi[:n, slot] = member.c_hi
-            c_hi_drop[:n, slot] = np.where(member.terminated, 0.0, member.c_hi)
-        mats = {
-            "t_hi": t_hi,
-            "t_hi_mult": t_hi_mult,
-            "gap": gap,
-            "gap_star": gap_star,
-            "one_plus": one_plus,
-            "c_lo": c_lo,
-            "chd": chd,
-            "c_hi": c_hi,
-            "c_hi_drop": c_hi_drop,
-        }
+        cat = self._concat(bucket)
+        t_hi = cat("t_hi")
+        c_lo = cat("c_lo")
+        c_hi = cat("c_hi")
+        d_lo = cat("d_lo")
+        finite = np.where(cat("hi_inf"), 0.0, t_hi)
+        mats, _ = self._padded(
+            bucket,
+            {
+                "t_hi": (np.inf, t_hi),
+                "t_hi_mult": (0.0, finite),
+                "gap": (np.inf, cat("d_hi") - d_lo),
+                "gap_star": (np.inf, t_hi - d_lo),
+                "one_plus": (1.0, 1.0 + finite),
+                "c_lo": (0.0, c_lo),
+                "chd": (0.0, c_hi - c_lo),
+                "c_hi": (0.0, c_hi),
+                "c_hi_drop": (0.0, np.where(cat("terminated"), 0.0, c_hi)),
+            },
+        )
         self._hi_mats[bucket] = mats
         return mats
 
@@ -2310,6 +2274,10 @@ def get_evaluator(
 # ---------------------------------------------------------------------------
 # Fingerprint-keyed analysis memo
 # ---------------------------------------------------------------------------
+#: Marks an absent memo key (a stored result may be ``None``).
+_ABSENT = object()
+
+
 @dataclass
 class AnalysisMemo:
     """Small LRU memo of scan results keyed on task-set fingerprints.
@@ -2332,12 +2300,14 @@ class AnalysisMemo:
     def __post_init__(self) -> None:
         self._store = _BoundedRegistry(self.maxsize)
 
-    def lookup(self, key: Tuple[Any, ...]) -> Optional[Any]:
-        value = self._store.get(key)
-        if value is None:
+    def lookup(self, key: Tuple[Any, ...], default: Any = None) -> Any:
+        """The stored value (a stored ``None`` too), or ``default`` when
+        ``key`` is absent; only an absent key counts as a miss."""
+        value = self._store.get(key, _ABSENT)
+        if value is _ABSENT:
             PERF.memo_misses += 1
-        else:
-            PERF.memo_hits += 1
+            return default
+        PERF.memo_hits += 1
         return value
 
     def store(self, key: Tuple[Any, ...], value: Any) -> None:

@@ -65,6 +65,9 @@ def structural_floor(taskset: TaskSet) -> float:
 #: Relative tolerance of the exact-``x`` bisection.
 EXACT_X_TOL = 1e-4
 
+#: ``MEMO.lookup`` default: no memoised exact-``x`` result yet.
+_UNTUNED = object()
+
 
 def bisection_steps(
     taskset: TaskSet, *, tol: float = EXACT_X_TOL
@@ -120,9 +123,9 @@ def exact_preparation_factor(
         # that re-tune the same base set (shrink ladders, sensitivity
         # grids) skip the repeated probe sequence entirely.
         memo_key = ("exact_x", base.memo_token, tol)
-        cached = MEMO.lookup(memo_key)
-        if cached is not None:
-            return cached
+        cached = MEMO.lookup(memo_key, _UNTUNED)
+        if cached is not _UNTUNED:
+            return cached  # an infeasible set's ``None`` included
 
         def feasible(x: float) -> bool:
             return lo_mode_schedulable(base.with_hi_lo_deadline_factor(x))

@@ -99,14 +99,18 @@ def taskset_to_json(taskset: TaskSet, *, indent: int = 2) -> str:
 
 
 def taskset_from_json(text: str) -> TaskSet:
-    """Parse a task set serialized by :func:`taskset_to_json`.
+    """Parse a task set serialized by :func:`taskset_to_json`."""
+    return taskset_from_dict(json.loads(text))
+
+
+def taskset_from_dict(payload: Dict) -> TaskSet:
+    """Build a task set from an already-parsed task-set document.
 
     Accepts every version in :data:`SUPPORTED_VERSIONS` (version-1
     documents carry the version under the legacy ``version`` key) and
     rejects anything else — unknown future schemas fail loudly instead
     of being misread.
     """
-    payload = json.loads(text)
     if payload.get("format") != "repro-mc-taskset":
         raise ValueError("not a repro-mc task-set document")
     version = _document_version(payload)

@@ -31,7 +31,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List, Optional, Tuple, TypedDict
 
-from repro.io import taskset_from_json
+from repro.io import taskset_from_dict
 from repro.model.task import ModelError
 from repro.pipeline.core import JobHandle
 from repro.pipeline.payload import ReportPayload
@@ -162,7 +162,7 @@ def parse_analyze_payload(raw: bytes) -> Tuple[List[AnalysisRequest], bool]:
                 f"task set #{index} must be a repro-mc-taskset JSON object"
             )
         try:
-            taskset = taskset_from_json(json.dumps(entry))
+            taskset = taskset_from_dict(entry)
         except (ValueError, TypeError, KeyError) as error:
             raise WireError(f"task set #{index} invalid: {error}") from None
         try:

@@ -137,6 +137,22 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
+def _sized_set(n: int, tag: int) -> TaskSet:
+    """``n`` tasks, HI and LO alternating, on distinct integer periods."""
+    tasks = []
+    for i in range(n):
+        period = 10.0 * (i + 2)
+        if i % 2:
+            tasks.append(MCTask.lo(f"l{i}", c=1.0, d_lo=period, t_lo=period))
+        else:
+            tasks.append(
+                MCTask.hi(
+                    f"h{i}", c_lo=1.0, c_hi=2.0, d_lo=period, d_hi=period, period=period
+                )
+            )
+    return TaskSet(tasks, name=f"n{n}_{tag}")
+
+
 @pytest.fixture(scope="module")
 def small_population():
     """Seeded 200-set small-task-set population (the figs 6-7 regime)."""
@@ -256,6 +272,45 @@ class TestByteIdentity:
         assert resetting_many([], 2.0) == []
         assert lo_mode_schedulable_many([]) == []
         assert min_preparation_factor_many([], method="exact") == []
+
+
+class TestBucketLayout:
+    """Every set of at most 16 tasks shares one padded bucket; larger sets
+    keep power-of-two buckets of their own height."""
+
+    def test_small_sets_share_one_bucket(self):
+        sets = [_sized_set(2 + i % 11, i) for i in range(60)]
+        sets.append(TaskSet([], name="empty"))
+        assert sorted({len(ts) for ts in sets}) == [0] + list(range(2, 13))
+        pop = kernels.compile_population(sets)
+        assert list(pop._bucket_members) == [12]
+        assert pop._bucket_members[12] == list(range(len(sets)))
+
+    def test_large_member_keeps_its_own_bucket(
+        self, small_population, ragged_population
+    ):
+        large = max(ragged_population, key=len)
+        assert len(large) >= 40
+        sets = small_population[:63] + [large]
+        height = 1 << (len(large) - 1).bit_length()
+        pop = kernels.compile_population(sets)
+        assert pop._bucket_members[height] == [63]
+        small = max(len(ts) for ts in sets[:63])
+        assert pop._bucket_members[small] == list(range(63))
+        assert len(pop._bucket_members) == 2
+        _clear_caches()
+        assert [min_speedup(ts, engine="scalar").to_dict() for ts in sets] == [
+            r.to_dict() for r in min_speedup_many(sets)
+        ]
+        assert [resetting_time(ts, 2.0, engine="scalar").to_dict() for ts in sets] == [
+            r.to_dict() for r in resetting_many(sets, 2.0)
+        ]
+        assert [
+            lo_mode_schedulable(ts, 0.85, engine="scalar") for ts in sets
+        ] == lo_mode_schedulable_many(sets, 0.85)
+        assert [
+            min_preparation_factor(ts, method="exact", engine="scalar") for ts in sets
+        ] == min_preparation_factor_many(sets, method="exact")
 
 
 class TestBudgetParity:

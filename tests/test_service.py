@@ -170,6 +170,33 @@ class TestSchema:
         with pytest.raises(WireError, match="task set #0 invalid"):
             parse_analyze_payload(body)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda doc: doc.update(format="something-else"),
+            lambda doc: doc.update(schema_version=99),
+            lambda doc: doc["tasks"][0].pop("c_hi"),
+            lambda doc: doc["tasks"][0].update(criticality="MEDIUM"),
+            lambda doc: doc["tasks"][0].update(c_lo=-1.0),
+        ],
+        ids=["format", "version", "missing_field", "criticality", "negative_c_lo"],
+    )
+    def test_invalid_taskset_message_matches_the_document_parser(
+        self, tasksets, mutate
+    ):
+        """A posted document is parsed without a JSON round trip, and
+        fails with the message the task-set file parser gives."""
+        from repro.io import taskset_from_json, taskset_to_json
+
+        doc = json.loads(taskset_to_json(tasksets[0]))
+        mutate(doc)
+        with pytest.raises((ValueError, TypeError, KeyError)) as parsed:
+            taskset_from_json(json.dumps(doc))
+        body = json.dumps({"wire_version": WIRE_VERSION, "taskset": doc}).encode()
+        with pytest.raises(WireError) as wire:
+            parse_analyze_payload(body)
+        assert str(wire.value) == f"task set #0 invalid: {parsed.value}"
+
     def test_empty_submission_rejected(self):
         body = json.dumps({"wire_version": WIRE_VERSION, "tasksets": []}).encode()
         with pytest.raises(WireError, match="empty submission"):

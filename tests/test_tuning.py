@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import kernels, tuning
 from repro.analysis.schedulability import lo_mode_schedulable
 from repro.analysis.tuning import (
     density_preparation_factor,
@@ -103,6 +104,32 @@ class TestExact:
             ]
         )
         assert exact_preparation_factor(bad) is None
+
+
+class TestExactMemo:
+    def test_infeasible_result_is_served_from_the_memo(self, monkeypatch):
+        """A set infeasible even at x = 1 memoises ``None``; the second
+        call is a memo hit and runs no probe."""
+        ts = TaskSet(
+            [
+                MCTask.hi("h", c_lo=6, c_hi=8, d_lo=10, d_hi=10, period=10),
+                MCTask.lo("l", c=5, d_lo=10, t_lo=10),
+            ]
+        )
+        kernels.clear_memo()
+        assert exact_preparation_factor(ts) is None
+        probes = []
+
+        def probe(*args, **kwargs):
+            probes.append(args)
+            return lo_mode_schedulable(*args, **kwargs)
+
+        monkeypatch.setattr(tuning, "lo_mode_schedulable", probe)
+        before = kernels.PERF.snapshot()
+        assert exact_preparation_factor(ts) is None
+        delta = kernels.PERF.delta_since(before)
+        assert (delta["memo_hits"], delta["memo_misses"]) == (1, 0)
+        assert probes == []
 
 
 class TestDispatcher:
