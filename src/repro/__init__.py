@@ -23,12 +23,10 @@ Public API highlights
   VI and the flight-management-system workload.
 * :mod:`repro.experiments` — one module per paper table/figure.
 
-Importing individual analyses from the package top level
-(``repro.min_speedup`` and friends) still works but is deprecated in
-favour of :mod:`repro.api`, which is re-exported here.
+The individual analyses (``min_speedup`` and friends) are imported from
+:mod:`repro.api`; since 2.0.0 the package top level no longer re-exports
+them.
 """
-
-import warnings
 
 from repro.model import (
     Criticality,
@@ -52,7 +50,7 @@ from repro.api import (
     save_taskset,
 )
 
-__version__ = "1.1.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Criticality",
@@ -75,40 +73,3 @@ __all__ = [
     "api",
     "__version__",
 ]
-
-#: Pre-1.1 top-level re-exports, kept working through a deprecation
-#: shim: ``repro.<name>`` resolves lazily to ``repro.api.<name>`` with a
-#: DeprecationWarning instead of being bound eagerly at import time.
-_DEPRECATED_ANALYSIS_EXPORTS = frozenset(
-    {
-        "adb_hi",
-        "dbf_hi",
-        "dbf_lo",
-        "min_speedup",
-        "resetting_time",
-        "closed_form_speedup",
-        "closed_form_resetting_time",
-        "lo_mode_schedulable",
-        "hi_mode_schedulable",
-        "system_schedulable",
-        "min_preparation_factor",
-    }
-)
-
-
-def __getattr__(name):
-    if name in _DEPRECATED_ANALYSIS_EXPORTS:
-        warnings.warn(
-            f"'repro.{name}' is deprecated; import it from 'repro.api' "
-            f"(or call repro.api.analyze for a full report)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        from repro import analysis
-
-        return getattr(analysis, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(__all__) | _DEPRECATED_ANALYSIS_EXPORTS)

@@ -52,12 +52,7 @@ from repro.analysis.closed_form import (
     closed_form_resetting_time,
     closed_form_speedup,
 )
-from repro.analysis.schedulability import (
-    SchedulabilityReport,
-    hi_mode_schedulable,
-    lo_mode_schedulable,
-    system_schedulable,
-)
+from repro.analysis.schedulability import hi_mode_schedulable, lo_mode_schedulable
 from repro.analysis.tuning import min_preparation_factor
 from repro.analysis.overrun import max_overrun_frequency, speedup_duty_cycle
 from repro.analysis.dvfs import FrequencyLadder, discrete_design
@@ -100,10 +95,8 @@ __all__ = [
     "closed_form_bounds",
     "closed_form_speedup",
     "closed_form_resetting_time",
-    "SchedulabilityReport",
     "lo_mode_schedulable",
     "hi_mode_schedulable",
-    "system_schedulable",
     "min_preparation_factor",
     "max_overrun_frequency",
     "speedup_duty_cycle",

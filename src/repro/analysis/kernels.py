@@ -1227,7 +1227,10 @@ def compile_tasksets(
     out: List[Optional[CompiledTaskSet]] = [None] * len(tasksets)
     miss: List[Tuple[int, Any, str, List[Tuple[Any, ...]]]] = []
     dupes: List[Tuple[int, Any, str]] = []
-    pending: set = set()
+    # This call's snapshots by fingerprint: registry hits, and the misses
+    # (None until compiled below).  Duplicates resolve from here, since
+    # the misses' registry entries may evict the very snapshots they need.
+    found: Dict[str, Optional[CompiledTaskSet]] = {}
     for pos, ts in enumerate(tasksets):
         if isinstance(ts, CompiledTaskSet):
             out[pos] = ts
@@ -1242,10 +1245,11 @@ def compile_tasksets(
         ]
         fingerprint = digest_task_rows(sorted(rows, key=lambda row: row[0]))
         cached = _COMPILED_REGISTRY.get(fingerprint)
-        if cached is not None or fingerprint in pending:
+        if cached is not None or fingerprint in found:
+            found.setdefault(fingerprint, cached)
             dupes.append((pos, ts, fingerprint))
             continue
-        pending.add(fingerprint)
+        found[fingerprint] = None
         miss.append((pos, ts, fingerprint, rows))
     if miss:
         total = sum(len(rows) for _, _, _, rows in miss)
@@ -1281,6 +1285,7 @@ def compile_tasksets(
                     terminated=terminated_all[sl],
                 )
                 _COMPILED_REGISTRY.put(fingerprint, compiled)
+                found[fingerprint] = compiled
                 try:
                     setattr(ts, _COMPILED_ATTR, compiled)
                 except (AttributeError, TypeError):  # pragma: no cover
@@ -1288,8 +1293,9 @@ def compile_tasksets(
                 out[pos] = compiled
                 offset += n
     for pos, ts, fingerprint in dupes:
-        compiled = _COMPILED_REGISTRY.get(fingerprint)
+        compiled = found[fingerprint]
         assert compiled is not None
+        _COMPILED_REGISTRY.put(fingerprint, compiled)  # refresh its LRU slot
         try:
             setattr(ts, _COMPILED_ATTR, compiled)
         except (AttributeError, TypeError):  # pragma: no cover

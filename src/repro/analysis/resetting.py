@@ -41,7 +41,7 @@ from repro.analysis.kernels import (
     drive,
     get_evaluator,
 )
-from repro.analysis.result import decode_float, encode_float
+from repro.analysis.result import VERDICT_RTOL, decode_float, encode_float
 from repro.model.taskset import TaskSet
 from repro.obs import trace
 
@@ -77,6 +77,14 @@ class ResettingResult:
     def finite(self) -> bool:
         """True when the system provably recovers."""
         return math.isfinite(self.delta_r)
+
+    def within(self, budget: float) -> bool:
+        """Corollary-5 verdict: the system recovers within ``budget``.
+
+        This is the Figure-7 acceptance criterion (``s = 2``,
+        ``Delta_R <= 5 s``).
+        """
+        return self.delta_r <= budget * (1.0 + VERDICT_RTOL)
 
     # -- AnalysisResult protocol (repro.analysis.result) ----------------
     @property

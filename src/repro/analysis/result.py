@@ -18,12 +18,24 @@ they all implement the same four-member protocol:
 ``AnalysisResult`` is a :class:`typing.Protocol`, so conformance is
 structural: the result dataclasses do not inherit from anything here,
 they just implement the members (checked by ``tests/test_api.py``).
+
+The protocol's two safety verdicts against a target are methods on the
+result they read, and nowhere else:
+:meth:`~repro.analysis.speedup.SpeedupResult.admits` (HI mode feasible at
+speedup ``s``, Theorem 2) and
+:meth:`~repro.analysis.resetting.ResettingResult.within` (recovery
+within a budget, Corollary 5).  Both accept a value up to
+:data:`VERDICT_RTOL` past the target.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Any, Dict, Optional, Protocol, Union, runtime_checkable
+
+#: Relative tolerance of the target verdicts: ``value <= target * (1 +
+#: VERDICT_RTOL)`` passes.
+VERDICT_RTOL = 1e-9
 
 #: JSON-safe float encoding: finite floats pass through, ``inf``/``nan``
 #: travel as strings, ``None`` means "not computed".

@@ -16,8 +16,8 @@ population lockstep (:mod:`repro.analysis.population`) both drive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple, Union
+import warnings
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -29,10 +29,11 @@ from repro.analysis.kernels import (
     drive,
     get_evaluator,
 )
-from repro.analysis.resetting import ResettingResult, resetting_time
-from repro.analysis.result import decode_float, encode_float
-from repro.analysis.speedup import SpeedupResult, min_speedup, speedup_schedulable
+from repro.analysis.speedup import speedup_schedulable
 from repro.model.taskset import TaskSet
+
+if TYPE_CHECKING:  # type-only: repro.pipeline imports this module
+    from repro.pipeline.request import AnalysisReport
 
 _RTOL = 1e-9
 
@@ -179,132 +180,30 @@ def hi_mode_schedulable(
     return speedup_schedulable(taskset, s, engine=engine)
 
 
-@dataclass(frozen=True)
-class SchedulabilityReport:
-    """Full dual-mode verdict for a configured task set.
-
-    Attributes
-    ----------
-    lo_ok:
-        LO-mode EDF feasibility at nominal speed.
-    s_min:
-        Theorem-2 minimum HI-mode speedup (:class:`SpeedupResult`).
-    hi_ok_at:
-        The speedup the HI-mode verdict was evaluated at (``None`` when
-        no target speedup was supplied).
-    hi_ok:
-        HI-mode feasibility at ``hi_ok_at`` (vacuously True when no
-        target speedup was supplied but ``s_min`` is finite).
-    resetting:
-        Corollary-5 resetting time at ``hi_ok_at`` (``None`` without a
-        target speedup).
-    """
-
-    lo_ok: bool
-    s_min: SpeedupResult
-    hi_ok_at: Optional[float]
-    hi_ok: bool
-    resetting: Optional[ResettingResult]
-
-    @property
-    def schedulable(self) -> bool:
-        """True when both modes are feasible (at the target speedup)."""
-        return self.lo_ok and self.hi_ok
-
-    def within_reset_budget(self, budget: float) -> bool:
-        """Schedulable *and* recovers within ``budget`` time units.
-
-        This is the Figure-7 acceptance criterion (``s = 2``,
-        ``Delta_R <= 5 s``).
-        """
-        if not self.schedulable:
-            return False
-        if self.resetting is None:
-            return False
-        return self.resetting.delta_r <= budget * (1.0 + _RTOL)
-
-    # -- AnalysisResult protocol (repro.analysis.result) ----------------
-    @property
-    def ok(self) -> bool:
-        """True when both modes are feasible (the dual-mode verdict)."""
-        return self.schedulable
-
-    @property
-    def value(self) -> float:
-        """Headline number: the Theorem-2 minimum speedup."""
-        return self.s_min.s_min
-
-    @property
-    def diagnostics(self) -> Dict[str, Any]:
-        """Secondary facts: per-mode verdicts and the resetting bound."""
-        return {
-            "lo_ok": self.lo_ok,
-            "hi_ok": self.hi_ok,
-            "hi_ok_at": self.hi_ok_at,
-            "delta_r": None if self.resetting is None else self.resetting.delta_r,
-        }
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready encoding; inverted exactly by :meth:`from_dict`."""
-        return {
-            "lo_ok": self.lo_ok,
-            "s_min": self.s_min.to_dict(),
-            "hi_ok_at": encode_float(self.hi_ok_at),
-            "hi_ok": self.hi_ok,
-            "resetting": None if self.resetting is None else self.resetting.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "SchedulabilityReport":
-        resetting = data.get("resetting")
-        return cls(
-            lo_ok=bool(data["lo_ok"]),
-            s_min=SpeedupResult.from_dict(data["s_min"]),
-            hi_ok_at=decode_float(data["hi_ok_at"]),
-            hi_ok=bool(data["hi_ok"]),
-            resetting=None if resetting is None else ResettingResult.from_dict(resetting),
-        )
-
-
 def system_schedulable(
     taskset: TaskSet,
     s: Optional[float] = None,
     *,
     drop_terminated_carryover: bool = False,
     engine: str = "compiled",
-) -> SchedulabilityReport:
-    """Evaluate the complete protocol of Section II for ``taskset``.
+) -> AnalysisReport:
+    """Deprecated: call :func:`repro.api.analyze`, which this forwards to.
 
-    With ``s`` given, HI mode is checked at that speedup and the
-    resetting time is computed; otherwise only ``s_min`` is reported.
-    On the compiled engine all three analyses share one
-    :class:`~repro.analysis.kernels.CompiledTaskSet`.
+    Returns ``repro.api.analyze(taskset, speedup=s, ...)``'s
+    :class:`~repro.pipeline.request.AnalysisReport`; README's migration
+    note maps the fields of the report type this used to return.
     """
-    lo_ok = lo_mode_schedulable(taskset, engine=engine)
-    s_min = min_speedup(taskset, engine=engine)
-    if s is None:
-        return SchedulabilityReport(
-            lo_ok=lo_ok,
-            s_min=s_min,
-            hi_ok_at=None,
-            hi_ok=math.isfinite(s_min.s_min),
-            resetting=None,
-        )
-    hi_ok = s_min.upper_bound <= s * (1.0 + _RTOL)
-    reset = (
-        resetting_time(
-            taskset,
-            s,
-            drop_terminated_carryover=drop_terminated_carryover,
-            engine=engine,
-        )
-        if hi_ok
-        else None
+    warnings.warn(
+        "system_schedulable is deprecated; call repro.api.analyze(taskset, "
+        "speedup=s, budget=b), which returns an AnalysisReport",
+        DeprecationWarning,
+        stacklevel=2,
     )
-    return SchedulabilityReport(
-        lo_ok=lo_ok,
-        s_min=s_min,
-        hi_ok_at=s,
-        hi_ok=hi_ok,
-        resetting=reset,
+    from repro.api import analyze  # repro.api imports this module
+
+    return analyze(
+        taskset,
+        speedup=s,
+        drop_terminated_carryover=drop_terminated_carryover,
+        engine=engine,
     )

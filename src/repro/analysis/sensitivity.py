@@ -50,11 +50,10 @@ def _gamma_feasible(
             scaled = scale_wcet_uncertainty(base, gamma)
     except Exception:
         return False  # C(HI) would exceed some deadline: structurally out
-    if min_speedup(scaled, engine=engine).upper_bound > s * (1.0 + 1e-9):
+    if not min_speedup(scaled, engine=engine).admits(s):
         return False
     if math.isfinite(reset_budget):
-        if resetting_time(scaled, s, engine=engine).delta_r > reset_budget * (1.0 + 1e-9):
-            return False
+        return resetting_time(scaled, s, engine=engine).within(reset_budget)
     return True
 
 
@@ -115,7 +114,7 @@ def _load_feasible(base: TaskSet, factor: float, s: float, engine: str) -> bool:
     scaled = TaskSet(inflated, name=f"{base.name}|x{factor:g}")
     if not lo_mode_schedulable(scaled, engine=engine):
         return False
-    return min_speedup(scaled, engine=engine).upper_bound <= s * (1.0 + 1e-9)
+    return min_speedup(scaled, engine=engine).admits(s)
 
 
 def max_tolerable_load_scale(

@@ -49,8 +49,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.analysis.budget import AnalysisBudgetExceeded
 from repro.analysis.kernels import (
     MEMO,
@@ -61,7 +59,7 @@ from repro.analysis.kernels import (
     drive,
     get_evaluator,
 )
-from repro.analysis.result import decode_float, encode_float
+from repro.analysis.result import VERDICT_RTOL, decode_float, encode_float
 from repro.model.taskset import TaskSet
 from repro.obs import trace
 
@@ -106,6 +104,15 @@ class SpeedupResult:
     def requires_speedup(self) -> bool:
         """True when the HI mode needs more than nominal speed."""
         return self.s_min > 1.0
+
+    def admits(self, s: float) -> bool:
+        """Theorem-2 verdict: HI mode meets every deadline at speedup ``s``.
+
+        Compares the certified ``upper_bound``, not ``s_min``: a
+        budget-cut scan's ``s_min`` is only a lower bound.  A NaN ``s``
+        is not admitted.
+        """
+        return self.upper_bound <= s * (1.0 + VERDICT_RTOL)
 
     # -- AnalysisResult protocol (repro.analysis.result) ----------------
     @property
@@ -165,17 +172,12 @@ def _positive_at_zero(demand_at_zero: float) -> bool:
     return demand_at_zero > 1e-12
 
 
-#: A paused supremum scan: ``(window_lo, window_hi, best_ratio, best_delta)``.
-ScanState = Tuple[float, float, float, Optional[float]]
-
-
 def supremum_steps(
     ev: Evaluator,
     *,
     rtol: float = DEFAULT_RTOL,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     on_budget: str = "inexact",
-    resume: Optional[ScanState] = None,
 ) -> Steps[SpeedupResult]:
     """Theorem 2's Eq.-8 supremum scan, as a scan generator.
 
@@ -191,25 +193,21 @@ def supremum_steps(
 
     Returns the :class:`SpeedupResult`, or raises
     :class:`~repro.analysis.budget.AnalysisBudgetExceeded` on budget
-    exhaustion with ``on_budget="raise"``.  ``resume`` continues from a
-    paused scan state — e.g. :func:`speedup_schedulable` after
-    exhausting its direct-scan budget — instead of rescanning from zero,
-    and skips the entry shortcuts (the caller has checked them).
+    exhaustion with ``on_budget="raise"``.
     """
-    if resume is None:
-        if ev.n == 0:
-            return SpeedupResult(0.0, None, True, 0.0, 0)
-        if _positive_at_zero((yield "zero", None)):
-            return SpeedupResult(math.inf, None, True, math.inf, 0)
-        # dbf_excess is a sum of non-negative intercepts, so exact zero is
-        # equivalent to <= 0 — no float equality needed.  A zero intercept
-        # means DBF_HI(Delta) <= rate * Delta everywhere while the ratio
-        # tends to the rate: the supremum is the rate (0.0 when every
-        # task is terminated).
-        if ev.dbf_excess <= 0.0:
-            return SpeedupResult(ev.rate, None, True, ev.rate, 0)
-        resume = (0.0, ev.initial_window(), 0.0, None)
-    window_lo, window_hi, best_ratio, best_delta = resume
+    if ev.n == 0:
+        return SpeedupResult(0.0, None, True, 0.0, 0)
+    if _positive_at_zero((yield "zero", None)):
+        return SpeedupResult(math.inf, None, True, math.inf, 0)
+    # dbf_excess is a sum of non-negative intercepts, so exact zero is
+    # equivalent to <= 0 — no float equality needed.  A zero intercept
+    # means DBF_HI(Delta) <= rate * Delta everywhere while the ratio
+    # tends to the rate: the supremum is the rate (0.0 when every task
+    # is terminated).
+    if ev.dbf_excess <= 0.0:
+        return SpeedupResult(ev.rate, None, True, ev.rate, 0)
+    window_lo, window_hi = 0.0, ev.initial_window()
+    best_ratio, best_delta = 0.0, None
     rate = ev.rate
     excess = ev.dbf_excess
     examined = 0
@@ -338,77 +336,16 @@ def speedup_schedulable(
     on_budget: str = "inexact",
     engine: str = "compiled",
 ) -> bool:
-    """HI-mode schedulability test at a *given* speedup ``s``.
+    """HI-mode schedulability test at a *given* speedup ``s`` (Theorem 2).
 
-    Checks ``sum DBF_HI(Delta) <= s * Delta`` for all ``Delta >= 0``
-    (Theorem 2 rearranged), using a direct bounded scan: beyond
-    ``Delta > B / (s - rate)`` the envelope guarantees satisfaction.
-    Returns False when ``s < rate`` (long-run overload).  On budget
-    exhaustion, ``on_budget`` selects between resuming the certified
-    supremum scan from the current scan state (``"inexact"``) and raising
-    :class:`~repro.analysis.budget.AnalysisBudgetExceeded` (``"raise"``).
+    The :meth:`SpeedupResult.admits` verdict on :func:`min_speedup`, whose
+    parameters it takes: ``max_candidates`` caps the whole scan, and a
+    budget-cut scan admits ``s`` only when its certified upper bound
+    does.  Returns False for ``s`` below the demand rate and for a NaN
+    ``s``.
     """
-    if on_budget not in ("inexact", "raise"):
-        raise ValueError(f"on_budget must be 'inexact' or 'raise', got {on_budget!r}")
-    if len(taskset) == 0:
-        return True
-    ev = get_evaluator(taskset, engine)
-    if _positive_at_zero(float(ev.total_dbf_hi(0.0))):
-        return False
-    rate = ev.rate
-    excess = ev.dbf_excess
-    # Written so that a NaN speedup fails the test.
-    if not (s >= rate * (1.0 - rtol)):
-        return False
-    if excess <= 0.0:  # zero intercept: DBF_HI <= rate * Delta <= s * Delta
-        return True
-    if not (s > 0.0):
-        return False
-    horizon = excess / max(s - rate, rtol * max(1.0, s))
-    window_lo, step = 0.0, ev.initial_window()
-    examined = 0
-    best_ratio, best_delta = 0.0, None
-    with trace.span("speedup.schedulable", engine=engine) as sp:
-        while window_lo < horizon:
-            window_hi = ev.clamp_window(
-                window_lo, min(window_lo + step, horizon), kind="dbf"
-            )
-            candidates = ev.breakpoints_in(window_lo, window_hi, kind="dbf")
-            if candidates.size:
-                demand = np.asarray(ev.total_dbf_hi(candidates), dtype=float)
-                slack = s * candidates * (1.0 + rtol) + rtol - demand
-                sp.add("candidates", int(candidates.size))
-                if np.any(slack < 0.0):
-                    return False
-                ratios = demand / candidates
-                idx = int(np.argmax(ratios))
-                if ratios[idx] > best_ratio:
-                    best_ratio = float(ratios[idx])
-                    best_delta = float(candidates[idx])
-                examined += int(candidates.size)
-                if examined >= max_candidates:
-                    if on_budget == "raise":
-                        raise AnalysisBudgetExceeded(
-                            "speedup_schedulable",
-                            examined,
-                            max_candidates,
-                            f"s={s:.6g}, demand rate {rate:.6g}, "
-                            f"scan reached Delta={window_hi:.6g} of {horizon:.6g}",
-                        )
-                    # Every breakpoint up to window_hi already passed the
-                    # supply-line test, so the supremum over the examined
-                    # prefix is best_ratio <= s; resume the certified scan
-                    # from here instead of rescanning from zero.
-                    cont = drive(
-                        supremum_steps(
-                            ev,
-                            rtol=rtol,
-                            max_candidates=max_candidates,
-                            resume=(window_hi, 2.0 * window_hi, best_ratio, best_delta),
-                        ),
-                        _answers(ev),
-                    )
-                    return cont.upper_bound <= s * (1.0 + rtol)
-            window_lo = window_hi
-            step *= 2.0
-    return True
+    result = min_speedup(
+        taskset, rtol=rtol, max_candidates=max_candidates, on_budget=on_budget,
+        engine=engine,
+    )
+    return result.admits(s)

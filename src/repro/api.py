@@ -18,7 +18,7 @@ behind a small, stable surface:
   :class:`JobHandle` expose the shared work-queue for in-process
   submission with job-level dedup/coalescing.
 * Blessed re-exports of the individual analyses (:func:`min_speedup`,
-  :func:`resetting_time`, :func:`system_schedulable`, ...) for callers
+  :func:`resetting_time`, :func:`hi_mode_schedulable`, ...) for callers
   that want one number instead of a full report.
 * The multiprocessor surface: :func:`partition_tasks` /
   :func:`partitioned_design` / :func:`min_cores` (partitioned
@@ -48,12 +48,7 @@ from repro.analysis.closed_form import (
 from repro.analysis.dbf import total_adb_hi, total_dbf_hi, total_dbf_lo
 from repro.analysis.resetting import ResettingResult, resetting_curve, resetting_time
 from repro.analysis.result import AnalysisResult
-from repro.analysis.schedulability import (
-    SchedulabilityReport,
-    hi_mode_schedulable,
-    lo_mode_schedulable,
-    system_schedulable,
-)
+from repro.analysis.schedulability import hi_mode_schedulable, lo_mode_schedulable
 from repro.analysis.sensitivity import (
     max_tolerable_gamma,
     max_tolerable_load_scale,
@@ -130,7 +125,6 @@ __all__ = [
     "ResettingResult",
     "ResultCache",
     "RetryPolicy",
-    "SchedulabilityReport",
     "ServiceError",
     "SpeedupResult",
     "WIRE_VERSION",
@@ -169,7 +163,6 @@ __all__ = [
     "save_report",
     "save_taskset",
     "serve",
-    "system_schedulable",
     "taskset_fingerprint",
     "taskset_from_json",
     "taskset_to_json",

@@ -172,32 +172,32 @@ def _run_analyze(path: str, speedup, budget) -> str:
     import math
 
     from repro.api import (
+        analyze,
         load_taskset,
         max_tolerable_gamma,
         min_speedup_margin,
-        system_schedulable,
     )
 
     taskset = load_taskset(path)
     out = [f"Task set {taskset.name!r} ({len(taskset)} tasks):", taskset.table(), ""]
-    report = system_schedulable(taskset, s=speedup)
+    report = analyze(taskset, speedup=speedup, budget=budget)
     out.append(f"LO mode schedulable at nominal speed: {report.lo_ok}")
-    out.append(f"Theorem 2 minimum HI-mode speedup:    {report.s_min.s_min:.6g}")
+    out.append(f"Theorem 2 minimum HI-mode speedup:    {report.s_min:.6g}")
     if speedup is not None:
         out.append(f"HI mode schedulable at s = {speedup:g}:      {report.hi_ok}")
-        if report.resetting is not None:
+        if report.resetting_result is not None:
             out.append(
                 f"Corollary 5 resetting time at s = {speedup:g}: "
-                f"{report.resetting.delta_r:.6g}"
+                f"{report.delta_r:.6g}"
             )
             if budget is not None:
-                ok = report.within_reset_budget(budget)
-                out.append(f"Within recovery budget {budget:g}:        {ok}")
+                # The whole design: LO feasible and recovered in budget.
+                out.append(f"Within recovery budget {budget:g}:        {report.ok}")
         out.append(
             f"Speedup margin (headroom):            "
             f"{min_speedup_margin(taskset, speedup):.6g}"
         )
-        if report.schedulable:
+        if report.lo_ok and report.hi_ok:
             gamma = max_tolerable_gamma(
                 taskset, speedup,
                 reset_budget=budget if budget is not None else math.inf,
@@ -614,6 +614,10 @@ def main(argv=None) -> int:
     if args.experiment == "analyze":
         if not args.taskset:
             parser.error("'analyze' requires --taskset <file.json>")
+        if not (args.speedup > 0.0):
+            parser.error("--speedup must be positive")
+        if args.budget is not None and not (args.budget >= 0.0):
+            parser.error("--budget must be >= 0")
         if args.report:
             from repro.io import load_taskset
             from repro.report import build_report

@@ -63,10 +63,6 @@ if TYPE_CHECKING:  # type-only: importing repro.sim at runtime would
 #: partitioning entry points: the analysis engine names.
 ADMISSION_ENGINES = ("compiled", "scalar")
 
-#: Relative slack on the per-core speedup-cap comparison (matches the
-#: verdict tolerance used by the analysis layer).
-_CAP_RTOL = 1e-9
-
 
 class SpeedupAdmission:
     """The paper's dual-mode admission under a per-core speedup cap.
@@ -131,16 +127,14 @@ class SpeedupAdmission:
         feasible = [k for k, ok in enumerate(lo_ok) if ok]
         if feasible:
             speedups = min_speedup_many([trials[k] for k in feasible])
-            cap = self.speedup_cap * (1.0 + _CAP_RTOL)
             for k, result in zip(feasible, speedups):
-                verdicts[k] = result.upper_bound <= cap
+                verdicts[k] = result.admits(self.speedup_cap)
         return verdicts
 
     def _admit_scalar(self, trial: TaskSet) -> bool:
         if not lo_mode_schedulable(trial, engine="scalar"):
             return False
-        requirement = min_speedup(trial, engine="scalar")
-        return requirement.upper_bound <= self.speedup_cap * (1.0 + _CAP_RTOL)
+        return min_speedup(trial, engine="scalar").admits(self.speedup_cap)
 
 
 class EdfVdDegradedAdmission:

@@ -265,7 +265,8 @@ def partitioned_design(
     provisioning).  The clamp is part of the contract: a core whose
     tasks are so light that ``s_min < 1`` is still provisioned at a
     (marginal) *speedup* — recovery is never evaluated at a slowdown,
-    which Corollary 5 does not model.
+    which Corollary 5 does not model.  ``engine`` runs the admission and
+    every per-core analysis, so ``"scalar"`` compiles nothing.
     """
     partitions = partition_tasks(
         taskset,
@@ -276,7 +277,7 @@ def partitioned_design(
     )
     cores: List[CoreDesign] = []
     for index, core_set in enumerate(partitions):
-        requirement = min_speedup(core_set)
+        requirement = min_speedup(core_set, engine=engine)
         reset = None
         if len(core_set) and math.isfinite(requirement.s_min):
             s = (
@@ -284,7 +285,7 @@ def partitioned_design(
                 if evaluate_at_cap
                 else max(requirement.s_min * 1.01, 1.0 + 1e-6)
             )
-            reset = resetting_time(core_set, s)
+            reset = resetting_time(core_set, s, engine=engine)
         cores.append(
             CoreDesign(index=index, taskset=core_set, s_min=requirement, resetting=reset)
         )

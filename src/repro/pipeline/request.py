@@ -61,15 +61,13 @@ from repro.pipeline.cache import request_fingerprint
 from repro.pipeline.fault_tolerance import RetryPolicy
 from repro.pipeline.payload import FailurePayload, ReportPayload
 
-_RTOL = 1e-9
-
 #: Exceptions converted into per-item failure records instead of
 #: aborting a batch.  Deliberately narrow: programming errors
 #: (AttributeError, TypeError, ...) still surface immediately.
 CAPTURED_ERRORS = (ValueError, ArithmeticError, AnalysisBudgetExceeded)
 
 #: Resetting-time policies: compute only when HI mode is feasible at the
-#: target speedup ("auto", the `system_schedulable` convention), whenever
+#: target speedup ("auto", the `repro-mc analyze` convention), whenever
 #: the minimum speedup is finite ("always", the Figure-6 convention), or
 #: skip entirely ("never").
 RESETTING_POLICIES = ("auto", "always", "never")
@@ -758,7 +756,7 @@ def analysis_steps(
 
     hi_ok: Optional[bool] = None
     if request.speedup is not None:
-        hi_ok = speedup_result.upper_bound <= request.speedup * (1.0 + _RTOL)
+        hi_ok = speedup_result.admits(request.speedup)
 
     resetting_result: Optional[ResettingResult] = None
     if (
@@ -778,7 +776,7 @@ def analysis_steps(
     if request.reset_budget is not None:
         within_budget = (
             resetting_result is not None
-            and resetting_result.delta_r <= request.reset_budget * (1.0 + _RTOL)
+            and resetting_result.within(request.reset_budget)
         )
 
     closed_form: Optional[ClosedFormBounds] = None

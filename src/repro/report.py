@@ -18,10 +18,9 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.analysis.resetting import resetting_time
-from repro.analysis.schedulability import system_schedulable
 from repro.analysis.sensitivity import max_tolerable_gamma, min_speedup_margin
 from repro.model.taskset import TaskSet
+from repro.pipeline.request import AnalysisRequest, evaluate_request
 from repro.sim.metrics import summarize
 from repro.sim.scheduler import SimConfig, simulate
 from repro.sim.workload import OverrunModel, SynchronousWorstCaseSource
@@ -50,19 +49,22 @@ def build_report(
     # Dual-mode analysis
     # ------------------------------------------------------------------
     lines.append("## Offline analysis")
-    report = system_schedulable(taskset, s=s)
+    report = evaluate_request(
+        AnalysisRequest(taskset, speedup=s, reset_budget=reset_budget)
+    )
+    schedulable = report.lo_ok and report.hi_ok
     lines.append(f"* LO mode feasible at nominal speed: **{report.lo_ok}**")
-    lines.append(f"* Theorem 2 minimum speedup: **{report.s_min.s_min:.6g}**")
+    lines.append(f"* Theorem 2 minimum speedup: **{report.s_min:.6g}**")
     lines.append(f"* HI mode feasible at s = {s:g}: **{report.hi_ok}**")
-    if report.resetting is not None:
+    if report.resetting_result is not None:
         lines.append(
             f"* Corollary 5 resetting time at s = {s:g}: "
-            f"**{report.resetting.delta_r:.6g}**"
+            f"**{report.delta_r:.6g}**"
         )
         if reset_budget is not None:
+            # The whole design: LO feasible and recovered in budget.
             lines.append(
-                f"* Within recovery budget {reset_budget:g}: "
-                f"**{report.within_reset_budget(reset_budget)}**"
+                f"* Within recovery budget {reset_budget:g}: **{report.ok}**"
             )
     lines.append("")
 
@@ -72,7 +74,7 @@ def build_report(
     lines.append("## Sensitivity")
     margin = min_speedup_margin(taskset, s)
     lines.append(f"* Speedup headroom at s = {s:g}: **{margin:.6g}**")
-    if report.schedulable:
+    if schedulable:
         gamma = max_tolerable_gamma(
             taskset, s,
             reset_budget=reset_budget if reset_budget is not None else math.inf,
@@ -84,7 +86,7 @@ def build_report(
     # ------------------------------------------------------------------
     # Simulation validation
     # ------------------------------------------------------------------
-    if report.schedulable:
+    if schedulable:
         lines.append("## Simulated worst case")
         horizon = simulate_horizon
         if horizon is None:
@@ -103,14 +105,14 @@ def build_report(
             lines.append("")
             lines.append(
                 f"First overrun episode: t = {first.start:g} .. {end:g} "
-                f"(bound {report.resetting.delta_r:.4g})"
+                f"(bound {report.delta_r:.4g})"
             )
             lines.append("```")
             lines.append(result.trace.gantt(width=gantt_width, end=window))
             lines.append("```")
         verdict = (
             "PASS" if result.miss_count == 0
-            and result.max_episode_length <= report.resetting.delta_r + 1e-9
+            and result.max_episode_length <= report.delta_r + 1e-9
             else "FAIL"
         )
         lines.append("")

@@ -43,6 +43,23 @@ def table1_degraded() -> TaskSet:
 
 
 @pytest.fixture
+def lo_overload() -> TaskSet:
+    """LO mode overloaded (U_LO = 1.125), HI mode feasible at s = 2.
+
+    The degraded LO tasks give ``s_min = 11/14`` and ``Delta_R(2) = 5.5``,
+    so a recovery budget is met while the design as a whole is not.
+    """
+    return TaskSet(
+        [
+            MCTask.hi("h", c_lo=1, c_hi=2, d_lo=4, d_hi=10, period=10),
+            MCTask.lo("a", c=5, d_lo=8, t_lo=8, d_hi=16, t_hi=16),
+            MCTask.lo("b", c=4, d_lo=10, t_lo=10, d_hi=20, t_hi=20),
+        ],
+        name="lo_overload",
+    )
+
+
+@pytest.fixture
 def fms() -> TaskSet:
     from repro.generator.fms import fms_taskset
 

@@ -141,9 +141,10 @@ class TestCertifiedVerdicts:
         assert report.hi_ok is False
 
     def test_schedulable_resume_needs_a_proof(self):
-        # s = 0.379 is feasible (s_min = 0.37898), but 50 candidates let
-        # neither the supply-line scan nor the resumed supremum scan prove
-        # it, so the verdict stays False until a budget does.
+        # s = 0.379 is feasible (s_min = 0.37898), but the budget caps the
+        # whole Theorem-2 scan and the proof takes 159 candidates, so the
+        # verdict stays False until a budget covers them.
         ts = multi_window_set()
         assert not speedup_schedulable(ts, 0.379, max_candidates=50)
-        assert speedup_schedulable(ts, 0.379, max_candidates=100)
+        assert not speedup_schedulable(ts, 0.379, max_candidates=100)
+        assert speedup_schedulable(ts, 0.379, max_candidates=200)

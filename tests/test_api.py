@@ -1,4 +1,4 @@
-"""Public facade: repro.api, result protocol, deprecation shims, report I/O."""
+"""Public facade: repro.api, result protocol, removed shims, report I/O."""
 
 import math
 import warnings
@@ -56,7 +56,6 @@ class TestResultProtocol:
         results = [
             api.min_speedup(ts),
             api.resetting_time(ts, 2.0),
-            api.system_schedulable(ts, 2.0),
             api.closed_form_bounds(ts, 0.5, 2.0, 2.0),
             api.analyze(ts, speedup=2.0),
         ]
@@ -75,8 +74,6 @@ class TestResultProtocol:
         assert type(r).from_dict(r.to_dict()) == r
         c = api.closed_form_bounds(ts, 0.5, 2.0, 2.0)
         assert type(c).from_dict(c.to_dict()) == c
-        sched = api.system_schedulable(ts, 2.0)
-        assert type(sched).from_dict(sched.to_dict()) == sched
 
     def test_float_encoding(self):
         assert encode_float(math.inf) == "inf"
@@ -136,20 +133,11 @@ class TestDeprecationShims:
         ],
     )
     def test_old_top_level_name_warns_and_works(self, name):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            attr = getattr(repro, name)
-        assert any(
-            issubclass(w.category, DeprecationWarning) and name in str(w.message)
-            for w in caught
-        )
-        assert callable(attr)
-
-    def test_shimmed_function_matches_facade(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = repro.min_speedup(table1_taskset()).s_min
-        assert legacy == api.min_speedup(table1_taskset()).s_min
+        """The 1.x top-level names: their shims are gone since 2.0.0, so
+        each one now raises AttributeError (the test keeps its 1.x name)."""
+        with pytest.raises(AttributeError):
+            getattr(repro, name)
+        assert name not in dir(repro)
 
     def test_new_surface_does_not_warn(self):
         with warnings.catch_warnings():

@@ -59,3 +59,71 @@ class TestAnalyze:
     def test_analyze_requires_file(self):
         with pytest.raises(SystemExit):
             main(["analyze"])
+
+    @pytest.mark.parametrize(
+        "args", [["--speedup", "0"], ["--speedup", "nan"], ["--budget", "-1"]]
+    )
+    def test_analyze_rejects_invalid_targets(self, taskset_file, args):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--taskset", taskset_file, *args])
+        assert exit_info.value.code == 2
+
+
+TABLE1_HEADER = """\
+Task set 'table1' (2 tasks):
+task      chi      C(LO)    C(HI)    D(LO)    D(HI)    T(LO)    T(HI)
+---------------------------------------------------------------------
+tau1      HI           1        3        1        4        4        4
+tau2      LO           2        2        4        4        4        4
+
+LO mode schedulable at nominal speed: True
+Theorem 2 minimum HI-mode speedup:    1.33333
+"""
+
+
+class TestAnalyzeGolden:
+    """Full text of ``repro-mc analyze``: every line, spacing included."""
+
+    def _run(self, tmp_path, capsys, taskset, *args):
+        from repro.io import save_taskset
+
+        path = tmp_path / "set.json"
+        save_taskset(taskset, path)
+        assert main(["analyze", "--taskset", str(path), *args]) == 0
+        return capsys.readouterr().out
+
+    def test_table1_within_budget(self, table1, tmp_path, capsys):
+        out = self._run(tmp_path, capsys, table1, "--speedup", "2", "--budget", "6")
+        assert out == TABLE1_HEADER + (
+            "HI mode schedulable at s = 2:      True\n"
+            "Corollary 5 resetting time at s = 2: 6\n"
+            "Within recovery budget 6:        True\n"
+            "Speedup margin (headroom):            0.666667\n"
+            "Max tolerable WCET ratio gamma:       2.999\n"
+        )
+
+    def test_table1_below_s_min(self, table1, tmp_path, capsys):
+        out = self._run(tmp_path, capsys, table1, "--speedup", "1.2", "--budget", "100")
+        assert out == TABLE1_HEADER + (
+            "HI mode schedulable at s = 1.2:      False\n"
+            "Speedup margin (headroom):            -0.133333\n"
+        )
+
+    def test_lo_infeasible_misses_the_budget(self, lo_overload, tmp_path, capsys):
+        # Delta_R = 5.5 is within 100, but the design fails LO mode.
+        out = self._run(tmp_path, capsys, lo_overload, "--budget", "100")
+        assert out == (
+            "Task set 'lo_overload' (3 tasks):\n"
+            "task      chi      C(LO)    C(HI)    D(LO)    D(HI)    T(LO)    T(HI)\n"
+            "---------------------------------------------------------------------\n"
+            "h         HI           1        2        4       10       10       10\n"
+            "a         LO           5        5        8       16        8       16\n"
+            "b         LO           4        4       10       20       10       20\n"
+            "\n"
+            "LO mode schedulable at nominal speed: False\n"
+            "Theorem 2 minimum HI-mode speedup:    0.785714\n"
+            "HI mode schedulable at s = 2:      True\n"
+            "Corollary 5 resetting time at s = 2: 5.5\n"
+            "Within recovery budget 100:        False\n"
+            "Speedup margin (headroom):            1.21429\n"
+        )

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.resetting import resetting_time
-from repro.analysis.schedulability import system_schedulable
 from repro.analysis.speedup import min_speedup
 from repro.analysis.tuning import min_preparation_factor
+from repro.api import analyze
 from repro.generator.taskgen import GeneratorConfig, generate_taskset
 from repro.model.transform import apply_uniform_scaling, terminate_lo_tasks
 from repro.sim.scheduler import SimConfig, simulate
@@ -24,12 +24,12 @@ def test_full_pipeline_degradation(seed):
     assert x is not None
     configured = apply_uniform_scaling(base, min(x, 1 - 1e-9), 2.0)
 
-    report = system_schedulable(configured, s=3.0)
-    assert report.lo_ok
-    assert math.isfinite(report.s_min.s_min)
-    assert report.resetting is not None and report.resetting.finite
+    report = analyze(configured, speedup=3.0)
+    assert report.lo_ok and report.hi_ok
+    assert math.isfinite(report.s_min)
+    assert report.resetting_result is not None and report.resetting_result.finite
 
-    s = max(report.s_min.s_min, 1.0) * 1.01
+    s = max(report.s_min, 1.0) * 1.01
     source = SynchronousWorstCaseSource(
         OverrunModel(first_job_overruns=True, probability=1.0)
     )

@@ -100,6 +100,28 @@ class TestDesign:
                 assert core.resetting.speedup <= 2.0 * 1.01 + 1e-9
 
 
+    def test_scalar_design_runs_no_kernels(self, table1):
+        # The scalar engine is the independent reference: admission and
+        # the per-core s_min / Delta_R all stay on the per-task loops.
+        from repro.analysis import kernels
+
+        kernels.clear_memo()
+        kernels.clear_compile_cache()
+        kernels.perf_reset()
+        scalar = partitioned_design(table1, 2, engine="scalar")
+        assert kernels.PERF.compiles == 0
+        assert kernels.PERF.kernel_evals == 0
+        compiled = partitioned_design(table1, 2)
+        assert scalar.assignment() == compiled.assignment()
+        assert scalar.max_s_min == compiled.max_s_min
+        assert scalar.max_delta_r == compiled.max_delta_r
+        for ours, theirs in zip(scalar.cores, compiled.cores):
+            assert ours.s_min.to_dict() == theirs.s_min.to_dict()
+            assert (ours.resetting is None) == (theirs.resetting is None)
+            if ours.resetting is not None:
+                assert ours.resetting.to_dict() == theirs.resetting.to_dict()
+
+
 class TestMinCores:
     def test_heavy_mix_needs_two(self, heavy_mix):
         assert min_cores(heavy_mix, speedup_cap=2.0) == 2

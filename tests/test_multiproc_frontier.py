@@ -149,7 +149,7 @@ class TestProvisioningClamp:
             upper_bound=0.5,
             candidates_examined=0,
         )
-        monkeypatch.setattr(partition_mod, "min_speedup", lambda ts: fake)
+        monkeypatch.setattr(partition_mod, "min_speedup", lambda ts, **kw: fake)
         speeds = []
         real = partition_mod.resetting_time
 

@@ -274,6 +274,41 @@ class TestByteIdentity:
         assert min_preparation_factor_many([], method="exact") == []
 
 
+class TestCompileRegistryOverflow:
+    """``compile_tasksets`` resolves duplicates from its own batch, so a
+    call that compiles more cold sets than the 512-entry registry holds
+    still answers every repeated set."""
+
+    @staticmethod
+    def _cold_sets(count):
+        return [
+            TaskSet(
+                [MCTask.hi("h", c_lo=1.0, c_hi=2.0, d_lo=2.0, d_hi=4.0 + i, period=4.0 + i)],
+                name=f"cold{i}",
+            )
+            for i in range(count)
+        ]
+
+    @staticmethod
+    def _per_set(sets):
+        _clear_caches()
+        return [min_speedup(ts).to_dict() for ts in sets]
+
+    def test_duplicate_after_513_cold_sets(self):
+        sets = self._cold_sets(513)
+        sets.append(TaskSet(list(sets[0]), name="copy"))
+        _clear_caches()
+        lockstep = [r.to_dict() for r in api.min_speedup_many(sets)]
+        assert lockstep == self._per_set(sets)
+
+    def test_registry_hit_beside_512_cold_sets(self, table1):
+        _clear_caches()
+        kernels.compile_taskset(table1)
+        sets = [TaskSet(list(table1), name="table1")] + self._cold_sets(512)
+        lockstep = [r.to_dict() for r in api.min_speedup_many(sets)]
+        assert lockstep == self._per_set(sets)
+
+
 class TestBucketLayout:
     """Every set of at most 16 tasks shares one padded bucket; larger sets
     keep power-of-two buckets of their own height."""

@@ -7,11 +7,11 @@ import pytest
 from repro.analysis.population import lo_mode_schedulable_many, resetting_many
 from repro.analysis.resetting import resetting_time
 from repro.analysis.schedulability import (
-    SchedulabilityReport,
     hi_mode_schedulable,
     lo_mode_schedulable,
     system_schedulable,
 )
+from repro.api import AnalysisReport, analyze
 from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
 
@@ -98,35 +98,46 @@ class TestNanSpeed:
 
 
 class TestSystemReport:
+    """The dual-mode protocol, read off the report of ``repro.api.analyze``."""
+
     def test_without_target_speedup(self, table1):
-        report = system_schedulable(table1)
-        assert isinstance(report, SchedulabilityReport)
+        report = analyze(table1)
+        assert isinstance(report, AnalysisReport)
         assert report.lo_ok
-        assert report.s_min.s_min == pytest.approx(4.0 / 3.0)
-        assert report.hi_ok_at is None
-        assert report.resetting is None
-        assert report.hi_ok  # finite s_min exists
+        assert report.s_min == pytest.approx(4.0 / 3.0)
+        assert report.target_speedup is None
+        assert report.resetting_result is None
+        assert report.hi_ok is None
+        assert report.speedup.ok  # finite s_min exists
 
     def test_with_target_speedup(self, table1):
-        report = system_schedulable(table1, s=2.0)
-        assert report.schedulable
-        assert report.resetting.delta_r == pytest.approx(6.0)
-        assert report.within_reset_budget(6.0)
-        assert not report.within_reset_budget(5.9)
+        report = analyze(table1, speedup=2.0)
+        assert report.lo_ok and report.hi_ok
+        assert report.delta_r == pytest.approx(6.0)
+        assert report.resetting_result.within(6.0)
+        assert not report.resetting_result.within(5.9)
+        assert analyze(table1, speedup=2.0, budget=6.0).ok
+        assert not analyze(table1, speedup=2.0, budget=5.9).ok
 
     def test_insufficient_speedup(self, table1):
-        report = system_schedulable(table1, s=1.2)
-        assert not report.hi_ok
-        assert not report.schedulable
-        assert report.resetting is None
-        assert not report.within_reset_budget(100.0)
+        report = analyze(table1, speedup=1.2, budget=100.0)
+        assert report.hi_ok is False
+        assert report.resetting_result is None
+        assert report.within_budget is False
+        assert not report.ok
 
     def test_budget_without_target(self, table1):
-        report = system_schedulable(table1)
-        assert not report.within_reset_budget(100.0), "no resetting info"
+        report = analyze(table1, budget=100.0)
+        assert report.within_budget is False, "no resetting info"
+        assert not report.ok
 
     def test_infinite_s_min_reported(self):
         ts = TaskSet([MCTask.hi("h", c_lo=2, c_hi=4, d_lo=8, d_hi=8, period=8)])
-        report = system_schedulable(ts)
-        assert math.isinf(report.s_min.s_min)
-        assert not report.hi_ok
+        report = analyze(ts)
+        assert math.isinf(report.s_min)
+        assert not report.speedup.ok
+
+    def test_system_schedulable_forwards_to_analyze(self, table1):
+        with pytest.warns(DeprecationWarning, match="repro.api.analyze"):
+            report = system_schedulable(table1, 2.0)
+        assert report.to_dict() == analyze(table1, speedup=2.0).to_dict()
