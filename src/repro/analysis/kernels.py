@@ -367,6 +367,7 @@ class CompiledTaskSet:
         "lo_excess",
         "lo_max_period",
         "lo_density",
+        "_lo_span",
         "_density",
         "_bp_off",
         "_bp_per",
@@ -486,7 +487,17 @@ class CompiledTaskSet:
         for i in range(self.n):
             lo_density += 1.0 / t_lo[i]
         self.lo_density = lo_density
+        self._lo_span: Optional[float] = None
         self._hi: Optional[Tuple[float, float, float, float, float]] = None
+
+    @property
+    def lo_span(self) -> float:
+        """The periodic cap of the LO scan horizon (:func:`_period_span`
+        of ``t_lo``), computed on first use: only a scan that gets past
+        the LO shortcuts needs it, and ``float(lcm)`` can overflow."""
+        if self._lo_span is None:
+            self._lo_span = _period_span(self.t_lo.tolist())
+        return self._lo_span
 
     def _hi_scalars(self) -> Tuple[float, float, float, float, float]:
         """``(rate, dbf_excess, adb_excess, adb_excess_drop, max period)``.
@@ -994,7 +1005,7 @@ class CompiledTaskSet:
         once = self._bp_once[kind]
         if once.size:
             once = once[(once > lo) & (once <= hi)]
-            points = np.unique(np.concatenate((points, once)))
+            points = _sorted_unique(np.concatenate((points, once)))
         if points.size and kind != "lo":
             # Merge floating-point near-duplicates (relative 1e-12) so the
             # segment logic never sees zero-length segments — identical to
@@ -1106,17 +1117,19 @@ def _eq13_d_lo(
     return np.where(is_hi, np.maximum(x * d_hi, c_lo), d_lo)
 
 
-def _task_order_sum(values: Sequence[float]) -> float:
-    """Left-to-right sum from ``0``: the accumulation order of
-    :meth:`CompiledTaskSet._compile_scalars` and the scalar oracle.
+def _period_span(periods: Sequence[float]) -> float:
+    """The periodic cap of the LO scan horizon, without the deadline.
 
-    Neither ``sum()`` (compensated for floats from Python 3.12) nor a
-    NumPy reduction (pairwise) is guaranteed to match it in the last bit.
+    ``float(hyperperiod)`` for integral periods — which raises
+    ``OverflowError`` once the hyperperiod exceeds the float range — and
+    ``1e4`` times the largest period otherwise.
     """
-    total = 0
-    for value in values:
-        total = total + value
-    return float(total)
+    if all(float(p).is_integer() for p in periods):
+        lcm = 1
+        for p in periods:
+            lcm = math.lcm(lcm, int(p))
+        return float(lcm)
+    return 1e4 * max(periods)
 
 
 def _lattice_points(
@@ -1144,7 +1157,21 @@ def _lattice_points(
     points = points[(points > lo) & (points <= hi)]
     if points.size == 0:
         return np.empty(0)
-    return np.unique(points)
+    return _sorted_unique(points)
+
+
+def _sorted_unique(points: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a float array: sort, then drop exact adjacent repeats.
+
+    The dedup :meth:`CompiledPopulation.breakpoints_flat` runs per window.
+    ``np.unique`` itself imports ``numpy.ma`` on first use (NumPy 2.4),
+    which every freshly forked pool worker would pay for inside its chunk.
+    """
+    points = np.sort(points)
+    keep = np.empty(points.size, dtype=bool)
+    keep[:1] = True
+    keep[1:] = points[1:] != points[:-1]  # repro-lint: ignore[RL002] exact dedup is np.unique's semantics
+    return points[keep]
 
 
 # ---------------------------------------------------------------------------
@@ -1370,6 +1397,8 @@ class CompiledPopulation:
         "_hi_mats",
         "_bp_cats",
         "_eval_stacks",
+        # every member's LO rows, concatenated once (probe_lo_deadline_factors)
+        "_lo_rows",
         # member index -> Eq.-(13) factor its LO tables hold, and the
         # probe snapshots derived so far (probe_lo_deadline_factors)
         "_lo_probes",
@@ -1401,8 +1430,8 @@ class CompiledPopulation:
             bucket_of.append(height)
             slot_of.append(len(slots))
             slots.append(index)
-        self._bucket_of = bucket_of
-        self._slot_of = slot_of
+        self._bucket_of = np.array(bucket_of, dtype=np.int64)
+        self._slot_of = np.array(slot_of, dtype=np.int64)
         self._bucket_members = bucket_members
         # Parameter matrices are built lazily per (bucket, kind): a pure
         # min_speedup batch never pays for the LO or ADB layouts.
@@ -1410,6 +1439,7 @@ class CompiledPopulation:
         self._hi_mats = {}
         self._bp_cats = {}
         self._eval_stacks = {}
+        self._lo_rows = None
         self._lo_probes = {}
         self._lo_derived = {}
         return self
@@ -1609,68 +1639,94 @@ class CompiledPopulation:
     # ------------------------------------------------------------------
     # Eq.-(13) probes in place (the exact-x bisection)
     # ------------------------------------------------------------------
+    def _lo_columns(self) -> Dict[str, np.ndarray]:
+        """Every member's Eq.-(13) inputs, concatenated once in member
+        order (a probe round gathers its rows from these)."""
+        cols = self._lo_rows
+        if cols is None:
+            cols = {
+                name: np.concatenate([getattr(m, name) for m in self.members])
+                for name in ("c_lo", "t_lo", "d_lo", "d_hi", "is_hi")
+            }
+            self._lo_rows = cols
+        return cols
+
     def probe_lo_deadline_factors(
         self, indices: Sequence[int], xs: Sequence[float]
-    ) -> List[Tuple[np.ndarray, float]]:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Point members' LO-kind tables at Eq.-(13) probe factors.
 
         Member ``indices[k]``'s ``D(LO)`` column becomes the one
         ``members[indices[k]].with_hi_lo_deadline_factor(xs[k])`` holds —
-        the same elementwise operations, run on the members' concatenated
-        real rows — in the ``"lo"`` parameter matrices (and with them the
-        stacked ``"lo"`` evaluation matrix) and in the ``"lo"`` breakpoint
-        table.  Only this population's own tables are written, never a
-        member: per-set fallbacks go through :meth:`snapshot`, which
-        derives the probe snapshot on first use.  The HI-kind tables keep
-        the members' columns, so a probed population serves LO demand
-        only (:meth:`eval_many` and :meth:`breakpoints_many` refuse the
-        HI kinds).
+        the same elementwise operations, run on rows gathered from the
+        population's concatenated columns — in the ``"lo"`` parameter
+        matrices (and with them the stacked ``"lo"`` evaluation matrix)
+        and in the ``"lo"`` breakpoint table.  Only this population's own
+        tables are written, never a member: per-set fallbacks go through
+        :meth:`snapshot`, which derives the probe snapshot on first use.
+        The HI-kind tables keep the members' columns, so a probed
+        population serves LO demand only (:meth:`eval_many` and
+        :meth:`breakpoints_many` refuse the HI kinds).
 
-        Returns each probed member's ``D(LO)`` row and its ``lo_excess``,
-        the only LO-mode aggregates that depend on ``x``, summed in task
-        order like :meth:`CompiledTaskSet._compile_scalars`.
+        Returns columns ``(d_lo, bounds, lo_excess, max_d_lo)``: the
+        probed ``D(LO)`` rows, member ``k``'s at
+        ``d_lo[bounds[k]:bounds[k + 1]]``, and per member the two LO-mode
+        aggregates that depend on ``x``, its ``lo_excess`` and its largest
+        ``D(LO)``.  Both are reductions over one padded ``(rows, members)``
+        block; the excess terms add row by row, in task order, like
+        :meth:`CompiledTaskSet._compile_scalars`.
         """
         for x in xs:
             if not 0 < x <= 1:
                 raise ModelError(f"x must be in (0, 1], got {x}")
-        if not indices:
-            return []
-        mems = [self.members[index] for index in indices]
-        sizes = np.fromiter((m.n for m in mems), dtype=np.int64, count=len(mems))
-        cat = np.concatenate
-        c_lo = cat([m.c_lo for m in mems])
-        t_lo = cat([m.t_lo for m in mems])
-        d_lo = _eq13_d_lo(
-            np.repeat(np.asarray(xs, dtype=float), sizes),
-            cat([m.is_hi for m in mems]),
-            cat([m.d_hi for m in mems]),
-            c_lo,
-            cat([m.d_lo for m in mems]),
-        )
-        # A member's rows sit at ``starts[member] + within`` in the
-        # breakpoint table and at ``(within, slot)`` in its bucket.
-        within = np.arange(d_lo.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        idx = np.asarray(indices, dtype=np.int64)
+        if not idx.size:
+            return _NO_POINTS, np.zeros(1, dtype=np.int64), _NO_POINTS, _NO_POINTS
         starts, offsets, _, _ = self._bp_cat("lo")
-        first = starts[np.asarray(indices, dtype=np.int64)]
-        offsets[np.repeat(first, sizes) + within] = d_lo
-        member_bucket = [self._bucket_of[index] for index in indices]
-        row_bucket = np.repeat(member_bucket, sizes)
-        row_slot = np.repeat([self._slot_of[index] for index in indices], sizes)
-        for bucket in dict.fromkeys(member_bucket):
+        sizes = starts[idx + 1] - starts[idx]
+        bounds = np.zeros(idx.size + 1, dtype=np.int64)
+        np.cumsum(sizes, out=bounds[1:])
+        member = np.repeat(np.arange(idx.size), sizes)
+        # A member's rows sit at ``starts[member] + within`` in the
+        # concatenated columns and the breakpoint table, and at
+        # ``(within, slot)`` in its bucket.
+        within = np.arange(bounds[-1]) - bounds[member]
+        rows = starts[idx][member] + within
+        cols = self._lo_columns()
+        c_lo = cols["c_lo"][rows]
+        t_lo = cols["t_lo"][rows]
+        d_lo = _eq13_d_lo(
+            np.asarray(xs, dtype=float)[member],
+            cols["is_hi"][rows],
+            cols["d_hi"][rows],
+            c_lo,
+            cols["d_lo"][rows],
+        )
+        offsets[rows] = d_lo
+        row_bucket = self._bucket_of[idx][member]
+        row_slot = self._slot_of[idx][member]
+        for bucket in self._bucket_members:
             sel = row_bucket == bucket
-            self._lo_bundle(bucket)["d_lo"][within[sel], row_slot[sel]] = d_lo[sel]
-        self._lo_probes.update(zip(indices, xs))
+            if sel.any():
+                self._lo_bundle(bucket)["d_lo"][within[sel], row_slot[sel]] = d_lo[sel]
+        self._lo_probes.update(zip(idx.tolist(), xs))
         if self._lo_derived:
-            for index in indices:
+            for index in idx.tolist():
                 self._lo_derived.pop(index, None)
         # Excess terms on the real rows only: a padding row's
-        # ``0 * max(inf - 0, 0)`` would be NaN.
-        terms = (c_lo / t_lo * np.maximum(t_lo - d_lo, 0.0)).tolist()
-        bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
-        return [
-            (d_lo[lo:hi], _task_order_sum(terms[lo:hi]))
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
+        # ``0 * max(inf - 0, 0)`` would be NaN.  At least two columns, as
+        # in ``_fused_total``: NumPy sums a ``(P, 1)`` block pairwise.
+        shape = (int(sizes.max(initial=0)), max(idx.size, 2))
+        excess = np.zeros(shape)
+        excess[within, member] = c_lo / t_lo * np.maximum(t_lo - d_lo, 0.0)
+        longest = np.full(shape, -np.inf)
+        longest[within, member] = d_lo
+        return (
+            d_lo,
+            bounds,
+            np.add.reduce(excess, axis=0)[: idx.size],
+            longest.max(axis=0, initial=-np.inf)[: idx.size],
+        )
 
     def snapshot(self, index: int) -> CompiledTaskSet:
         """The snapshot whose columns this population holds for member ``index``.
@@ -1700,7 +1756,7 @@ class CompiledPopulation:
     # ------------------------------------------------------------------
     # Fused multi-set demand kernels
     # ------------------------------------------------------------------
-    def fuses(self, member_index: int, n_points: int) -> bool:
+    def fuses(self, member_index: Any, n_points: Any) -> Any:
         """Would :meth:`eval_many` fuse an ``n_points``-delta item?
 
         ``False`` means the item alone fills a whole evaluation chunk and
@@ -1708,6 +1764,7 @@ class CompiledPopulation:
         Lockstep scans use this to route such items through the member's
         *pruned* evaluators (``window_peak``/``lo_demand_ok``) instead —
         same verdicts and trajectories, with stripe pruning intact.
+        Takes one item or arrays of them.
         """
         return n_points * self._bucket_of[member_index] < _CHUNK_CELLS
 
@@ -1724,8 +1781,8 @@ class CompiledPopulation:
         returns the per-item demand arrays (``total_dbf_lo`` for kind
         ``"lo"``, ``total_dbf_hi`` for ``"dbf"``, ``total_adb_hi`` for
         ``"adb"``), each bit-identical to the member's own kernel call.
-        One fused ``(P, deltas)`` chunked pass runs per bucket, so the
-        call count scales with buckets, not sets.
+        A list wrapper over :meth:`eval_flat`, so the call count scales
+        with buckets, not sets.
 
         Items whose delta array alone fills a whole evaluation chunk
         gain nothing from fusion (there is no call overhead left to
@@ -1735,54 +1792,63 @@ class CompiledPopulation:
         demand by the kernel contract.
         """
         self._check_kind(kind)
+        arrays = [np.atleast_1d(np.asarray(deltas, dtype=float)) for _, deltas in items]
         results: List[np.ndarray] = [np.empty(0)] * len(items)
-        by_bucket: Dict[int, List[int]] = {}
-        arrays: List[np.ndarray] = []
-        for pos, (member_index, deltas) in enumerate(items):
-            d = np.atleast_1d(np.asarray(deltas, dtype=float))
-            arrays.append(d)
-            if not d.size:
-                continue
-            bucket = self._bucket_of[member_index]
-            if d.size * bucket >= _CHUNK_CELLS:
-                member = self.snapshot(member_index)
-                if kind == "lo":
-                    out = member.total_dbf_lo(d)
-                elif kind == "dbf":
-                    out = member.total_dbf_hi(d)
-                else:
-                    out = member.total_adb_hi(
-                        d, drop_terminated_carryover=drop_terminated_carryover
-                    )
-                results[pos] = np.asarray(out, dtype=float)
-                continue
-            by_bucket.setdefault(bucket, []).append(pos)
-        start = time.perf_counter()
-        for bucket, positions in by_bucket.items():
-            deltas_cat = np.concatenate([arrays[p] for p in positions])
-            cols = np.repeat(
-                np.fromiter(
-                    (self._slot_of[items[p][0]] for p in positions),
-                    dtype=np.intp,
-                    count=len(positions),
-                ),
-                np.fromiter(
-                    (arrays[p].size for p in positions),
-                    dtype=np.int64,
-                    count=len(positions),
-                ),
-            )
-            totals = self._eval_bucket(
-                kind, bucket, deltas_cat, cols,
+        midx = np.fromiter((index for index, _ in items), dtype=np.int64, count=len(items))
+        sizes = np.fromiter((a.size for a in arrays), dtype=np.int64, count=len(items))
+        fused = self.fuses(midx, sizes)
+        for pos in np.flatnonzero(~fused).tolist():
+            member = self.snapshot(int(midx[pos]))
+            if kind == "lo":
+                out = member.total_dbf_lo(arrays[pos])
+            elif kind == "dbf":
+                out = member.total_dbf_hi(arrays[pos])
+            else:
+                out = member.total_adb_hi(
+                    arrays[pos], drop_terminated_carryover=drop_terminated_carryover
+                )
+            results[pos] = np.asarray(out, dtype=float)
+        together = np.flatnonzero(fused & (sizes > 0)).tolist()
+        if together:
+            totals = self.eval_flat(
+                kind,
+                np.repeat(midx[together], sizes[together]),
+                np.concatenate([arrays[pos] for pos in together]),
                 drop_terminated_carryover=drop_terminated_carryover,
             )
             offset = 0
-            for p in positions:
-                size = arrays[p].size
-                results[p] = totals[offset : offset + size]
+            for pos in together:
+                size = arrays[pos].size
+                results[pos] = totals[offset : offset + size]
                 offset += size
-        PERF.kernel_seconds += time.perf_counter() - start
         return results
+
+    def eval_flat(
+        self,
+        kind: str,
+        members: np.ndarray,
+        deltas: np.ndarray,
+        *,
+        drop_terminated_carryover: bool = False,
+    ) -> np.ndarray:
+        """Demand at every ``deltas[j]`` for member ``members[j]``: the
+        flat form of :meth:`eval_many`, one fused pass per bucket and no
+        per-set delegation (callers route chunk-filling windows, see
+        :meth:`fuses`).  Points of one item must be adjacent."""
+        self._check_kind(kind)
+        start = time.perf_counter()
+        buckets = self._bucket_of[members]
+        slots = self._slot_of[members]
+        totals = np.empty(deltas.size)
+        for bucket in self._bucket_members:
+            sel = buckets == bucket
+            if sel.any():
+                totals[sel] = self._eval_bucket(
+                    kind, bucket, deltas[sel], slots[sel],
+                    drop_terminated_carryover=drop_terminated_carryover,
+                )
+        PERF.kernel_seconds += time.perf_counter() - start
+        return totals
 
     def _eval_bucket(
         self,
@@ -1793,8 +1859,8 @@ class CompiledPopulation:
         *,
         drop_terminated_carryover: bool,
     ) -> np.ndarray:
-        # ``cols`` is piecewise-constant by construction (``eval_many``
-        # concatenates whole per-item delta arrays).  Chunk windows that
+        # ``cols`` is piecewise-constant by construction (``eval_flat``
+        # takes each item's points adjacent).  Chunk windows that
         # span few constant-column runs (large items) broadcast
         # ``(bucket, 1)`` parameter column views against each run's delta
         # block; windows spanning many runs (many small items) gather the
@@ -1955,55 +2021,73 @@ class CompiledPopulation:
         """Per-item ``breakpoints_in(lo, hi, kind=...)``, one fused pass.
 
         ``items`` is a sequence of ``(member_index, window_lo, window_hi)``
-        triples.  All items' ``(offset, period)`` lattice pairs are
-        gathered from the cached per-kind table (:meth:`_bp_cat`) with
-        per-pair window bounds and owner tags, expanded through the same
-        ``repeat``/``cumsum`` arithmetic as :func:`_lattice_points`, then
-        sorted by ``(owner, point)`` and de-duplicated within each owner
-        run with the per-set semantics (exact dedup == ``np.unique``,
-        then the relative-1e-12 merge for the HI kinds, reset at owner
-        boundaries) — so every returned array is bit-identical to the
-        member's own ``breakpoints_in``.  Candidate budgets are charged
-        by each member's scan generator.  Items denser than ``_FUSE_POINTS``
-        lattice points, and items of members with points outside the
-        lattice, delegate to the member's own generator (its probe
-        snapshot's, :meth:`snapshot`; same output).
+        triples; every returned array is bit-identical to the member's
+        own ``breakpoints_in``.  A list wrapper over
+        :meth:`breakpoints_flat`: the windows it leaves alone go to the
+        member's own generator (its probe snapshot's, :meth:`snapshot`;
+        same output).  Candidate budgets are charged by each member's
+        scan generator.
         """
         self._check_kind(kind)
         n_items = len(items)
         results: List[np.ndarray] = [np.empty(0)] * n_items
         if not n_items:
             return results
+        midx = np.fromiter((item[0] for item in items), dtype=np.int64, count=n_items)
+        wlo = np.fromiter((item[1] for item in items), dtype=float, count=n_items)
+        whi = np.fromiter((item[2] for item in items), dtype=float, count=n_items)
+        points, owner, alone = self.breakpoints_flat(kind, midx, wlo, whi)
+        for pos in alone.tolist():
+            results[pos] = self.snapshot(int(midx[pos])).breakpoints_in(
+                float(wlo[pos]), float(whi[pos]), kind=kind
+            )
+        if points.size:
+            bounds = np.searchsorted(owner, np.arange(n_items + 1)).tolist()
+            for pos in range(n_items):
+                if bounds[pos] < bounds[pos + 1]:
+                    results[pos] = points[bounds[pos] : bounds[pos + 1]]
+        return results
+
+    def breakpoints_flat(
+        self, kind: str, members: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every window's breakpoints in one flat lattice expansion.
+
+        Window ``j`` is ``(lo[j], hi[j]]`` of member ``members[j]``.  All
+        windows' ``(offset, period)`` lattice pairs are gathered from the
+        cached per-kind table (:meth:`_bp_cat`) with per-pair window
+        bounds and owner tags, expanded through the same
+        ``repeat``/``cumsum`` arithmetic as :func:`_lattice_points`,
+        sorted within each window and de-duplicated with the per-set
+        semantics (exact dedup, as :func:`_sorted_unique`, then the
+        relative-1e-12 merge for the HI kinds, reset at window
+        boundaries).
+
+        Returns ``(points, owner, alone)``: the points, ``owner[i]`` the
+        window of ``points[i]`` (non-decreasing), and the windows left to
+        the member's own ``breakpoints_in`` — members with points outside
+        the lattice, and windows denser than ``_FUSE_POINTS`` lattice
+        points, where the per-set generator skips the owner-tagged
+        temporaries.  Their points are not in ``points``.
+        """
+        self._check_kind(kind)
+        n_items = members.size
         starts_tab, off_cat, per_cat, carry_tab = self._bp_cat(kind)
-        midx = np.fromiter(
-            (item[0] for item in items), dtype=np.int64, count=n_items
-        )
-        wlo = np.fromiter(
-            (item[1] for item in items), dtype=float, count=n_items
-        )
-        whi = np.fromiter(
-            (item[2] for item in items), dtype=float, count=n_items
-        )
-        sizes = starts_tab[midx + 1] - starts_tab[midx]
-        carry = carry_tab[midx]
-        if carry.any():
-            for pos in np.flatnonzero(carry):
-                results[int(pos)] = self.snapshot(
-                    int(midx[pos])
-                ).breakpoints_in(float(wlo[pos]), float(whi[pos]), kind=kind)
-            sizes = np.where(carry, 0, sizes)
+        sizes = starts_tab[members + 1] - starts_tab[members]
+        alone = carry_tab[members]
+        sizes = np.where(alone, 0, sizes)
         total_pairs = int(sizes.sum())
         if total_pairs == 0:
-            return results
+            return _NO_POINTS, np.empty(0, dtype=np.int64), np.flatnonzero(alone)
         item_starts = np.cumsum(sizes) - sizes
         item_of_pair = np.repeat(np.arange(n_items), sizes)
-        pair_idx = np.repeat(starts_tab[midx] - item_starts, sizes) + np.arange(
+        pair_idx = np.repeat(starts_tab[members] - item_starts, sizes) + np.arange(
             total_pairs
         )
         off = off_cat[pair_idx]
         per = per_cat[pair_idx]
-        lo_pair = wlo[item_of_pair]
-        hi_pair = whi[item_of_pair]
+        lo_pair = lo[item_of_pair]
+        hi_pair = hi[item_of_pair]
         # Same elementary float ops as the per-item collection: the
         # window bounds are broadcast per pair, so every k_min/k_max
         # value is identical to the member's own enumeration.
@@ -2013,18 +2097,11 @@ class CompiledPopulation:
         np.maximum(counts, 0, out=counts)
         ccnt = np.concatenate(([0], np.cumsum(counts)))
         bnd = np.concatenate((item_starts, [total_pairs]))
-        item_cnt = ccnt[bnd[1:]] - ccnt[bnd[:-1]]
-        dense = np.flatnonzero(item_cnt > _FUSE_POINTS)
+        dense = ccnt[bnd[1:]] - ccnt[bnd[:-1]] > _FUSE_POINTS
         owner_pair = item_of_pair
-        if dense.size:
-            # A window this dense dominates the round on its own; the
-            # per-set generator skips the owner-tagged fused temporaries
-            # and returns the identical points.
-            for pos in dense:
-                results[int(pos)] = self.snapshot(
-                    int(midx[pos])
-                ).breakpoints_in(float(wlo[pos]), float(whi[pos]), kind=kind)
-            keep_pair = item_cnt[item_of_pair] <= _FUSE_POINTS
+        if dense.any():
+            alone |= dense
+            keep_pair = ~dense[item_of_pair]
             off = off[keep_pair]
             per = per[keep_pair]
             k_min = k_min[keep_pair]
@@ -2036,7 +2113,7 @@ class CompiledPopulation:
         total = int(counts.sum())
         if total == 0:
             PERF.kernel_seconds += time.perf_counter() - start
-            return results
+            return _NO_POINTS, np.empty(0, dtype=np.int64), np.flatnonzero(alone)
         pair = np.repeat(np.arange(off.size), counts)
         starts = np.cumsum(counts) - counts
         within = np.arange(total) - np.repeat(starts, counts)
@@ -2047,15 +2124,14 @@ class CompiledPopulation:
         owner = owner[keep]
         if points.size:
             # ``owner`` is already non-decreasing (pairs are expanded in
-            # item order and boolean filtering preserves order), so all a
+            # window order and boolean filtering preserves order), so all a
             # two-key lexsort would do is order points within each owner
             # run — per-run direct sorts are far cheaper than one
-            # indirect sort over every item's points.
-            run_bounds = np.searchsorted(owner, np.arange(len(items) + 1))
-            for pos in range(len(items)):
-                seg = points[int(run_bounds[pos]) : int(run_bounds[pos + 1])]
-                if seg.size > 1:
-                    seg.sort()
+            # indirect sort over every window's points.
+            run_bounds = np.searchsorted(owner, np.arange(n_items + 1)).tolist()
+            for pos in range(n_items):
+                if run_bounds[pos + 1] - run_bounds[pos] > 1:
+                    points[run_bounds[pos] : run_bounds[pos + 1]].sort()
             # Exact dedup within each owner run — np.unique's semantics,
             # exact comparison IS the spec (bit parity with the per-set
             # generator).
@@ -2077,13 +2153,8 @@ class CompiledPopulation:
                 points = points[keep]
                 owner = owner[keep]
         PERF.candidates += int(points.size)
-        bounds = np.searchsorted(owner, np.arange(len(items) + 1))
-        for pos in range(len(items)):
-            segment = points[bounds[pos] : bounds[pos + 1]]
-            if segment.size:
-                results[pos] = segment
         PERF.kernel_seconds += time.perf_counter() - start
-        return results
+        return points, owner, np.flatnonzero(alone)
 
 
 def compile_population(
@@ -2178,6 +2249,10 @@ class ScalarEvaluator:
         return self._scalar(
             "lo_density", lambda: sum(1.0 / t.t_lo for t in self.taskset)
         )
+
+    @property
+    def lo_span(self) -> float:
+        return self._scalar("lo_span", lambda: _period_span(self.t_lo.tolist()))
 
     @property
     def d_lo(self) -> np.ndarray:

@@ -28,10 +28,16 @@ An error a generator raises for its set (a budget, a hyperperiod beyond
 the float range, a speedup that is not positive) becomes that set's
 outcome; the other sets go on.
 
-The exact-``x`` bisection never derives a snapshot per probe: it builds
-the group's base population once and, at each probe level, writes the
-pending sets' probe ``D(LO)`` rows into that population's LO tables and
-runs one LO-scan lockstep over the probe columns.
+The exact-``x`` bisection never derives a snapshot per probe, and answers
+each probe level in columns: it builds the group's base population once
+and, at each level, writes the pending sets' probe ``D(LO)`` rows into
+that population's LO tables, decides every set's LO shortcuts and first
+window with :func:`~repro.analysis.schedulability.lo_scan_start` over
+arrays, and scans all first windows in one flat breakpoint pass, one
+demand pass per bucket and one supply comparison.  Only a set without HI
+tasks, or a probe whose first window passes short of its horizon, goes on
+as its own :func:`~repro.analysis.schedulability.lo_scan_steps`
+generator; ``lo_scan_steps`` stays the one multi-window LO scan.
 
 Results carry no perf snapshots (``SpeedupResult.perf`` is ``None``)
 and the shared :class:`~repro.analysis.kernels.AnalysisMemo` is neither
@@ -58,7 +64,7 @@ from repro.analysis.kernels import (
 )
 from repro.analysis.resetting import ResettingResult, crossing_steps
 from repro.analysis.schedulability import _RTOL as _SCHED_RTOL
-from repro.analysis.schedulability import LoProbe, lo_scan_steps
+from repro.analysis.schedulability import LoProbe, lo_scan_start, lo_scan_steps
 from repro.analysis.speedup import (
     DEFAULT_MAX_CANDIDATES,
     DEFAULT_RTOL,
@@ -100,6 +106,7 @@ def _lockstep(
     steps: Sequence[Steps[Any]],
     phases: Mapping[str, Phase],
     owners: Optional[Sequence[int]] = None,
+    first: Optional[Sequence[Any]] = None,
 ) -> List[Any]:
     """Drive scan generators in lockstep rounds; return their outcomes.
 
@@ -110,7 +117,9 @@ def _lockstep(
     default ``k``).  A generator that asks for a phase already visited
     this round waits for the next.  An outcome is a generator's result or
     the member error it raised; a reply that is an exception is thrown
-    into its generator.
+    into its generator.  ``first[k]`` is sent to generator ``k`` to start
+    (``None`` for a fresh one; a reply for one already parked at a
+    request that was answered elsewhere).
     """
     members = range(len(steps)) if owners is None else owners
     outcomes: List[Any] = [None] * len(steps)
@@ -131,7 +140,7 @@ def _lockstep(
             else:
                 waiting[phase].append((k, payload))
 
-    resume(range(len(steps)), [None] * len(steps))
+    resume(range(len(steps)), [None] * len(steps) if first is None else first)
     while any(waiting.values()):
         for phase, answer in phases.items():
             parked = waiting[phase]
@@ -283,38 +292,57 @@ def min_speedup_many(
 # ---------------------------------------------------------------------------
 # LO-mode EDF demand test in lockstep
 # ---------------------------------------------------------------------------
+def _lo_verdicts(
+    pop: CompiledPopulation,
+    at: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    speeds: np.ndarray,
+) -> np.ndarray:
+    """Every window's LO verdict, in columns: whether ``DBF_LO(Delta) <=
+    speeds[j] * Delta`` (within ``_SCHED_RTOL``) at each breakpoint of
+    member ``at[j]``'s window ``(lo[j], hi[j]]``.
+
+    One flat lattice expansion, one fused demand pass per bucket and one
+    segmented supply comparison serve all windows; the per-element
+    operations are the per-window ones, so each verdict is too.  A
+    window that alone fills an evaluation chunk is answered by the
+    member's own ``lo_demand_ok``, which prunes stripes that provably
+    hold no violation, and a window the flat expansion leaves alone
+    takes its points from the member's ``breakpoints_in``.
+    """
+    points, owner, alone = pop.breakpoints_flat("lo", at, lo, hi)
+    if alone.size:
+        own = [
+            pop.snapshot(int(at[pos])).breakpoints_in(float(lo[pos]), float(hi[pos]), kind="lo")
+            for pos in alone.tolist()
+        ]
+        points = np.concatenate([points, *own])
+        owner = np.concatenate([owner, np.repeat(alone, [c.size for c in own])])
+    ok = np.ones(at.size, dtype=bool)
+    fused = pop.fuses(at, np.bincount(owner, minlength=at.size))
+    for pos in np.flatnonzero(~fused).tolist():
+        ok[pos] = pop.snapshot(int(at[pos])).lo_demand_ok(
+            points[owner == pos], float(speeds[pos]), _SCHED_RTOL
+        )
+    if not fused.all():
+        keep = fused[owner]
+        points, owner = points[keep], owner[keep]
+    if points.size:
+        demand = pop.eval_flat("lo", at[owner], points)
+        late = demand > speeds[owner] * points * (1.0 + _SCHED_RTOL) + _SCHED_RTOL
+        ok[owner[late]] = False
+    return ok
+
+
 def _lo_phases(pop: CompiledPopulation) -> Dict[str, Phase]:
     """The phase of :func:`~repro.analysis.schedulability.lo_scan_steps`
-    on ``pop``: the windows' verdicts.  A fused verdict compares every
-    breakpoint's demand with the supply line; a member's own
-    ``lo_demand_ok`` prunes stripes that provably hold no violation, so
-    both match the per-set verdict exactly."""
+    on ``pop``: the windows' verdicts, in columns (:func:`_lo_verdicts`)."""
     pop.prepare_tables("lo")
 
-    def fused(at: List[int], requests: List[Tuple[np.ndarray, float]]) -> List[bool]:
-        if not requests:
-            return []
-        demands = pop.eval_many(
-            "lo", [(index, candidates) for index, (candidates, _) in zip(at, requests)]
-        )
-        # Every window's supply comparison in one pass: the per-element
-        # operations are the per-window ones, so each verdict is too.
-        sizes = [candidates.size for candidates, _ in requests]
-        deltas = np.concatenate([candidates for candidates, _ in requests])
-        speeds = np.repeat(np.array([speed for _, speed in requests], dtype=float), sizes)
-        late = np.concatenate(demands) > speeds * deltas * (1.0 + _SCHED_RTOL) + _SCHED_RTOL
-        starts = np.cumsum([0] + sizes[:-1])
-        return [not hit for hit in np.logical_or.reduceat(late, starts).tolist()]
-
     def windows_ok(at: List[int], windows: List[Any]) -> List[bool]:
-        found = _per_window(
-            pop, "lo", at, windows,
-            lambda index, candidates, speed: pop.snapshot(index).lo_demand_ok(
-                candidates, speed, _SCHED_RTOL
-            ),
-            fused,
-        )
-        return [not size or ok for size, ok in found]
+        lo, hi, speeds = (np.array(column, dtype=float) for column in zip(*windows))
+        return _lo_verdicts(pop, np.array(at, dtype=np.int64), lo, hi, speeds).tolist()
 
     return {"window": windows_ok}
 
@@ -396,7 +424,7 @@ def _resetting_lockstep(
                 [(index, lo, hi) for index, (lo, hi) in zip(at, windows)], kind="adb"
             ),
             "adb": lambda at, requests: adb(
-                at, [request[:2] for request in requests], [request[2] for request in requests]
+                at, [request[:-1] for request in requests], [request[-1] for request in requests]
             ),
         },
     )
@@ -439,40 +467,106 @@ def _exact_x_lockstep(
     tasksets: Sequence[TaskSet], *, tol: float = EXACT_X_TOL
 ) -> List[TuningOutcome]:
     """All sets' :func:`~repro.analysis.tuning.bisection_steps` on one
-    population of the base sets.
+    population of the base sets, one columnar round per probe level.
 
-    Each round answers every pending probe with one LO-scan lockstep:
     :meth:`~repro.analysis.kernels.CompiledPopulation.probe_lo_deadline_factors`
     writes the probed members' ``D(LO)`` rows into the population's LO
     tables — the columns the per-set path's
     :meth:`~repro.analysis.kernels.CompiledTaskSet.with_hi_lo_deadline_factor`
-    snapshot holds — and the scans read the probe's aggregates as a
-    :class:`~repro.analysis.schedulability.LoProbe`, so no probe snapshot
-    is derived unless a per-set fallback needs it.  A set without HI
-    tasks asks once, for its base columns.
+    snapshot holds — and returns each probe's ``lo_excess`` and largest
+    ``D(LO)``.  :func:`~repro.analysis.schedulability.lo_scan_start`
+    decides the LO shortcuts and every first window over those columns,
+    and :func:`_lo_verdicts` answers all first windows at once.  Two
+    kinds of member go on as their own scan generator, in a nested
+    lockstep: a set without HI tasks (``x = None``, asked once, on its
+    base columns), and a probe whose first window passes short of its
+    horizon (its scan reads a
+    :class:`~repro.analysis.schedulability.LoProbe` and is sent that
+    first verdict, so no window is scanned twice).  A set's period span
+    is read once (``lo_span``), when a scan first reaches the horizon;
+    if it overflows, the ``OverflowError`` is the probe's outcome, as
+    the set's own scan would raise it.
     """
     bases = compile_tasksets(tasksets)
     pop = compile_population(bases)
     lo_phases = _lo_phases(pop)
+    rate, max_period, density = (
+        np.array([getattr(base, name) for base in bases], dtype=float)
+        for name in ("lo_rate", "lo_max_period", "lo_density")
+    )
+    spans = np.full(len(bases), np.nan)  # NaN: not read yet, or overflowed
+    overflows: Dict[int, OverflowError] = {}
+
+    def span(idx: np.ndarray, scanning: np.ndarray) -> np.ndarray:
+        at = idx[scanning]
+        for index in at[np.isnan(spans[at])].tolist():
+            try:
+                spans[index] = bases[index].lo_span
+            except OverflowError as error:
+                overflows[index] = error
+        return np.where(scanning, spans[idx], 0.0)
+
+    def columnar(
+        idx: np.ndarray, xs: List[float]
+    ) -> Tuple[List[Any], List[Tuple[int, Steps[bool]]]]:
+        """One probe level of members ``idx``: each one's verdict (or its
+        span's error), and the scans that go on, by position in ``idx``."""
+        d_lo, bounds, excess, max_d = pop.probe_lo_deadline_factors(idx, xs)
+        start = lo_scan_start(
+            1.0, rate[idx], excess, max_d, lambda scanning: span(idx, scanning),
+            max_period[idx], density[idx],
+        )
+        scanning = ~(start.fails | start.holds)
+        windowed = np.flatnonzero(scanning & (0.0 < start.horizon))
+        first = start.first[windowed]
+        passed = _lo_verdicts(
+            pop, idx[windowed], np.zeros(first.size), first, np.ones(first.size)
+        )
+        verdicts = ~start.fails
+        verdicts[windowed] = passed
+        replies: List[Any] = verdicts.tolist()
+        for j in np.flatnonzero(scanning & np.isnan(spans[idx])).tolist():
+            replies[j] = overflows[int(idx[j])]
+        going_on: List[Tuple[int, Steps[bool]]] = []
+        for j in windowed[passed & (first < start.horizon[windowed])].tolist():
+            base = bases[idx[j]]
+            scan = lo_scan_steps(
+                LoProbe(
+                    base.n, base.lo_rate, base.lo_max_period, base.lo_density,
+                    base.lo_span, d_lo[bounds[j] : bounds[j + 1]], float(excess[j]),
+                ),
+                1.0,
+            )
+            next(scan)  # its first window, answered above
+            going_on.append((j, scan))
+        return replies, going_on
 
     def probe(at: List[int], xs: List[Optional[float]]) -> List[Any]:
-        probed = [index for index, x in zip(at, xs) if x is not None]
-        rows = dict(
-            zip(probed, pop.probe_lo_deadline_factors(probed, [x for x in xs if x is not None]))
-        )
-        scans: List[Steps[bool]] = []
-        for index in at:
-            base = bases[index]
-            if index in rows:
-                d_lo, excess = rows[index]
-                probe_inputs = LoProbe(
-                    base.n, base.lo_rate, base.lo_max_period, base.lo_density,
-                    base.t_lo, d_lo, excess,
-                )
-                scans.append(lo_scan_steps(probe_inputs, 1.0))
-            else:
-                scans.append(lo_scan_steps(base, 1.0))
-        return _lockstep(scans, lo_phases, owners=at)
+        replies: List[Any] = [None] * len(at)
+        scans: List[Tuple[int, Steps[bool], Optional[bool]]] = [
+            (pos, lo_scan_steps(bases[at[pos]], 1.0), None)
+            for pos, x in enumerate(xs)
+            if x is None
+        ]
+        probed = [pos for pos, x in enumerate(xs) if x is not None]
+        if probed:
+            verdicts, going_on = columnar(
+                np.array([at[pos] for pos in probed], dtype=np.int64),
+                [xs[pos] for pos in probed],
+            )
+            for pos, verdict in zip(probed, verdicts):
+                replies[pos] = verdict
+            scans += [(probed[j], scan, True) for j, scan in going_on]
+        if scans:
+            outcomes = _lockstep(
+                [scan for _, scan, _ in scans],
+                lo_phases,
+                owners=[at[pos] for pos, _, _ in scans],
+                first=[sent for _, _, sent in scans],
+            )
+            for (pos, _, _), outcome in zip(scans, outcomes):
+                replies[pos] = outcome
+        return replies
 
     return _lockstep(
         [bisection_steps(taskset, tol=tol) for taskset in tasksets], {"probe": probe}
@@ -488,7 +582,7 @@ def min_preparation_factor_many(
     """Minimal feasible preparation factor ``x`` for every task set.
 
     ``"density"`` is closed-form (no batching needed); ``"exact"`` runs
-    all bisections in lockstep, one fused LO-mode scan per probe level.
+    all bisections in lockstep, one columnar round per probe level.
     Both return, set by set, exactly what
     :func:`repro.analysis.tuning.min_preparation_factor` returns; the
     first (by input order) set whose exact bisection raises raises its

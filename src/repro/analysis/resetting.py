@@ -183,7 +183,7 @@ def resetting_time(
         if cached is not None:
             return cached
 
-    def adb(request: Tuple[np.ndarray, np.ndarray, bool]) -> Tuple[np.ndarray, ...]:
+    def adb(request: Tuple[Any, ...]) -> Tuple[np.ndarray, ...]:
         *points, drop = request
         return tuple(
             np.asarray(ev.total_adb_hi(p, drop_terminated_carryover=drop), dtype=float)
@@ -225,11 +225,11 @@ def crossing_steps(
 
     * ``("zero", drop)`` — ``sum ADB_HI(0)`` as a float;
     * ``("breaks", (lo, hi))`` — the ``ADB_HI`` breakpoints in ``(lo, hi]``;
-    * ``("adb", (breaks, mids, drop))`` — ``sum ADB_HI`` at both arrays,
-      as a pair of float arrays;
+    * ``("adb", (*points, drop))`` — ``sum ADB_HI`` at each point array,
+      as a tuple of float arrays: the window's breakpoints and their
+      midpoints, and then the one-point array of an interior crossing;
 
-    with ``drop`` the ``drop_terminated_carryover`` flag.  The demand at
-    the crossing it settles on comes from ``ev`` directly.  Returns the
+    with ``drop`` the ``drop_terminated_carryover`` flag.  Returns the
     :class:`ResettingResult`.  Raises ``ValueError`` for a speedup that
     is not positive (NaN included) and
     :class:`~repro.analysis.budget.AnalysisBudgetExceeded` once the scan
@@ -308,8 +308,8 @@ def crossing_steps(
             if first_int <= first_brk and first_int < breaks.size:
                 j = first_int
                 crossing = float(max(crossings[j], prevs[j]))
-                demand = ev.total_adb_hi(crossing, drop_terminated_carryover=drop)
-                return ResettingResult(crossing, s, False, float(demand))
+                (demand,) = yield "adb", (np.array([crossing]), drop)
+                return ResettingResult(crossing, s, False, float(demand[0]))
             if first_brk < breaks.size:
                 j = first_brk
                 return ResettingResult(float(breaks[j]), s, True, float(values[j]))

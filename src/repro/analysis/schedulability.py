@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.kernels import (
     MEMO,
+    ArrayLike,
     CompiledTaskSet,
     Evaluator,
     Steps,
+    _period_span,
     drive,
     get_evaluator,
 )
@@ -58,29 +60,24 @@ def _scan_horizon(deadline_periods, speed: float, rate: float, excess: float) ->
     )
 
 
-def _period_span(periods: Sequence[float]) -> float:
-    """The periodic cap of :func:`_scan_horizon`, without the deadline.
-
-    ``float(hyperperiod)`` for integral periods — which raises
-    ``OverflowError`` once the hyperperiod exceeds the float range — and
-    ``1e4`` times the largest period otherwise.
-    """
-    if all(float(p).is_integer() for p in periods):
-        lcm = 1
-        for p in periods:
-            lcm = math.lcm(lcm, int(p))
-        return float(lcm)
-    return 1e4 * max(periods)
-
-
 def _bounded_horizon(
-    speed: float, rate: float, excess: float, max_d: float, span: float
-) -> float:
+    speed: float, rate: ArrayLike, excess: ArrayLike, max_d: ArrayLike, span: ArrayLike
+) -> Any:
     """:func:`_scan_horizon` from its parts: the envelope bound, capped at
-    ``span + max_d``."""
+    ``span + max_d``.  Floats or arrays (one entry per set)."""
     denom = speed - rate
-    direct = excess / denom if denom > _RTOL * max(1.0, speed) else math.inf
-    return min(direct, span + max_d)
+    steep = denom > _RTOL * max(1.0, speed)
+    direct = _where(steep, excess / _where(steep, denom, 1.0), math.inf)
+    cap = span + max_d
+    return _where(direct <= cap, direct, cap)
+
+
+def _where(cond: Any, a: Any, b: Any) -> Any:
+    """``np.where`` over arrays, and the plain conditional for one set's
+    floats, which spares the per-set scan a NumPy call per step."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, a, b)
+    return a if cond else b
 
 
 def lo_mode_schedulable(
@@ -113,15 +110,65 @@ class LoProbe(NamedTuple):
     """A set's LO-mode scan inputs at an Eq.-(13) probe: the probe's
     ``D(LO)`` column and ``lo_excess`` (the only LO aggregates that depend
     on ``x``) beside the set's own.  The population's exact-``x``
-    bisection scans these instead of deriving a probe snapshot."""
+    bisection scans these when a probe needs more than one window,
+    instead of deriving a probe snapshot."""
 
     n: int
     lo_rate: float
     lo_max_period: float
     lo_density: float
-    t_lo: np.ndarray
+    lo_span: float
     d_lo: np.ndarray
     lo_excess: float
+
+
+class LoStart(NamedTuple):
+    """Where the LO-mode scan starts, for one set (floats) or one entry
+    per set (arrays): :func:`lo_scan_start`."""
+
+    fails: Any
+    holds: Any
+    horizon: Any
+    step: Any
+    max_window: Any
+    first: Any
+
+
+def lo_scan_start(
+    speed: float,
+    rate: ArrayLike,
+    excess: ArrayLike,
+    max_d: ArrayLike,
+    span: Callable[[Any], ArrayLike],
+    max_period: ArrayLike,
+    density: ArrayLike,
+) -> LoStart:
+    """The LO-mode scan at ``speed`` up to its first window, written once
+    for :func:`lo_scan_steps` (floats) and the population's columnar
+    exact-``x`` rounds (arrays, one entry per set).
+
+    The test ``fails`` where the LO rate exceeds the speed, and
+    ``holds`` where it does not and the excess ``B = sum U_i*(T_i - D_i)``
+    is not positive: ``dbf_LO(Delta) <= rate*Delta + B``, so the rate
+    test was exact.  Elsewhere the scan runs windows up to the envelope
+    ``horizon`` (:func:`_bounded_horizon`); the first is ``(0, first]``
+    with ``first = min(step, horizon, max_window)``, and each later one
+    doubles ``step``.  ``span(scans)`` returns the horizon's periodic
+    cap wherever the mask ``scans`` holds (any value elsewhere); callers
+    compute it only there, since ``float(lcm)`` can overflow.
+    """
+    limit = speed * (1.0 + _RTOL)
+    fails = rate > limit
+    holds = (rate <= limit) & (excess <= 0.0)
+    horizon = _bounded_horizon(
+        speed, rate, excess, max_d, span((rate <= limit) & (excess > 0.0))
+    )
+    step = 2.0 * max_period
+    dense = density > 0.0
+    max_window = _where(dense, 200_000 / _where(dense, density, 1.0), math.inf)
+    first = _where(step <= horizon, step, horizon)
+    first = _where(first <= max_window, first, max_window)
+    return LoStart(fails, holds, horizon, step, max_window, first)
 
 
 def lo_scan_steps(ev: Union[Evaluator, LoProbe], speed: float) -> Steps[bool]:
@@ -141,28 +188,22 @@ def lo_scan_steps(ev: Union[Evaluator, LoProbe], speed: float) -> Steps[bool]:
         return ev.n == 0
     if ev.n == 0:
         return True
-    rate = ev.lo_rate
-    if rate > speed * (1.0 + _RTOL):
-        return False
-    # dbf_LO(Delta) <= rate*Delta + B with B = sum U_i*(T_i - D_i), so any
-    # violation of the supply line happens before B/(speed - rate).  For
-    # implicit deadlines B = 0: the utilization test above was exact.
-    excess = ev.lo_excess
-    if excess <= 0.0:
-        return True
-    horizon = _bounded_horizon(
+    start = lo_scan_start(
         speed,
-        rate,
-        excess,
+        ev.lo_rate,
+        ev.lo_excess,
         max(ev.d_lo.tolist()),
-        _period_span(ev.t_lo.tolist()),
+        lambda scans: ev.lo_span if scans else 0.0,
+        ev.lo_max_period,
+        ev.lo_density,
     )
-    window_lo = 0.0
-    step = 2.0 * ev.lo_max_period
-    density = ev.lo_density
-    max_window = 200_000 / density if density > 0 else math.inf
+    if start.fails:
+        return False
+    if start.holds:
+        return True
+    horizon, step, max_window = start.horizon, start.step, start.max_window
+    window_lo, window_hi = 0.0, start.first
     while window_lo < horizon:
-        window_hi = min(window_lo + step, horizon, window_lo + max_window)
         # The compiled engine stripe-prunes the supply comparison
         # (kernels.CompiledTaskSet.lo_demand_ok), the scalar engine
         # evaluates every candidate; the verdict is identical either way.
@@ -170,6 +211,7 @@ def lo_scan_steps(ev: Union[Evaluator, LoProbe], speed: float) -> Steps[bool]:
             return False
         window_lo = window_hi
         step *= 2.0
+        window_hi = min(window_lo + step, horizon, window_lo + max_window)
     return True
 
 

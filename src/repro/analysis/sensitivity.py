@@ -72,7 +72,7 @@ def max_tolerable_gamma(
     deadlines; gamma rescales every HI task's ``C(HI)``.  Returns
     ``None`` when even ``gamma = 1`` (no overrun band) fails.
     """
-    if s <= 0.0:
+    if not (s > 0.0):
         raise ValueError(f"speedup must be positive, got {s}")
     if not _gamma_feasible(taskset, 1.0, s, reset_budget, engine):
         return None
@@ -132,7 +132,7 @@ def max_tolerable_load_scale(
     ``s`` must both hold after inflating every ``C`` by the factor.
     Returns ``None`` when the un-inflated design already fails.
     """
-    if s <= 0.0:
+    if not (s > 0.0):
         raise ValueError(f"speedup must be positive, got {s}")
     if not _load_feasible(taskset, 1.0, s, engine):
         return None

@@ -10,13 +10,16 @@ payloads and report dictionaries are invariant.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import api
-from repro.analysis import kernels
+from repro.analysis import kernels, population as population_module
 from repro.analysis.budget import AnalysisBudgetExceeded
 from repro.analysis.population import (
     lo_mode_schedulable_many,
@@ -25,10 +28,11 @@ from repro.analysis.population import (
     resetting_many,
 )
 from repro.analysis.resetting import resetting_time
-from repro.analysis.schedulability import lo_mode_schedulable
+from repro.analysis.schedulability import LoProbe, lo_mode_schedulable
 from repro.analysis.speedup import min_speedup
-from repro.analysis.tuning import min_preparation_factor
+from repro.analysis.tuning import exact_preparation_factor, min_preparation_factor
 from repro.generator.taskgen import GeneratorConfig, generate_taskset, population
+from repro.io import save_taskset
 from repro.model.task import MCTask, ModelError
 from repro.model.taskset import TaskSet
 from repro.model.transform import apply_uniform_scaling, terminate_lo_tasks
@@ -88,6 +92,44 @@ def dense_window_set(lo_c: float) -> TaskSet:
     ]
     tasks += [MCTask.lo(f"l{i}", c=lo_c, d_lo=10.0, t_lo=10.0) for i in range(80)]
     return TaskSet(tasks, name=f"dense{lo_c:g}")
+
+
+def long_horizon_set() -> TaskSet:
+    """Its LO horizon lies beyond the first scan window at most probe
+    factors, so a probe whose first window passes scans more windows."""
+    return TaskSet(
+        [
+            MCTask.hi("h0", c_lo=2.0, c_hi=4.0, d_lo=15.0, d_hi=15.0, period=15.0),
+            MCTask.hi("h1", c_lo=4.0, c_hi=8.0, d_lo=19.0, d_hi=19.0, period=19.0),
+            MCTask.lo("l0", c=1.0, d_lo=1.0, t_lo=7.0),
+            MCTask.lo("l1", c=1.0, d_lo=20.0, t_lo=22.0),
+            MCTask.lo("l2", c=1.0, d_lo=3.0, t_lo=9.0),
+            MCTask.lo("l3", c=6.0, d_lo=17.0, t_lo=18.0),
+        ],
+        name="long_horizon",
+    )
+
+
+def excess_order_set() -> TaskSet:
+    """12 tasks whose LO excess terms at ``x = 0.5`` sum to different
+    floats pairwise and in task order."""
+    tasks = []
+    for i in range(12):
+        period = 10.0 + i
+        if i % 3 == 0:
+            tasks.append(
+                MCTask.hi(
+                    f"h{i}", c_lo=1.0, c_hi=2.0, d_lo=period, d_hi=period, period=period
+                )
+            )
+        else:
+            tasks.append(
+                MCTask.lo(
+                    f"l{i}", c=1.0 + 0.1 * (3 * i % 7), d_lo=period - 1.0 - 3 * i % 5,
+                    t_lo=period,
+                )
+            )
+    return TaskSet(tasks, name="excess_order")
 
 
 def _primes_above(start, count):
@@ -194,6 +236,19 @@ class TestByteIdentity:
         _clear_caches()
         pop = resetting_many(small_population, 2.0)
         assert [r.to_dict() for r in scalar] == [r.to_dict() for r in pop]
+
+    def test_resetting_crossing_demand_is_fused(self, small_population, monkeypatch):
+        sets = small_population[:60]
+        _clear_caches()
+        scalar = [resetting_time(ts, 2.0, engine="scalar") for ts in sets]
+        assert any(r.finite and not r.at_breakpoint for r in scalar)
+        per_set = _count_calls(monkeypatch, "total_adb_hi")
+        _clear_caches()
+        assert [r.to_dict() for r in scalar] == [
+            r.to_dict() for r in resetting_many(sets, 2.0)
+        ]
+        # Every interior crossing's demand came from the fused passes.
+        assert not per_set
 
     def test_lo_schedulable_200_sets(self, small_population):
         _clear_caches()
@@ -407,7 +462,7 @@ class TestProbeColumns:
                 members[index].with_hi_lo_deadline_factor(x)
                 for index, x in zip(indices, xs)
             ]
-            rows = pop.probe_lo_deadline_factors(indices, xs)
+            d_lo, bounds, excesses, longest = pop.probe_lo_deadline_factors(indices, xs)
             windows = [
                 (index, 0.0, 3.0 * probe.lo_max_period)
                 for index, probe in zip(indices, derived)
@@ -416,12 +471,13 @@ class TestProbeColumns:
             demands = pop.eval_many(
                 "lo", [(index, cand) for index, cand in zip(indices, points)]
             )
-            for index, probe, (d_lo, excess), cand, demand, (_, lo, hi) in zip(
-                indices, derived, rows, points, demands, windows
+            for k, (index, probe, cand, demand, (_, lo, hi)) in enumerate(
+                zip(indices, derived, points, demands, windows)
             ):
-                assert d_lo.tobytes() == probe.d_lo.tobytes()
+                assert d_lo[bounds[k] : bounds[k + 1]].tobytes() == probe.d_lo.tobytes()
                 # Bit for bit: a pairwise sum differs in the last bits.
-                assert excess.hex() == probe.lo_excess.hex()
+                assert float(excesses[k]).hex() == probe.lo_excess.hex()
+                assert longest[k] == max(probe.d_lo.tolist())
                 assert pop.snapshot(index).d_lo.tobytes() == probe.d_lo.tobytes()
                 own = probe.breakpoints_in(lo, hi, kind="lo")
                 assert cand.tobytes() == own.tobytes()
@@ -433,6 +489,107 @@ class TestProbeColumns:
             pop.eval_many("dbf", [(0, np.array([1.0, 2.0]))])
         with pytest.raises(ValueError):
             pop.breakpoints_many([(0, 0.0, 10.0)], kind="adb")
+
+
+class TestColumnarProbeRound:
+    """The exact-x lockstep answers each bisection level in columns."""
+
+    @pytest.mark.parametrize("others", [0, 1], ids=["alone", "beside_table1"])
+    def test_one_member_round_sums_excess_in_task_order(self, table1, others):
+        ts = excess_order_set()
+        probe = kernels.compile_taskset(ts).with_hi_lo_deadline_factor(0.5)
+        terms = probe.c_lo / probe.t_lo * np.maximum(probe.t_lo - probe.d_lo, 0.0)
+        # The premise: NumPy's pairwise sum differs from the task order.
+        assert float(np.add.reduce(terms)).hex() != probe.lo_excess.hex()
+        pop = kernels.compile_population([ts] + [table1] * others)
+        d_lo, bounds, excess, longest = pop.probe_lo_deadline_factors([0], [0.5])
+        assert float(excess[0]).hex() == probe.lo_excess.hex()
+        assert d_lo.tobytes() == probe.d_lo.tobytes()
+        assert bounds.tolist() == [0, len(ts)]
+        assert longest[0] == max(probe.d_lo.tolist())
+
+    def test_first_window_short_of_horizon_goes_on_as_its_scan(self, monkeypatch):
+        ts = long_horizon_set()
+        continued = []
+        original = population_module.lo_scan_steps
+
+        def recorded(ev, speed):
+            if isinstance(ev, LoProbe):
+                continued.append(ev)
+            return original(ev, speed)
+
+        monkeypatch.setattr(population_module, "lo_scan_steps", recorded)
+        _clear_caches()
+        before = kernels.PERF.snapshot()
+        lockstep = min_preparation_factor_many([ts], method="exact")
+        fused = kernels.PERF.delta_since(before)
+        _clear_caches()
+        before = kernels.PERF.snapshot()
+        alone = exact_preparation_factor(ts)
+        per_set = kernels.PERF.delta_since(before)
+        assert lockstep == [alone] and 0.5 < alone < 1.0
+        assert len(continued) >= 10
+        # No window is scanned twice: the same breakpoints, the same
+        # pruning as the per-set bisection.
+        assert fused["candidates"] == per_set["candidates"] > 0
+        assert fused["pruned"] == per_set["pruned"]
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        shapes=st.lists(
+            st.sampled_from(["base", "no_hi", "large", "long", "overloaded"]),
+            min_size=1,
+            max_size=7,
+        ),
+    )
+    def test_mixed_groups_match_per_set(self, seed, shapes):
+        # Members settle after 1 probe (no HI tasks, overloaded), 2 or
+        # about 14, so late rounds hold a single member.
+        sets = []
+        for k, shape in enumerate(shapes):
+            if shape == "large":
+                sets.append(_sized_set(17 + (seed + k) % 16, k))
+            elif shape == "long":
+                sets.append(long_horizon_set())
+            else:
+                (ts,) = _population(0.9 if shape == "overloaded" else 0.7, 1, seed=seed + k)
+                if shape == "overloaded":
+                    ts = TaskSet(list(ts) + [MCTask.lo("extra", c=9.0, d_lo=10.0, t_lo=10.0)])
+                sets.append((_without_hi([ts]) or [ts])[0] if shape == "no_hi" else ts)
+        _clear_caches()
+        scalar = [
+            min_preparation_factor(ts, method="exact", engine="scalar") for ts in sets
+        ]
+        _clear_caches()
+        compiled = [min_preparation_factor(ts, method="exact") for ts in sets]
+        _clear_caches()
+        assert scalar == compiled == min_preparation_factor_many(sets, method="exact")
+
+    def test_lockstep_scans_import_no_numpy_ma(self, tmp_path):
+        """``np.unique`` imports ``numpy.ma`` on first use (NumPy 2.4), a
+        cost a freshly forked pool worker would pay inside its chunk."""
+        paths = []
+        for k, lo_c in enumerate((0.05625, 0.056425)):
+            paths.append(str(tmp_path / f"dense{k}.json"))
+            save_taskset(dense_window_set(lo_c), paths[-1])
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        script = (
+            f"import sys; sys.path.insert(0, {src!r})\n"
+            "from repro.io import load_taskset\n"
+            "from repro.analysis.population import (\n"
+            "    min_preparation_factor_many, min_speedup_many, resetting_many)\n"
+            f"sets = [load_taskset(path) for path in {paths!r}]\n"
+            "min_preparation_factor_many(sets, method='exact')\n"
+            "min_speedup_many(sets)\n"
+            "resetting_many(sets, 2.0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def _requests(tasksets):

@@ -88,3 +88,14 @@ class TestLoadScale:
     def test_rejects_bad_speedup(self, table1):
         with pytest.raises(ValueError):
             max_tolerable_load_scale(table1, s=-1.0)
+
+
+@pytest.mark.parametrize(
+    "tolerable", [max_tolerable_gamma, max_tolerable_load_scale], ids=["gamma", "load_scale"]
+)
+@pytest.mark.parametrize("s", [math.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_speedup_must_be_positive(table1, tolerable, s):
+    # NaN fails ``s > 0`` like every other speed the search cannot use,
+    # as it does for resetting_time.
+    with pytest.raises(ValueError, match="speedup must be positive"):
+        tolerable(table1, s)
