@@ -4,37 +4,29 @@ The Theorem-2 / Theorem-4 analyses evaluate the piecewise-linear demand
 functions ``DBF_LO`` (Eq. 4), ``DBF_HI`` (Eq. 7) and ``ADB_HI`` (Eq. 10)
 at up to millions of candidate interval lengths.  The reference
 implementation in :mod:`repro.analysis.dbf` walks Python ``MCTask``
-objects task-by-task: every evaluation of a window with ``m`` candidates
-issues ``O(n_tasks)`` separate NumPy calls on length-``m`` arrays, and
-every window re-derives per-task breakpoint lattices with per-offset
-``np.arange`` loops.  For the synthetic sweeps (thousands of task sets)
-and the tuning/sensitivity search loops (dozens of probes per set) that
-per-task Python overhead — not the arithmetic — dominates wall-clock.
+objects task by task, so for the synthetic sweeps and the tuning loops
+per-task Python overhead, not arithmetic, dominates wall-clock.
 
-This module compiles a :class:`~repro.model.taskset.TaskSet` once into a
-:class:`CompiledTaskSet`: a struct-of-arrays snapshot (``c_lo``/``c_hi``/
-``d_lo``/``d_hi``/``t_lo``/``t_hi`` vectors plus terminated/criticality
-masks) with
+Two evaluators replace those loops, and share every kernel concern:
 
-* fused broadcast kernels :meth:`CompiledTaskSet.total_dbf_lo`,
-  :meth:`~CompiledTaskSet.total_dbf_hi` and
-  :meth:`~CompiledTaskSet.total_adb_hi` that evaluate all tasks at all
-  deltas in one chunked ``(n_tasks, n_deltas)`` matrix expression;
-* a vectorized breakpoint generator
-  (:meth:`CompiledTaskSet.breakpoints_in`) that materialises the union
-  lattice ``{k * T + offset}`` for a window without per-task /
-  per-offset Python loops;
-* cheap column derivations (:meth:`~CompiledTaskSet.with_hi_lo_deadline_factor`,
-  :meth:`~CompiledTaskSet.with_lo_deadline`,
-  :meth:`~CompiledTaskSet.with_uniform_scaling`) so the tuning loops and
-  the grouped pipeline rescale columns instead of rebuilding,
-  re-validating and re-fingerprinting ``MCTask`` objects.
-
-:class:`CompiledPopulation` lays many snapshots out side by side for the
-lockstep scans of :mod:`repro.analysis.population`; its LO tables can be
-pointed at Eq.-(13) probe factors in place
-(:meth:`~CompiledPopulation.probe_lo_deadline_factors`), so the grouped
-exact-``x`` bisection runs every probe level on one population.
+* :class:`CompiledTaskSet` is one set's struct-of-arrays snapshot
+  (``c_lo``/``c_hi``/``d_lo``/``d_hi``/``t_lo``/``t_hi`` plus
+  terminated/criticality masks) with the fused kernels ``total_dbf_lo``,
+  ``total_dbf_hi`` and ``total_adb_hi``, the breakpoint generator
+  ``breakpoints_in`` and column derivations (``with_*``) that rescale
+  columns instead of rebuilding ``MCTask`` objects.
+* :class:`CompiledPopulation` lays many snapshots out in padded height
+  buckets for the lockstep scans of :mod:`repro.analysis.population`.
+* Both call the same module functions: the row formulas
+  (:func:`_dbf_lo_rows`, :func:`_hi_rows`) and the widened column sum
+  (:func:`_column_sum`); the HI parameter columns of full task rows
+  (:func:`_hi_columns`); the breakpoint tables
+  (:func:`_breakpoint_table`); the lattice expansion
+  (:func:`_lattice_counts`, :func:`_lattice_expand`) with its dedup and
+  near-duplicate merge (:func:`_thinned`); the stripe layout of the
+  pruned scans (:func:`_stripes`); and the LO supply line
+  (:func:`lo_supply_threshold`).  :func:`compile_tasksets` is the one
+  compile path.
 
 **Bit-exactness contract.**  Every kernel mirrors the scalar oracle's
 elementary floating-point operations — same slacked floor
@@ -42,26 +34,14 @@ elementary floating-point operations — same slacked floor
 expansion, same task-order summation (``np.add.reduce`` over axis 0 adds
 rows sequentially, exactly like the scalar per-task accumulation) — so
 the compiled and scalar paths agree to the last bit, not merely within a
-tolerance.  ``tests/test_kernels.py`` property-tests this equivalence and
-the equality of the full ``min_speedup`` / ``resetting_time`` results.
+tolerance.  ``tests/test_kernels.py`` property-tests this equivalence.
 
-Compilation is cached *on the task set* keyed by its content fingerprint
-(:func:`repro.model.fingerprint.taskset_fingerprint`, the same
-canonicalisation the batch pipeline's result cache uses): compiling the
-same instance twice is free, and distinct instances with equal content
-share one compiled snapshot through a bounded registry.  Derived
-snapshots (rescaled columns) do not re-enter the registry; their
-fingerprints are computed lazily only when a memo needs them.
-
-:class:`AnalysisMemo` is the small fingerprint-keyed memo the scan entry
-points (``min_speedup``, ``resetting_time``, ``lo_mode_schedulable``)
-consult on the compiled path, so the sensitivity bisections and the
-per-task tuning loop never recompute an analysis for a task-set content
-they have already solved.
-
-:data:`PERF` counts kernel invocations, evaluated matrix cells,
-materialised breakpoints and kernel seconds; the scan results surface a
-per-call snapshot through ``SpeedupResult.perf`` / report diagnostics.
+Compilation is cached *on the task set* and in a bounded registry keyed
+by its content fingerprint (the result cache's canonicalisation), so
+equal-content sets compile once.  Derived snapshots do not enter the
+registry.  :class:`AnalysisMemo` memoises the per-set scan entry points
+by content, for the tuning and sensitivity loops that revisit a set.
+:data:`PERF` counts kernel calls, cells, breakpoints and kernel seconds.
 """
 
 from __future__ import annotations
@@ -69,7 +49,8 @@ from __future__ import annotations
 import math
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple,
     TypeVar, Union, cast,
@@ -88,7 +69,7 @@ from repro.analysis.dbf import (
     total_dbf_hi,
     total_dbf_lo,
 )
-from repro.model.fingerprint import digest_task_rows, taskset_fingerprint
+from repro.model.fingerprint import digest_task_rows
 from repro.model.task import Criticality, ModelError
 from repro.model.taskset import TaskSet
 from repro.obs import trace
@@ -133,6 +114,11 @@ _STRIPE = 16
 #: monotonicity by a few ulps; the guard absorbs that, so pruning never
 #: discards a candidate whose float ratio could reach the running best.
 _PRUNE_GUARD = 1e-9
+
+#: Tolerance of the LO-mode supply comparison (:func:`lo_supply_threshold`)
+#: and of the LO scan's rate shortcut and horizon in
+#: :mod:`repro.analysis.schedulability`, which imports it.
+LO_SUPPLY_RTOL = 1e-9
 
 #: Attribute under which a compiled snapshot is attached to a TaskSet.
 _COMPILED_ATTR = "_repro_compiled"
@@ -189,33 +175,12 @@ class KernelCounters:
     admission_trials: int = 0
 
     def snapshot(self) -> Dict[str, Any]:
-        """The counters as a plain dict (JSON-ready)."""
-        return {
-            "kernel_evals": self.kernel_evals,
-            "cells": self.cells,
-            "candidates": self.candidates,
-            "pruned": self.pruned,
-            "kernel_seconds": self.kernel_seconds,
-            "compiles": self.compiles,
-            "memo_hits": self.memo_hits,
-            "memo_misses": self.memo_misses,
-            "population_batches": self.population_batches,
-            "population_sets": self.population_sets,
-            "admission_trials": self.admission_trials,
-        }
+        """The counters as a plain dict (JSON-ready), in field order."""
+        return dict(vars(self))
 
     def reset(self) -> None:
-        self.kernel_evals = 0
-        self.cells = 0
-        self.candidates = 0
-        self.pruned = 0
-        self.kernel_seconds = 0.0
-        self.compiles = 0
-        self.memo_hits = 0
-        self.memo_misses = 0
-        self.population_batches = 0
-        self.population_sets = 0
-        self.admission_trials = 0
+        for counter in fields(self):
+            setattr(self, counter.name, counter.default)
 
     def delta_since(self, before: Dict[str, Any]) -> Dict[str, Any]:
         """Difference between the current totals and a prior snapshot."""
@@ -289,29 +254,21 @@ def window_peak_steps(
         ratios = (yield "dbf", candidates) / candidates
         idx = int(np.argmax(ratios))
         return float(ratios[idx]), float(candidates[idx])
-    coarse = np.arange(_STRIPE - 1, m, _STRIPE)
-    if coarse[-1] != m - 1:
-        coarse = np.append(coarse, m - 1)
+    coarse, starts = _stripes(m)
     d_coarse = yield "dbf", candidates[coarse]
     r_coarse = d_coarse / candidates[coarse]
     at_coarse = int(np.argmax(r_coarse))
     coarse_peak = float(r_coarse[at_coarse])
     best_eff = best_ratio if best_ratio > coarse_peak else coarse_peak
-    starts = np.empty(coarse.size, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = coarse[:-1] + 1
-    bounds = d_coarse / candidates[starts]
-    live_idx = np.flatnonzero(bounds * (1.0 + _PRUNE_GUARD) >= best_eff)
-    if live_idx.size == coarse.size:
+    live = d_coarse / candidates[starts] * (1.0 + _PRUNE_GUARD) >= best_eff
+    if live.all():
         ratios = (yield "dbf", candidates) / candidates
         idx = int(np.argmax(ratios))
         return float(ratios[idx]), float(candidates[idx])
-    segments = [np.arange(starts[j], coarse[j], dtype=np.int64) for j in live_idx]
-    segments = [seg for seg in segments if seg.size]
+    interior = _stripe_interior(coarse, starts, live)
     peak = coarse_peak
     peak_index = int(coarse[at_coarse])
-    if segments:
-        interior = np.concatenate(segments)
+    if interior.size:
         r_interior = (yield "dbf", candidates[interior]) / candidates[interior]
         at = int(np.argmax(r_interior))
         # Exact tie-break: on ratio equality prefer the earlier
@@ -323,10 +280,281 @@ def window_peak_steps(
         ):
             peak = float(r_interior[at])
             peak_index = int(interior[at])
-        PERF.pruned += int(m - coarse.size - interior.size)
-    else:
-        PERF.pruned += int(m - coarse.size)
+    PERF.pruned += int(m - coarse.size - interior.size)
     return peak, float(candidates[peak_index])
+
+
+def _stripes(m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The stripes of ``m >= _STRIPE`` candidates: the coarse indices
+    (every ``_STRIPE``-th, and the last) and the start of each stripe."""
+    coarse = np.arange(_STRIPE - 1, m, _STRIPE)
+    if coarse[-1] != m - 1:
+        coarse = np.append(coarse, m - 1)
+    starts = np.empty(coarse.size, dtype=np.int64)
+    starts[0] = 0
+    starts[1:] = coarse[:-1] + 1
+    return coarse, starts
+
+
+def _stripe_interior(coarse: np.ndarray, starts: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The candidates inside the ``live`` stripes, coarse indices excluded,
+    ascending (one ``repeat``/``cumsum`` expansion)."""
+    first = starts[live]
+    sizes = coarse[live] - first
+    return np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(int(sizes.sum()))
+
+
+def lo_supply_threshold(speed: ArrayLike, delta: ArrayLike) -> ArrayLike:
+    """The LO-mode supply line a window's ``DBF_LO(Delta)`` must not
+    exceed: ``speed * Delta`` within :data:`LO_SUPPLY_RTOL`.  Floats or
+    arrays (one speed per point)."""
+    return speed * delta * (1.0 + LO_SUPPLY_RTOL) + LO_SUPPLY_RTOL
+
+
+# ---------------------------------------------------------------------------
+# Row formulas and tables: the arithmetic both evaluators share
+# ---------------------------------------------------------------------------
+# CompiledTaskSet calls these on its own (n, 1) columns, CompiledPopulation
+# on (P, 1) bucket column views or gathered (P, points) blocks.  Every
+# operation is elementwise, so a row's values never depend on its block.
+
+
+def _floor_div_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """Row-broadcast ``_floor_div``: slacked floor of ``num / den``.
+
+    ``den`` entries of ``+inf`` yield 0 exactly like the scalar path
+    (``q = x / inf = 0`` and ``floor(0 + slack) = 0``).  The in-place
+    chaining computes ``floor(q + FLOOR_SLACK * (1.0 + |q|))`` with the
+    identical elementary operations, just reusing one buffer.
+    """
+    q = num / den
+    slack = np.abs(q)
+    slack += 1.0
+    slack *= FLOOR_SLACK
+    slack += q
+    return np.floor(slack, out=slack)
+
+
+def _carry_rows(
+    block: np.ndarray, k: np.ndarray, t_hi_mult: np.ndarray, gap: np.ndarray,
+    one_plus: np.ndarray, c_lo: np.ndarray, chd: np.ndarray,
+) -> np.ndarray:
+    """Eq. (5)/(6) carry-over demand after ``k = floor(Delta / T(HI))`` jobs.
+
+    The window is the extended mod ``Delta - k*T(HI)`` less ``gap``; the
+    multiply uses the zeroed-period column, so ``k*T`` is 0 (not NaN) on
+    ``T(HI) = inf`` rows, matching the scalar ``a mod inf = a`` branch.
+    Value-identical to ``carry_over_demand(.., _w_slack(..))``:
+    ``where(w >= -FLOOR_SLACK*(1+T+|Delta|), min(max(w,0),C(LO))+CHD, 0)``.
+    """
+    window = block - k * t_hi_mult
+    window -= gap
+    slack = one_plus + np.abs(block)
+    slack *= FLOOR_SLACK
+    np.negative(slack, out=slack)
+    demand = np.maximum(window, 0.0)
+    np.minimum(demand, c_lo, out=demand)
+    demand += chd
+    return np.where(window >= slack, demand, 0.0)
+
+
+def _dbf_lo_rows(
+    block: np.ndarray, d_lo: np.ndarray, t_lo: np.ndarray, c_lo: np.ndarray
+) -> np.ndarray:
+    """Eq. (4) per task: ``max(floor((Delta - D(LO)) / T(LO)) + 1, 0) * C(LO)``."""
+    jobs = _floor_div_rows(block - d_lo, t_lo)
+    jobs += 1.0
+    np.maximum(jobs, 0.0, out=jobs)
+    jobs *= c_lo
+    return jobs
+
+
+def _hi_rows(
+    block: np.ndarray, t_hi: np.ndarray, t_hi_mult: np.ndarray, gap: np.ndarray,
+    one_plus: np.ndarray, c_lo: np.ndarray, chd: np.ndarray, body: np.ndarray,
+    adb: bool,
+) -> np.ndarray:
+    """Eq. (7) per task (``DBF_HI``, ``gap = D(HI) - D(LO)``) or, with
+    ``adb``, Eq. (10) (``ADB_HI``, ``gap = T(HI) - D(LO)`` and one more
+    job): ``k * body`` plus the carry-over demand."""
+    k = _floor_div_rows(block, t_hi)
+    carry = _carry_rows(block, k, t_hi_mult, gap, one_plus, c_lo, chd)
+    if adb:
+        k += 1.0
+    k *= body  # k becomes the body term
+    k += carry
+    return k
+
+
+def _column_sum(
+    rows: Callable[..., np.ndarray], block: np.ndarray, params: Tuple[Any, ...]
+) -> np.ndarray:
+    """Per-point total of ``rows(block, *params)`` over its rows.
+
+    ``np.add.reduce`` over axis 0 of a 2-D matrix adds the rows one after
+    another, like the scalar oracle's task-order accumulation.  A
+    one-point block is widened to two identical points: NumPy sums an
+    ``(n, 1)`` matrix pairwise, which differs once ``n >= 8``.
+    """
+    if block.size == 1:
+        wide = rows(np.concatenate([block, block]), *params)
+        return np.add.reduce(wide, axis=0)[:1]
+    return np.add.reduce(rows(block, *params), axis=0)
+
+
+#: Padding value of each HI parameter column (:func:`_hi_columns`): a
+#: padding row's job count is 0, its carry window ``-inf`` and its
+#: ``c_hi``/``c_lo``/``chd`` zero, so it adds +0.0 under every kind.
+_HI_PADDING = {
+    "t_hi": np.inf, "t_hi_mult": 0.0, "gap": np.inf, "gap_star": np.inf,
+    "one_plus": 1.0, "c_lo": 0.0, "chd": 0.0, "c_hi": 0.0, "c_hi_drop": 0.0,
+}
+
+
+def _hi_columns(
+    c_lo: np.ndarray, c_hi: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray,
+    t_hi: np.ndarray, hi_inf: np.ndarray, terminated: np.ndarray,
+) -> Dict[str, np.ndarray]:
+    """The ``DBF_HI``/``ADB_HI`` parameter columns of full task rows.
+
+    Terminated rows keep their real parameters: ``t_hi = inf`` sends the
+    job count to 0 and ``gap = d_hi - d_lo = inf`` (resp. ``gap_star =
+    t_hi - d_lo = inf``) sends the carry window to ``-inf``, so the row
+    formula itself yields +0.0 for ``DBF_HI`` and ``(0 + 1) * C(HI)``
+    for ``ADB_HI``, the oracle's values.  ``c_hi_drop`` zeroes those
+    rows for the ``drop_terminated_carryover`` flavour.
+    """
+    finite = np.where(hi_inf, 0.0, t_hi)
+    return {
+        "t_hi": t_hi, "t_hi_mult": finite, "gap": d_hi - d_lo,
+        "gap_star": t_hi - d_lo, "one_plus": 1.0 + finite, "c_lo": c_lo,
+        "chd": c_hi - c_lo, "c_hi": c_hi, "c_hi_drop": np.where(terminated, 0.0, c_hi),
+    }
+
+
+def _hi_params(
+    cols: Mapping[str, np.ndarray], kind: str, drop_terminated_carryover: bool
+) -> Tuple[np.ndarray, ...]:
+    """The parameter columns :func:`_hi_rows` takes for ``kind`` "dbf"
+    or "adb", in its argument order (the ``adb`` flag excluded)."""
+    if kind == "dbf":
+        gap, body = cols["gap"], cols["c_hi"]
+    else:
+        gap = cols["gap_star"]
+        body = cols["c_hi_drop"] if drop_terminated_carryover else cols["c_hi"]
+    return (
+        cols["t_hi"], cols["t_hi_mult"], gap, cols["one_plus"],
+        cols["c_lo"], cols["chd"], body,
+    )
+
+
+def _breakpoint_table(
+    kind: str, c_lo: np.ndarray, d_lo: np.ndarray, d_hi: np.ndarray, t_hi: np.ndarray,
+    hi_inf: np.ndarray, terminated: np.ndarray, owner: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Every row's in-period ``DBF_HI`` (``kind`` "dbf") or ``ADB_HI``
+    ("adb") lattice offsets, from parameter rows.
+
+    Offsets are derived with the same float arithmetic as
+    :func:`repro.analysis.points.dbf_hi_offsets` /
+    :func:`~repro.analysis.points.adb_hi_offsets`: per row, the distinct
+    offsets in ``[0, period]``.  Returns ``(offsets, periods, terms,
+    owners, term_owners)``: the ``(offset, period)`` pieces; the density
+    term ``count / period`` of each row with a lattice, in task order,
+    for a sequential Python sum; and, given per-row ``owner`` tags, the
+    tag of each piece and of each term (``None`` without tags).
+    """
+    sel = ~(terminated | hi_inf) if kind == "dbf" else ~hi_inf
+    p = t_hi[sel]
+    gap = (d_hi[sel] if kind == "dbf" else p) - d_lo[sel]
+    gap2 = gap + c_lo[sel]
+    keep_gap = (gap >= 0.0) & (gap <= p) & (gap != p)
+    keep_gap2 = (gap2 >= 0.0) & (gap2 <= p) & (gap2 != p) & (gap2 != gap)
+    keeps: Tuple[Optional[np.ndarray], ...]
+    if kind == "dbf":
+        counts = keep_gap.astype(np.int64) + keep_gap2 + 1
+        offsets = [gap[keep_gap], gap2[keep_gap2], p]
+        periods = [p[keep_gap], p[keep_gap2], p]
+        keeps = (keep_gap, keep_gap2, None)
+    else:
+        # ADB offsets also include 0.0 for every task; dedup the gap
+        # offsets against it exactly like the scalar set literal —
+        # exact comparison IS the spec here (bit parity with dbf.py).
+        keep_gap &= gap != 0.0  # repro-lint: ignore[RL002] exact zero-gap dedup mirrors the scalar oracle's set semantics
+        keep_gap2 &= gap2 != 0.0  # repro-lint: ignore[RL002] exact zero-gap dedup mirrors the scalar oracle's set semantics
+        counts = keep_gap.astype(np.int64) + keep_gap2 + 2
+        offsets = [np.zeros_like(p), gap[keep_gap], gap2[keep_gap2], p]
+        periods = [p, p[keep_gap], p[keep_gap2], p]
+        keeps = (None, keep_gap, keep_gap2, None)
+    tags: Optional[np.ndarray] = None
+    owners: Optional[np.ndarray] = None
+    if owner is not None:
+        tags = owner[sel]
+        owners = np.concatenate([tags if keep is None else tags[keep] for keep in keeps])
+    return np.concatenate(offsets), np.concatenate(periods), counts / p, owners, tags
+
+
+def _lattice_counts(
+    off: np.ndarray, per: np.ndarray, lo: ArrayLike, hi: ArrayLike
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each ``(offset, period)`` pair's first lattice index ``k`` and
+    point count over ``(lo, hi]``; bounds are scalars or one per pair."""
+    k_min = np.maximum(0.0, np.floor((lo - off) / per))
+    k_max = np.floor((hi - off) / per + 1e-12)
+    counts = (k_max - k_min + 1.0).astype(np.int64)
+    np.maximum(counts, 0, out=counts)
+    return k_min, counts
+
+
+def _lattice_expand(
+    off: np.ndarray, per: np.ndarray, k_min: np.ndarray, counts: np.ndarray,
+    lo: ArrayLike, hi: ArrayLike, tags: Optional[np.ndarray] = None,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The points ``k * per + off`` of every pair's index range inside
+    ``(lo, hi]`` (bounds as in :func:`_lattice_counts`), unsorted, and,
+    given per-pair ``tags``, the tag of each point: one flat
+    ``repeat``/``cumsum`` expansion, no Python loop of ``np.arange``."""
+    total = int(counts.sum())
+    if total == 0:
+        return _NO_POINTS, None if tags is None else tags[:0]
+    pair = np.repeat(np.arange(off.size), counts)
+    starts = np.cumsum(counts) - counts
+    within = np.arange(total) - np.repeat(starts, counts)
+    points = (k_min[pair] + within) * per[pair] + off[pair]
+    if isinstance(lo, np.ndarray):
+        keep = (points > lo[pair]) & (points <= hi[pair])
+    else:
+        keep = (points > lo) & (points <= hi)
+    return points[keep], None if tags is None else tags[pair[keep]]
+
+
+def _thinned(
+    points: np.ndarray, first: Optional[np.ndarray] = None, *, near: bool = False
+) -> np.ndarray:
+    """Keep-mask of sorted ``points``: drop exact adjacent repeats
+    (``np.unique``'s dedup, the oracle's set semantics) or, with
+    ``near``, merge points within a relative 1e-12 into their predecessor
+    (the ``points.breakpoints_in`` merge: no zero-length segments).
+    ``first`` flags each window's first point, where both start over."""
+    keep = np.empty(points.size, dtype=bool)
+    keep[:1] = True
+    if near:
+        keep[1:] = np.diff(points) > 1e-12 * np.maximum(1.0, points[1:])
+    else:
+        keep[1:] = points[1:] != points[:-1]  # repro-lint: ignore[RL002] exact dedup is np.unique's semantics
+    if first is not None:
+        keep |= first
+    return keep
+
+
+def _sorted_unique(points: np.ndarray) -> np.ndarray:
+    """``np.unique`` of a float array: sort, then :func:`_thinned`.
+
+    ``np.unique`` itself imports ``numpy.ma`` on first use (NumPy 2.4),
+    which every freshly forked pool worker would pay for inside its chunk.
+    """
+    points = np.sort(points)
+    return points[_thinned(points)]
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +585,8 @@ class CompiledTaskSet:
         "_c_lo_col",
         "_d_lo_col",
         "_t_lo_col",
-        # active-row (non-terminated) columns for the HI-mode kernels,
-        # built lazily on first HI demand evaluation
+        # (n, 1) HI-mode kernel columns (_hi_columns), built lazily on
+        # first HI demand evaluation
         "_hi_cols",
         # scalars mirroring the python-sum order of dbf.py / points.py;
         # the HI-mode ones are built on first use (_hi_scalars)
@@ -423,9 +651,9 @@ class CompiledTaskSet:
         self._c_lo_col = col(c_lo)
         self._d_lo_col = col(d_lo)
         self._t_lo_col = col(t_lo)
-        # The HI-mode active-subset columns are deferred to first use —
-        # LO-only probes (one derived compile per exact-x bisection step)
-        # never touch the HI kernels.
+        # The HI-mode columns are deferred to first use — LO-only probes
+        # (one derived compile per exact-x bisection step) never touch
+        # the HI kernels.
         self._hi_cols = None
 
         self._compile_scalars()
@@ -440,27 +668,6 @@ class CompiledTaskSet:
         self._memo_token = fingerprint
         PERF.compiles += 1
         return self
-
-    @classmethod
-    def _from_taskset(cls, taskset: TaskSet, fingerprint: str) -> "CompiledTaskSet":
-        names = tuple(t.name for t in taskset)
-        mat = np.array(
-            [(t.c_lo, t.c_hi, t.d_lo, t.d_hi, t.t_lo, t.t_hi) for t in taskset],
-            dtype=float,
-        ).reshape(-1, 6)
-        cols = np.ascontiguousarray(mat.T, dtype=float)
-        return cls._from_arrays(
-            names,
-            np.array([t.is_hi for t in taskset], dtype=bool),
-            cols[0],
-            cols[1],
-            cols[2],
-            cols[3],
-            cols[4],
-            cols[5],
-            taskset=taskset,
-            fingerprint=fingerprint,
-        )
 
     def _compile_scalars(self) -> None:
         """LO-mode aggregates in the oracle's summation order.
@@ -551,34 +758,23 @@ class CompiledTaskSet:
         """Tight DBF_HI envelope intercept ``B`` (Theorem-2 pruning)."""
         return self._hi_scalars()[1]
 
-    def _hi_active_cols(self) -> Dict[str, np.ndarray]:
-        """Active-row (non-terminated) HI-kernel columns, built lazily.
+    def _hi_kernel_cols(self) -> Dict[str, np.ndarray]:
+        """The :func:`_hi_columns` of this set's full task rows as
+        ``(n, 1)`` columns, built on first use.
 
-        The HI-mode kernels only do arithmetic on the *active*
-        (non-terminated) rows.  A terminated task's DBF_HI row is exactly
-        +0.0 and its ADB_HI row is exactly C(HI) (a constant), so the
-        expensive formula rows are restricted to the active subset and
-        the rest is either skipped (+0.0 never changes a non-negative
-        running sum bitwise) or filled in by assignment.
+        Terminated rows flow through the row formula to exactly +0.0
+        (``DBF_HI``) or ``C(HI)`` (``ADB_HI``), the oracle's per-task
+        values, so the reduction over all ``n`` rows matches the
+        oracle's task-order accumulation bit for bit.
         """
         cols = self._hi_cols
         if cols is None:
-            act_idx = np.flatnonzero(~self.terminated)
-            term_idx = np.flatnonzero(self.terminated)
-            sub = lambda a: a[act_idx].reshape(-1, 1)  # noqa: E731
-            finite_period = np.where(self.hi_inf, 0.0, self.t_hi)
             cols = {
-                "act_idx": act_idx,
-                "term_idx": term_idx,
-                "c_lo": sub(self.c_lo),
-                "c_hi": sub(self.c_hi),
-                "chd": sub(self.c_hi - self.c_lo),
-                "t_hi": sub(self.t_hi),
-                "t_hi_mult": sub(finite_period),
-                "gap": sub(self.d_hi - self.d_lo),
-                "gap_star": sub(self.t_hi - self.d_lo),
-                "one_plus": sub(1.0 + finite_period),
-                "term_c_hi": self.c_hi[term_idx].reshape(-1, 1),
+                name: col.reshape(-1, 1)
+                for name, col in _hi_columns(
+                    self.c_lo, self.c_hi, self.d_lo, self.d_hi, self.t_hi,
+                    self.hi_inf, self.terminated,
+                ).items()
             }
             self._hi_cols = cols
         return cols
@@ -600,13 +796,10 @@ class CompiledTaskSet:
     def _ensure_breakpoint_table(self, kind: str) -> None:
         """Flatten each task's in-period offsets into the ``kind`` lattice.
 
-        Offsets are derived with the same float arithmetic as
-        :func:`repro.analysis.points.dbf_hi_offsets` /
-        :func:`~repro.analysis.points.adb_hi_offsets`, then stored as
-        parallel ``(offset, period)`` arrays so a window enumeration is a
-        single broadcast instead of a per-task/per-offset loop.  The
-        ``dbf`` kind also keeps the points that occur once
-        (:meth:`_carry_points`).
+        The ``(offset, period)`` pairs of :func:`_breakpoint_table`, so a
+        window enumeration is a single expansion instead of a
+        per-task/per-offset loop.  The ``dbf`` kind also keeps the points
+        that occur once (:meth:`_carry_points`).
         """
         if kind in self._density:
             return
@@ -617,49 +810,13 @@ class CompiledTaskSet:
             self._bp_per[kind] = self.t_lo.copy()
             self._density[kind] = self.lo_density
             return
-        # Vectorized offset filtering with the oracle's exact semantics:
-        # per task keep the distinct offsets in [0, period].  The period
-        # itself always qualifies; the gap offsets are masked by the same
-        # range test plus exact-equality dedup the scalar set-literal
-        # performs.  The (offset, period) pair *order* is irrelevant —
-        # `_lattice_points` unions and sorts — but the density must add
-        # each task's count/period in original task order, so the final
-        # reduction is a sequential Python sum, not a NumPy reduction.
-        if kind == "dbf":
-            sel = ~(self.terminated | self.hi_inf)
-        else:
-            sel = ~self.hi_inf
-        p = self.t_hi[sel]
-        if p.size == 0:
-            self._bp_off[kind] = np.empty(0)
-            self._bp_per[kind] = np.empty(0)
-            self._density[kind] = 0.0
-            return
-        c_lo = self.c_lo[sel]
-        if kind == "dbf":
-            gap = self.d_hi[sel] - self.d_lo[sel]
-        else:
-            gap = p - self.d_lo[sel]
-        gap2 = gap + c_lo
-        keep_gap = (gap >= 0.0) & (gap <= p) & (gap != p)
-        keep_gap2 = (gap2 >= 0.0) & (gap2 <= p) & (gap2 != p) & (gap2 != gap)
-        if kind == "dbf":
-            counts = keep_gap.astype(np.int64) + keep_gap2 + 1
-            pieces_off = [gap[keep_gap], gap2[keep_gap2], p]
-            pieces_per = [p[keep_gap], p[keep_gap2], p]
-        else:
-            # ADB offsets also include 0.0 for every task; dedup the gap
-            # offsets against it exactly like the scalar set literal —
-            # exact comparison IS the spec here (bit parity with dbf.py).
-            keep_gap &= gap != 0.0  # repro-lint: ignore[RL002] exact zero-gap dedup mirrors the scalar oracle's set semantics
-            keep_gap2 &= gap2 != 0.0  # repro-lint: ignore[RL002] exact zero-gap dedup mirrors the scalar oracle's set semantics
-            counts = keep_gap.astype(np.int64) + keep_gap2 + 2
-            zeros = np.zeros_like(p)
-            pieces_off = [zeros, gap[keep_gap], gap2[keep_gap2], p]
-            pieces_per = [p, p[keep_gap], p[keep_gap2], p]
-        self._bp_off[kind] = np.concatenate(pieces_off)
-        self._bp_per[kind] = np.concatenate(pieces_per)
-        self._density[kind] = float(sum((counts / p).tolist()))
+        off, per, terms, _, _ = _breakpoint_table(
+            kind, self.c_lo, self.d_lo, self.d_hi, self.t_hi, self.hi_inf,
+            self.terminated,
+        )
+        self._bp_off[kind] = off
+        self._bp_per[kind] = per
+        self._density[kind] = float(sum(terms.tolist()))
 
     # ------------------------------------------------------------------
     # Identity
@@ -719,27 +876,20 @@ class CompiledTaskSet:
     # Fused demand kernels
     # ------------------------------------------------------------------
     def _fused_total(
-        self, delta: ArrayLike, block_fn: Callable[[np.ndarray], np.ndarray]
+        self,
+        delta: ArrayLike,
+        rows: Callable[..., np.ndarray],
+        params: Tuple[Any, ...],
     ) -> ArrayLike:
+        """``rows`` summed over this set's tasks at every ``delta``, in
+        chunks of at most ``_CHUNK_CELLS`` cells (:func:`_column_sum`)."""
         start = time.perf_counter()
         d = np.atleast_1d(np.asarray(delta, dtype=float))
         total = np.zeros_like(d)
         if self.n:
             chunk = max(1, _CHUNK_CELLS // self.n)
             for lo in range(0, d.size, chunk):
-                block = d[lo : lo + chunk]
-                if block.size == 1:
-                    # np.add.reduce over an (n, 1) matrix falls back to
-                    # NumPy's pairwise 1-D sum, which diverges from the
-                    # oracle's sequential task-order accumulation once
-                    # n >= 8.  Widening to two identical columns keeps the
-                    # reduction on the strided row-sequential path.
-                    wide = np.add.reduce(
-                        block_fn(np.concatenate([block, block])), axis=0
-                    )
-                    total[lo : lo + 1] = wide[:1]
-                else:
-                    total[lo : lo + chunk] = np.add.reduce(block_fn(block), axis=0)
+                total[lo : lo + chunk] = _column_sum(rows, d[lo : lo + chunk], params)
             PERF.cells += self.n * d.size
         PERF.kernel_evals += 1
         PERF.kernel_seconds += time.perf_counter() - start
@@ -747,115 +897,25 @@ class CompiledTaskSet:
             return float(total.reshape(-1)[0])
         return total
 
-    @staticmethod
-    def _floor_div_rows(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """Row-broadcast ``_floor_div``: slacked floor of ``num / den``.
-
-        ``den`` entries of ``+inf`` yield 0 exactly like the scalar path
-        (``q = x / inf = 0`` and ``floor(0 + slack) = 0``).  The in-place
-        chaining computes ``floor(q + FLOOR_SLACK * (1.0 + |q|))`` with the
-        identical elementary operations, just reusing one buffer.
-        """
-        q = num / den
-        slack = np.abs(q)
-        slack += 1.0
-        slack *= FLOOR_SLACK
-        slack += q
-        return np.floor(slack, out=slack)
-
-    @staticmethod
-    def _carry_rows(
-        block: np.ndarray,
-        window: np.ndarray,
-        one_plus_col: np.ndarray,
-        c_lo_col: np.ndarray,
-        chd_col: np.ndarray,
-    ) -> np.ndarray:
-        """Eq. (6) carry-over demand for a (rows x deltas) window matrix.
-
-        Value-identical to ``carry_over_demand(.., _w_slack(..))``:
-        ``where(w >= -FLOOR_SLACK*(1+T+|Delta|), min(max(w,0),C(LO))+CHD, 0)``.
-        """
-        slack = one_plus_col + np.abs(block)
-        slack *= FLOOR_SLACK
-        np.negative(slack, out=slack)
-        demand = np.maximum(window, 0.0)
-        np.minimum(demand, c_lo_col, out=demand)
-        demand += chd_col
-        return np.where(window >= slack, demand, 0.0)
-
     def total_dbf_lo(self, delta: ArrayLike) -> ArrayLike:
         """Fused Eq. (4): system LO-mode demand at every ``delta``."""
-
-        def rows(block: np.ndarray) -> np.ndarray:
-            jobs = self._floor_div_rows(block - self._d_lo_col, self._t_lo_col)
-            jobs += 1.0
-            np.maximum(jobs, 0.0, out=jobs)
-            jobs *= self._c_lo_col
-            return jobs
-
-        return self._fused_total(delta, rows)
+        return self._fused_total(
+            delta, _dbf_lo_rows, (self._d_lo_col, self._t_lo_col, self._c_lo_col)
+        )
 
     def total_dbf_hi(self, delta: ArrayLike) -> ArrayLike:
-        """Fused Eq. (7) / Lemma 1: system HI-mode demand (Theorem 2).
-
-        Only active rows are materialised: a terminated task's row is
-        exactly +0.0, and adding +0.0 to a non-negative running sum is a
-        bitwise no-op, so skipping those rows keeps the reduction
-        bit-identical to the scalar oracle's task-order accumulation.
-        """
-        hc = self._hi_active_cols()
-
-        def rows(block: np.ndarray) -> np.ndarray:
-            k = self._floor_div_rows(block, hc["t_hi"])
-            # extended mod: Delta - floor(Delta/T)*T; the multiply uses the
-            # zeroed-period column so k*T is 0 (not nan) for T = +inf rows,
-            # matching the scalar `a mod inf = a` branch.
-            window = block - k * hc["t_hi_mult"]
-            window -= hc["gap"]
-            carry = self._carry_rows(
-                block, window, hc["one_plus"], hc["c_lo"], hc["chd"]
-            )
-            k *= hc["c_hi"]  # k becomes the body term
-            k += carry
-            return k
-
-        return self._fused_total(delta, rows)
+        """Fused Eq. (7) / Lemma 1: system HI-mode demand (Theorem 2)."""
+        params = _hi_params(self._hi_kernel_cols(), "dbf", False)
+        return self._fused_total(delta, _hi_rows, params + (False,))
 
     def total_adb_hi(
         self, delta: ArrayLike, *, drop_terminated_carryover: bool = False
     ) -> ArrayLike:
-        """Fused Eq. (10) / Theorem 4: system arrived demand (Eq. 11).
-
-        Active rows run the full formula; a terminated task's row is the
-        constant ``C(HI)`` (``(0+1)*C + 0.0`` carry), filled by assignment
-        in original task order so the reduction matches the oracle bit for
-        bit.  With ``drop_terminated_carryover`` the terminated rows are
-        exactly +0.0 and are skipped outright.
-        """
-        hc = self._hi_active_cols()
-        fill_terminated = (
-            not drop_terminated_carryover and hc["term_idx"].size > 0
-        )
-
-        def rows(block: np.ndarray) -> np.ndarray:
-            k = self._floor_div_rows(block, hc["t_hi"])
-            window = block - k * hc["t_hi_mult"]
-            window -= hc["gap_star"]
-            carry = self._carry_rows(
-                block, window, hc["one_plus"], hc["c_lo"], hc["chd"]
-            )
-            k += 1.0
-            k *= hc["c_hi"]  # k becomes the body term
-            k += carry
-            if not fill_terminated:
-                return k
-            out = np.empty((self.n, block.size))
-            out[hc["act_idx"]] = k
-            out[hc["term_idx"]] = hc["term_c_hi"]
-            return out
-
-        return self._fused_total(delta, rows)
+        """Fused Eq. (10) / Theorem 4: system arrived demand (Eq. 11);
+        a terminated task adds ``C(HI)``, or +0.0 with
+        ``drop_terminated_carryover``."""
+        params = _hi_params(self._hi_kernel_cols(), "adb", drop_terminated_carryover)
+        return self._fused_total(delta, _hi_rows, params + (True,))
 
     def window_peak(
         self, candidates: np.ndarray, best_ratio: float = 0.0
@@ -867,10 +927,8 @@ class CompiledTaskSet:
             {"dbf": lambda deltas: np.asarray(self.total_dbf_hi(deltas), dtype=float)},
         )
 
-    def lo_demand_ok(
-        self, candidates: np.ndarray, speed: float, rtol: float
-    ) -> bool:
-        """``DBF_LO(Delta) <= speed * Delta`` (within ``rtol``) everywhere?
+    def lo_demand_ok(self, candidates: np.ndarray, speed: float) -> bool:
+        """``DBF_LO(Delta) <= lo_supply_threshold(speed, Delta)`` everywhere?
 
         The boolean analogue of :meth:`window_peak`: demand is evaluated
         at every ``_STRIPE``-th breakpoint first, and a stripe is only
@@ -884,35 +942,26 @@ class CompiledTaskSet:
         it).
         """
         m = candidates.size
-        threshold = lambda c: speed * c * (1.0 + rtol) + rtol  # noqa: E731
         if m < 3 * _STRIPE:
             demand = np.asarray(self.total_dbf_lo(candidates), dtype=float)
-            return not bool(np.any(demand > threshold(candidates)))
-        coarse = np.arange(_STRIPE - 1, m, _STRIPE)
-        if coarse[-1] != m - 1:
-            coarse = np.append(coarse, m - 1)
+            return not bool(np.any(demand > lo_supply_threshold(speed, candidates)))
+        coarse, starts = _stripes(m)
         d_coarse = np.asarray(self.total_dbf_lo(candidates[coarse]), dtype=float)
-        if np.any(d_coarse > threshold(candidates[coarse])):
+        if np.any(d_coarse > lo_supply_threshold(speed, candidates[coarse])):
             return False
-        starts = np.empty(coarse.size, dtype=np.int64)
-        starts[0] = 0
-        starts[1:] = coarse[:-1] + 1
-        live_idx = np.flatnonzero(
-            d_coarse * (1.0 + _PRUNE_GUARD) > threshold(candidates[starts])
+        live = d_coarse * (1.0 + _PRUNE_GUARD) > lo_supply_threshold(
+            speed, candidates[starts]
         )
-        segments = [
-            np.arange(starts[j], coarse[j], dtype=np.int64) for j in live_idx
-        ]
-        segments = [seg for seg in segments if seg.size]
-        if not segments:
-            PERF.pruned += int(m - coarse.size)
+        interior = _stripe_interior(coarse, starts, live)
+        PERF.pruned += int(m - coarse.size - interior.size)
+        if not interior.size:
             return True
-        interior = np.concatenate(segments)
         d_interior = np.asarray(
             self.total_dbf_lo(candidates[interior]), dtype=float
         )
-        PERF.pruned += int(m - coarse.size - interior.size)
-        return not bool(np.any(d_interior > threshold(candidates[interior])))
+        return not bool(
+            np.any(d_interior > lo_supply_threshold(speed, candidates[interior]))
+        )
 
     def dominant_carryover(self, delta: float) -> Tuple[int, float]:
         """Largest per-task carry-over demand at interval ``delta``.
@@ -925,17 +974,14 @@ class CompiledTaskSet:
         ``carry_over_window``/``carry_over_demand`` per task — including
         the first-strict-maximum selection order.
         """
-        hc = self._hi_active_cols()
+        hc = self._hi_kernel_cols()
         block = np.array([float(delta)], dtype=float)
-        k = self._floor_div_rows(block, hc["t_hi"])
-        window = block - k * hc["t_hi_mult"]
-        window -= hc["gap"]
-        carry = self._carry_rows(
-            block, window, hc["one_plus"], hc["c_lo"], hc["chd"]
+        k = _floor_div_rows(block, hc["t_hi"])
+        carry = _carry_rows(
+            block, k, hc["t_hi_mult"], hc["gap"], hc["one_plus"], hc["c_lo"],
+            hc["chd"],
         )
-        # HI tasks are never terminated, so they all sit in the active
-        # subset, in original task order.
-        r = carry[self.is_hi[hc["act_idx"]], 0]
+        r = carry[self.is_hi, 0]
         if r.size == 0:
             return -1, 0.0
         at = int(np.argmax(r))
@@ -989,11 +1035,11 @@ class CompiledTaskSet:
     ) -> np.ndarray:
         """Sorted, de-duplicated system breakpoints in ``(lo, hi]``.
 
-        One broadcast materialises every lattice point ``k * T + offset``
-        across all (task, offset) pairs at once; the result is bit-equal
-        to :func:`repro.analysis.points.breakpoints_in` (``kind`` "dbf" /
-        "adb") and :func:`~repro.analysis.points.dbf_lo_breakpoints_in`
-        (``kind`` "lo").
+        One expansion materialises every lattice point ``k * T + offset``
+        across all (task, offset) pairs at once (:func:`_lattice_expand`);
+        the result is bit-equal to :func:`repro.analysis.points.breakpoints_in`
+        (``kind`` "dbf" / "adb") and
+        :func:`~repro.analysis.points.dbf_lo_breakpoints_in` (``kind`` "lo").
         """
         if kind not in ("dbf", "adb", "lo"):
             raise ValueError(f"unknown kind: {kind!r}")
@@ -1001,19 +1047,14 @@ class CompiledTaskSet:
         start = time.perf_counter()
         off = self._bp_off[kind]
         per = self._bp_per[kind]
-        points = _lattice_points(off, per, lo, hi)
+        k_min, counts = _lattice_counts(off, per, lo, hi)
+        points = _sorted_unique(_lattice_expand(off, per, k_min, counts, lo, hi)[0])
         once = self._bp_once[kind]
         if once.size:
             once = once[(once > lo) & (once <= hi)]
             points = _sorted_unique(np.concatenate((points, once)))
         if points.size and kind != "lo":
-            # Merge floating-point near-duplicates (relative 1e-12) so the
-            # segment logic never sees zero-length segments — identical to
-            # the scalar points.breakpoints_in merge.
-            keep = np.empty(points.size, dtype=bool)
-            keep[0] = True
-            keep[1:] = np.diff(points) > 1e-12 * np.maximum(1.0, points[1:])
-            points = points[keep]
+            points = points[_thinned(points, near=True)]
         PERF.candidates += int(points.size)
         PERF.kernel_seconds += time.perf_counter() - start
         return points
@@ -1132,48 +1173,6 @@ def _period_span(periods: Sequence[float]) -> float:
     return 1e4 * max(periods)
 
 
-def _lattice_points(
-    off: np.ndarray, per: np.ndarray, lo: float, hi: float
-) -> np.ndarray:
-    """All points ``k * per[i] + off[i]`` with ``k >= 0`` inside ``(lo, hi]``.
-
-    Vectorized across every (offset, period) pair: the per-pair index
-    ranges become one flat ``repeat``/``cumsum`` expansion instead of a
-    Python loop of ``np.arange`` calls.  Sorted and de-duplicated.
-    """
-    if off.size == 0:
-        return np.empty(0)
-    k_min = np.maximum(0.0, np.floor((lo - off) / per))
-    k_max = np.floor((hi - off) / per + 1e-12)
-    counts = (k_max - k_min + 1.0).astype(np.int64)
-    np.maximum(counts, 0, out=counts)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0)
-    pair = np.repeat(np.arange(off.size), counts)
-    starts = np.cumsum(counts) - counts
-    within = np.arange(total) - np.repeat(starts, counts)
-    points = (k_min[pair] + within) * per[pair] + off[pair]
-    points = points[(points > lo) & (points <= hi)]
-    if points.size == 0:
-        return np.empty(0)
-    return _sorted_unique(points)
-
-
-def _sorted_unique(points: np.ndarray) -> np.ndarray:
-    """``np.unique`` of a float array: sort, then drop exact adjacent repeats.
-
-    The dedup :meth:`CompiledPopulation.breakpoints_flat` runs per window.
-    ``np.unique`` itself imports ``numpy.ma`` on first use (NumPy 2.4),
-    which every freshly forked pool worker would pay for inside its chunk.
-    """
-    points = np.sort(points)
-    keep = np.empty(points.size, dtype=bool)
-    keep[:1] = True
-    keep[1:] = points[1:] != points[:-1]  # repro-lint: ignore[RL002] exact dedup is np.unique's semantics
-    return points[keep]
-
-
 # ---------------------------------------------------------------------------
 # Compile cache
 # ---------------------------------------------------------------------------
@@ -1216,24 +1215,15 @@ def compile_taskset(taskset: Union[TaskSet, CompiledTaskSet]) -> CompiledTaskSet
     in a bounded registry keyed by the set's content fingerprint, so the
     cost is paid once per distinct task-set content.  ``TaskSet`` is
     immutable by convention (every transform returns a new set); code
-    that mutates one in place must not reuse it across analyses.
+    that mutates one in place must not reuse it across analyses.  A
+    miss compiles through :func:`compile_tasksets`, the one compile path.
     """
     if isinstance(taskset, CompiledTaskSet):
         return taskset
     compiled = getattr(taskset, _COMPILED_ATTR, None)
     if compiled is not None:
         return compiled
-    fingerprint = taskset_fingerprint(taskset)
-    compiled = _COMPILED_REGISTRY.get(fingerprint)
-    if compiled is None:
-        with trace.span("kernels.compile", n_tasks=len(taskset)):
-            compiled = CompiledTaskSet._from_taskset(taskset, fingerprint)
-        _COMPILED_REGISTRY.put(fingerprint, compiled)
-    try:
-        setattr(taskset, _COMPILED_ATTR, compiled)
-    except (AttributeError, TypeError):  # pragma: no cover - exotic subclasses
-        pass
-    return compiled
+    return compile_tasksets([taskset])[0]
 
 
 def compile_tasksets(
@@ -1242,7 +1232,7 @@ def compile_tasksets(
     """Compile many task sets in one pass (cached like :func:`compile_taskset`).
 
     Returns the same snapshots ``[compile_taskset(ts) for ts in tasksets]``
-    would — same instance-attribute and registry caching — but cold
+    would — same instance-attribute and registry caching — and cold
     misses share one extraction pass: each task's parameters are read
     once (feeding both the content digest and the parameter matrix), all
     missed sets' rows go through a *single* ``np.array`` call, and every
@@ -1259,10 +1249,7 @@ def compile_tasksets(
     # the misses' registry entries may evict the very snapshots they need.
     found: Dict[str, Optional[CompiledTaskSet]] = {}
     for pos, ts in enumerate(tasksets):
-        if isinstance(ts, CompiledTaskSet):
-            out[pos] = ts
-            continue
-        cached = getattr(ts, _COMPILED_ATTR, None)
+        cached = ts if isinstance(ts, CompiledTaskSet) else getattr(ts, _COMPILED_ATTR, None)
         if cached is not None:
             out[pos] = cached
             continue
@@ -1270,7 +1257,7 @@ def compile_tasksets(
             (t.name, t.crit.value, t.c_lo, t.c_hi, t.d_lo, t.d_hi, t.t_lo, t.t_hi)
             for t in ts
         ]
-        fingerprint = digest_task_rows(sorted(rows, key=lambda row: row[0]))
+        fingerprint = digest_task_rows(sorted(rows, key=itemgetter(0)))
         cached = _COMPILED_REGISTRY.get(fingerprint)
         if cached is not None or fingerprint in found:
             found.setdefault(fingerprint, cached)
@@ -1279,56 +1266,37 @@ def compile_tasksets(
         found[fingerprint] = None
         miss.append((pos, ts, fingerprint, rows))
     if miss:
-        total = sum(len(rows) for _, _, _, rows in miss)
-        with trace.span("kernels.compile_batch", n_sets=len(miss)):
-            big = np.array(
-                [row[2:] for _, _, _, rows in miss for row in rows],
-                dtype=float,
-            ).reshape(-1, 6)
-            cols = np.ascontiguousarray(big.T, dtype=float)
-            hi_flags = np.fromiter(
-                (row[1] == "HI" for _, _, _, rows in miss for row in rows),
-                dtype=bool,
-                count=total,
-            )
-            hi_inf_all = np.isinf(cols[5])
-            terminated_all = (~hi_flags) & hi_inf_all & np.isinf(cols[3])
-            offset = 0
+        with trace.span("kernels.compile", n_sets=len(miss)):
+            flat = [row for _, _, _, rows in miss for row in rows]
+            cols = np.array([row[2:] for row in flat], dtype=float).reshape(-1, 6).T.copy()
+            hi_flags = np.array([row[1] == "HI" for row in flat], dtype=bool)
+            hi_inf = np.isinf(cols[5])
+            terminated = ~hi_flags & hi_inf & np.isinf(cols[3])
+            end = 0
             for pos, ts, fingerprint, rows in miss:
-                n = len(rows)
-                sl = slice(offset, offset + n)
+                start, end = end, end + len(rows)
                 compiled = CompiledTaskSet._from_arrays(
-                    tuple(row[0] for row in rows),
-                    hi_flags[sl],
-                    cols[0, sl],
-                    cols[1, sl],
-                    cols[2, sl],
-                    cols[3, sl],
-                    cols[4, sl],
-                    cols[5, sl],
-                    taskset=ts,
-                    fingerprint=fingerprint,
-                    hi_inf=hi_inf_all[sl],
-                    terminated=terminated_all[sl],
+                    tuple([row[0] for row in rows]), hi_flags[start:end],
+                    *cols[:, start:end], taskset=ts, fingerprint=fingerprint,
+                    hi_inf=hi_inf[start:end], terminated=terminated[start:end],
                 )
-                _COMPILED_REGISTRY.put(fingerprint, compiled)
                 found[fingerprint] = compiled
-                try:
-                    setattr(ts, _COMPILED_ATTR, compiled)
-                except (AttributeError, TypeError):  # pragma: no cover
-                    pass
-                out[pos] = compiled
-                offset += n
+                out[pos] = _attach(ts, fingerprint, compiled)
     for pos, ts, fingerprint in dupes:
         compiled = found[fingerprint]
         assert compiled is not None
-        _COMPILED_REGISTRY.put(fingerprint, compiled)  # refresh its LRU slot
-        try:
-            setattr(ts, _COMPILED_ATTR, compiled)
-        except (AttributeError, TypeError):  # pragma: no cover
-            pass
-        out[pos] = compiled
+        out[pos] = _attach(ts, fingerprint, compiled)  # refreshes its LRU slot
     return cast(List[CompiledTaskSet], out)
+
+
+def _attach(taskset: TaskSet, fingerprint: str, compiled: CompiledTaskSet) -> CompiledTaskSet:
+    """Register ``compiled`` under ``fingerprint`` and cache it on ``taskset``."""
+    _COMPILED_REGISTRY.put(fingerprint, compiled)
+    try:
+        setattr(taskset, _COMPILED_ATTR, compiled)
+    except (AttributeError, TypeError):  # pragma: no cover - exotic subclasses
+        pass
+    return compiled
 
 
 def adopt_compiled(taskset: TaskSet, compiled: CompiledTaskSet) -> TaskSet:
@@ -1454,9 +1422,8 @@ class CompiledPopulation:
     # Lazy padded parameter matrices
     # ------------------------------------------------------------------
     def _concat(self, bucket: int) -> Callable[[str], np.ndarray]:
-        """``cat(name)``: the bucket members' ``name`` columns, concatenated."""
-        mems = [self.members[index] for index in self._bucket_members[bucket]]
-        return lambda name: np.concatenate([getattr(m, name) for m in mems])
+        """:func:`_stacked` over the bucket's members."""
+        return _stacked([self.members[index] for index in self._bucket_members[bucket]])
 
     def _padded(
         self, bucket: int, columns: Mapping[str, Tuple[float, np.ndarray]]
@@ -1507,42 +1474,20 @@ class CompiledPopulation:
         return mats
 
     def _hi_bundle(self, bucket: int) -> Dict[str, np.ndarray]:
-        """``(P, sets)`` DBF_HI/ADB_HI parameters over *full* task rows.
-
-        Terminated rows keep their real parameters: ``t_hi = inf`` sends
-        the job count to 0 and ``gap = d_hi - d_lo = inf`` (resp.
-        ``gap_star = t_hi - d_lo = inf``) sends the carry window to
-        ``-inf``, so the row formula itself produces the +0.0 (DBF_HI) /
-        ``(0 + 1) * C(HI)`` (ADB_HI) values the per-set kernels special-
-        case.  ``c_hi_drop`` zeroes terminated rows for the
-        ``drop_terminated_carryover`` flavour.  Padding rows zero the
-        ``c_hi``/``c_lo``/``chd`` columns, so they evaluate to +0.0 under
-        every flavour.  Every parameter is derived on the members'
-        concatenated rows, with the same elementwise ops as the per-set
-        columns.
-        """
+        """``(P, sets)`` DBF_HI/ADB_HI parameters: the :func:`_hi_columns`
+        of the bucket members' concatenated full task rows, padded with
+        :data:`_HI_PADDING`, so padding rows evaluate to +0.0 under every
+        kind and flag."""
         mats = self._hi_mats.get(bucket)
         if mats is not None:
             return mats
         cat = self._concat(bucket)
-        t_hi = cat("t_hi")
-        c_lo = cat("c_lo")
-        c_hi = cat("c_hi")
-        d_lo = cat("d_lo")
-        finite = np.where(cat("hi_inf"), 0.0, t_hi)
+        cols = _hi_columns(
+            cat("c_lo"), cat("c_hi"), cat("d_lo"), cat("d_hi"), cat("t_hi"),
+            cat("hi_inf"), cat("terminated"),
+        )
         mats, _ = self._padded(
-            bucket,
-            {
-                "t_hi": (np.inf, t_hi),
-                "t_hi_mult": (0.0, finite),
-                "gap": (np.inf, cat("d_hi") - d_lo),
-                "gap_star": (np.inf, t_hi - d_lo),
-                "one_plus": (1.0, 1.0 + finite),
-                "c_lo": (0.0, c_lo),
-                "chd": (0.0, c_hi - c_lo),
-                "c_hi": (0.0, c_hi),
-                "c_hi_drop": (0.0, np.where(cat("terminated"), 0.0, c_hi)),
-            },
+            bucket, {name: (_HI_PADDING[name], col) for name, col in cols.items()}
         )
         self._hi_mats[bucket] = mats
         return mats
@@ -1553,13 +1498,12 @@ class CompiledPopulation:
     def prepare_tables(self, kind: str) -> None:
         """Batch-build every member's ``kind`` breakpoint table.
 
-        Value-identical to each member's lazy
-        ``_ensure_breakpoint_table`` — the same elementary float ops run
-        on the members' concatenated parameter arrays, and each member's
-        stored ``(offset, period)`` pairs come out in the same order —
-        but one vectorized pass replaces hundreds of tiny per-member
-        array constructions.  Members that already built the table keep
-        it untouched; lockstep scans call this up front so the per-round
+        One :func:`_breakpoint_table` pass over the pending members'
+        concatenated rows, grouped by member: each member gets the pairs
+        and density its lazy ``_ensure_breakpoint_table`` would build, in
+        the same order, without hundreds of tiny per-member array
+        constructions.  Members that already built the table keep it
+        untouched; lockstep scans call this up front so the per-round
         ``clamp_window``/``breakpoints_in`` calls never build lazily.
         """
         if kind not in ("dbf", "adb", "lo"):
@@ -1573,67 +1517,34 @@ class CompiledPopulation:
             for member in pending:
                 member._ensure_breakpoint_table(kind)
             return
-        cat = np.concatenate
-        counts_n = np.fromiter(
-            (m.n for m in pending), dtype=np.int64, count=len(pending)
+        sizes = np.fromiter((m.n for m in pending), dtype=np.int64, count=len(pending))
+        owner = np.repeat(np.arange(len(pending)), sizes)
+        cat = _stacked(pending)
+        terminated = cat("terminated")
+        hi_inf = cat("hi_inf")
+        off, per, terms, own, term_own = _breakpoint_table(
+            kind, cat("c_lo"), cat("d_lo"), cat("d_hi"), cat("t_hi"), hi_inf,
+            terminated, owner,
         )
-        owner = np.repeat(np.arange(len(pending)), counts_n)
-        t_hi = cat([m.t_hi for m in pending])
-        hi_inf = cat([m.hi_inf for m in pending])
+        assert own is not None and term_own is not None
+        # A stable sort by owner groups the pieces per member, keeping
+        # each member's piece order.
+        order = np.argsort(own, kind="stable")
+        off = off[order]
+        per = per[order]
+        members = np.arange(len(pending) + 1)
+        bounds = np.searchsorted(own[order], members).tolist()
+        term_bounds = np.searchsorted(term_own, members).tolist()
+        terms_list = terms.tolist()
         # Members owning a non-terminated T(HI) = inf row keep DBF_HI
         # points that occur once (see CompiledTaskSet._carry_points).
-        carry: set[int] = set()
-        if kind == "dbf":
-            terminated = cat([m.terminated for m in pending])
-            sel = ~(terminated | hi_inf)
-            carry = set(owner[~terminated & hi_inf].tolist())
-        else:
-            sel = ~hi_inf
-        p = t_hi[sel]
-        owner_sel = owner[sel]
-        c_lo = cat([m.c_lo for m in pending])[sel]
-        d_lo = cat([m.d_lo for m in pending])[sel]
-        if kind == "dbf":
-            gap = cat([m.d_hi for m in pending])[sel] - d_lo
-        else:
-            gap = p - d_lo
-        gap2 = gap + c_lo
-        keep_gap = (gap >= 0.0) & (gap <= p) & (gap != p)
-        keep_gap2 = (gap2 >= 0.0) & (gap2 <= p) & (gap2 != p) & (gap2 != gap)
-        if kind == "dbf":
-            counts = keep_gap.astype(np.int64) + keep_gap2 + 1
-            off_all = cat((gap[keep_gap], gap2[keep_gap2], p))
-            per_all = cat((p[keep_gap], p[keep_gap2], p))
-            own_all = cat(
-                (owner_sel[keep_gap], owner_sel[keep_gap2], owner_sel)
-            )
-        else:
-            keep_gap &= gap != 0.0  # repro-lint: ignore[RL002] exact zero-gap dedup mirrors the scalar oracle's set semantics
-            keep_gap2 &= gap2 != 0.0  # repro-lint: ignore[RL002] exact zero-gap dedup mirrors the scalar oracle's set semantics
-            counts = keep_gap.astype(np.int64) + keep_gap2 + 2
-            off_all = cat((np.zeros_like(p), gap[keep_gap], gap2[keep_gap2], p))
-            per_all = cat((p, p[keep_gap], p[keep_gap2], p))
-            own_all = cat(
-                (owner_sel, owner_sel[keep_gap], owner_sel[keep_gap2], owner_sel)
-            )
-        # A stable sort by owner groups the global pieces per member while
-        # preserving the per-member piece order of the lazy build.
-        order = np.argsort(own_all, kind="stable")
-        off_all = off_all[order]
-        per_all = per_all[order]
-        bounds = np.searchsorted(
-            own_all[order], np.arange(len(pending) + 1)
-        )
-        terms = counts / p
-        term_bounds = np.searchsorted(owner_sel, np.arange(len(pending) + 1))
+        carry = set(owner[~terminated & hi_inf].tolist()) if kind == "dbf" else set()
         for i, member in enumerate(pending):
-            member._bp_once[kind] = (
-                member._carry_points() if i in carry else _NO_POINTS
-            )
-            member._bp_off[kind] = off_all[bounds[i] : bounds[i + 1]]
-            member._bp_per[kind] = per_all[bounds[i] : bounds[i + 1]]
+            member._bp_once[kind] = member._carry_points() if i in carry else _NO_POINTS
+            member._bp_off[kind] = off[bounds[i] : bounds[i + 1]]
+            member._bp_per[kind] = per[bounds[i] : bounds[i + 1]]
             member._density[kind] = float(
-                sum(terms[term_bounds[i] : term_bounds[i + 1]].tolist())
+                sum(terms_list[term_bounds[i] : term_bounds[i + 1]])
             )
 
     # ------------------------------------------------------------------
@@ -1644,10 +1555,8 @@ class CompiledPopulation:
         order (a probe round gathers its rows from these)."""
         cols = self._lo_rows
         if cols is None:
-            cols = {
-                name: np.concatenate([getattr(m, name) for m in self.members])
-                for name in ("c_lo", "t_lo", "d_lo", "d_hi", "is_hi")
-            }
+            cat = _stacked(self.members)
+            cols = {name: cat(name) for name in ("c_lo", "t_lo", "d_lo", "d_hi", "is_hi")}
             self._lo_rows = cols
         return cols
 
@@ -1715,7 +1624,7 @@ class CompiledPopulation:
                 self._lo_derived.pop(index, None)
         # Excess terms on the real rows only: a padding row's
         # ``0 * max(inf - 0, 0)`` would be NaN.  At least two columns, as
-        # in ``_fused_total``: NumPy sums a ``(P, 1)`` block pairwise.
+        # in ``_column_sum``: NumPy sums a ``(P, 1)`` block pairwise.
         shape = (int(sizes.max(initial=0)), max(idx.size, 2))
         excess = np.zeros(shape)
         excess[within, member] = c_lo / t_lo * np.maximum(t_lo - d_lo, 0.0)
@@ -1867,74 +1776,26 @@ class CompiledPopulation:
         # window's columns of *all* parameter matrices in one ``np.take``
         # over a vertically stacked matrix, then evaluate the whole
         # window in a single fused call over the row-slice views.  Both
-        # run the same elementary float ops as the per-set kernels:
-        # ``np.take`` writes a fresh C-ordered gather (a ``mat[:, sel]``
-        # fancy index would come back F-ordered), its row slices are
-        # C-contiguous views, and ufunc results are fresh C-contiguous
-        # arrays — keeping ``np.add.reduce(axis=0)`` on the sequential
-        # row-order path the bit-exactness contract requires.  Each
-        # output column's sum is independent of its neighbours, so the
-        # window partition never matters.
+        # run the per-set kernels' row formulas and column sum
+        # (:func:`_column_sum`): ``np.take`` writes a fresh C-ordered
+        # gather (a ``mat[:, sel]`` fancy index would come back
+        # F-ordered), its row slices are C-contiguous views, and ufunc
+        # results are fresh C-contiguous arrays — keeping
+        # ``np.add.reduce(axis=0)`` on the sequential row-order path the
+        # bit-exactness contract requires.  Each output column's sum is
+        # independent of its neighbours, so the window partition never
+        # matters.
+        rows: Callable[..., np.ndarray]
+        flags: Tuple[bool, ...]
         if kind == "lo":
             lo_mats = self._lo_bundle(bucket)
-            parts = (lo_mats["d_lo"], lo_mats["t_lo"], lo_mats["c_lo"])
-
-            def rows(block: np.ndarray, param: Any) -> np.ndarray:
-                jobs = CompiledTaskSet._floor_div_rows(
-                    block - param(0), param(1)
-                )
-                jobs += 1.0
-                np.maximum(jobs, 0.0, out=jobs)
-                jobs *= param(2)
-                return jobs
-
-        else:
-            hi_mats = self._hi_bundle(bucket)
-            if kind == "dbf":
-                gap_kind = hi_mats["gap"]
-                body = hi_mats["c_hi"]
-            else:
-                gap_kind = hi_mats["gap_star"]
-                body = (
-                    hi_mats["c_hi_drop"]
-                    if drop_terminated_carryover
-                    else hi_mats["c_hi"]
-                )
-            parts = (
-                hi_mats["t_hi"],
-                hi_mats["t_hi_mult"],
-                gap_kind,
-                hi_mats["one_plus"],
-                hi_mats["c_lo"],
-                hi_mats["chd"],
-                body,
+            rows, flags = _dbf_lo_rows, ()
+            parts: Tuple[np.ndarray, ...] = (
+                lo_mats["d_lo"], lo_mats["t_lo"], lo_mats["c_lo"],
             )
-            adb = kind == "adb"
-
-            def rows(block: np.ndarray, param: Any) -> np.ndarray:
-                k = CompiledTaskSet._floor_div_rows(block, param(0))
-                window = block - k * param(1)
-                window -= param(2)
-                carry = CompiledTaskSet._carry_rows(
-                    block, window, param(3), param(4), param(5)
-                )
-                if adb:
-                    k += 1.0
-                k *= param(6)
-                k += carry
-                return k
-
-        def reduce_rows(block: np.ndarray, param: Any) -> np.ndarray:
-            if block.size == 1:
-                # Same widening trick as the per-set kernels: keep the
-                # (P, 1) reduction on the row-sequential path.  The
-                # ``(bucket, 1)`` parameter columns broadcast against
-                # the duplicated 2-point block unchanged.
-                wide = np.add.reduce(
-                    rows(np.concatenate([block, block]), param), axis=0
-                )
-                return wide[:1]
-            return np.add.reduce(rows(block, param), axis=0)
+        else:
+            rows, flags = _hi_rows, (kind == "adb",)
+            parts = _hi_params(self._hi_bundle(bucket), kind, drop_terminated_carryover)
 
         # Only ADB_HI reads the flag; the "lo" stack is _lo_bundle's.
         stack_key = (kind, bucket, kind == "adb" and drop_terminated_carryover)
@@ -1959,20 +1820,16 @@ class CompiledPopulation:
                     if seg_hi <= seg_lo:
                         continue
                     col = int(cols[seg_lo])
-
-                    def param(i: int, col: int = col) -> np.ndarray:
-                        return parts[i][:, col : col + 1]
-
-                    totals[seg_lo:seg_hi] = reduce_rows(
-                        deltas[seg_lo:seg_hi], param
+                    views = tuple(part[:, col : col + 1] for part in parts)
+                    totals[seg_lo:seg_hi] = _column_sum(
+                        rows, deltas[seg_lo:seg_hi], views + flags
                     )
             else:
                 gathered = np.take(stack, cols[lo:hi], axis=1)
-
-                def param(i: int, g: np.ndarray = gathered) -> np.ndarray:
-                    return g[i * bucket : (i + 1) * bucket]
-
-                totals[lo:hi] = reduce_rows(deltas[lo:hi], param)
+                views = tuple(
+                    gathered[i * bucket : (i + 1) * bucket] for i in range(len(parts))
+                )
+                totals[lo:hi] = _column_sum(rows, deltas[lo:hi], views + flags)
         PERF.cells += bucket * deltas.size
         PERF.kernel_evals += 1
         return totals
@@ -2056,12 +1913,11 @@ class CompiledPopulation:
         Window ``j`` is ``(lo[j], hi[j]]`` of member ``members[j]``.  All
         windows' ``(offset, period)`` lattice pairs are gathered from the
         cached per-kind table (:meth:`_bp_cat`) with per-pair window
-        bounds and owner tags, expanded through the same
-        ``repeat``/``cumsum`` arithmetic as :func:`_lattice_points`,
-        sorted within each window and de-duplicated with the per-set
-        semantics (exact dedup, as :func:`_sorted_unique`, then the
-        relative-1e-12 merge for the HI kinds, reset at window
-        boundaries).
+        bounds and owner tags, expanded by :func:`_lattice_expand`
+        like :meth:`CompiledTaskSet.breakpoints_in`, sorted within each
+        window and de-duplicated with the per-set semantics
+        (:func:`_thinned`, exact and then near for the HI kinds, reset
+        at window boundaries).
 
         Returns ``(points, owner, alone)``: the points, ``owner[i]`` the
         window of ``points[i]`` (non-decreasing), and the windows left to
@@ -2088,13 +1944,9 @@ class CompiledPopulation:
         per = per_cat[pair_idx]
         lo_pair = lo[item_of_pair]
         hi_pair = hi[item_of_pair]
-        # Same elementary float ops as the per-item collection: the
-        # window bounds are broadcast per pair, so every k_min/k_max
-        # value is identical to the member's own enumeration.
-        k_min = np.maximum(0.0, np.floor((lo_pair - off) / per))
-        k_max = np.floor((hi_pair - off) / per + 1e-12)
-        counts = (k_max - k_min + 1.0).astype(np.int64)
-        np.maximum(counts, 0, out=counts)
+        # The window bounds are broadcast per pair, so every lattice index
+        # is the member's own enumeration's (:meth:`breakpoints_in`).
+        k_min, counts = _lattice_counts(off, per, lo_pair, hi_pair)
         ccnt = np.concatenate(([0], np.cumsum(counts)))
         bnd = np.concatenate((item_starts, [total_pairs]))
         dense = ccnt[bnd[1:]] - ccnt[bnd[:-1]] > _FUSE_POINTS
@@ -2110,18 +1962,11 @@ class CompiledPopulation:
             hi_pair = hi_pair[keep_pair]
             owner_pair = item_of_pair[keep_pair]
         start = time.perf_counter()
-        total = int(counts.sum())
-        if total == 0:
-            PERF.kernel_seconds += time.perf_counter() - start
-            return _NO_POINTS, np.empty(0, dtype=np.int64), np.flatnonzero(alone)
-        pair = np.repeat(np.arange(off.size), counts)
-        starts = np.cumsum(counts) - counts
-        within = np.arange(total) - np.repeat(starts, counts)
-        points = (k_min[pair] + within) * per[pair] + off[pair]
-        owner = owner_pair[pair]
-        keep = (points > lo_pair[pair]) & (points <= hi_pair[pair])
-        points = points[keep]
-        owner = owner[keep]
+        points, tagged = _lattice_expand(
+            off, per, k_min, counts, lo_pair, hi_pair, owner_pair
+        )
+        assert tagged is not None
+        owner = tagged
         if points.size:
             # ``owner`` is already non-decreasing (pairs are expanded in
             # window order and boolean filtering preserves order), so all a
@@ -2132,29 +1977,23 @@ class CompiledPopulation:
             for pos in range(n_items):
                 if run_bounds[pos + 1] - run_bounds[pos] > 1:
                     points[run_bounds[pos] : run_bounds[pos + 1]].sort()
-            # Exact dedup within each owner run — np.unique's semantics,
-            # exact comparison IS the spec (bit parity with the per-set
-            # generator).
-            boundary = np.empty(points.size, dtype=bool)
-            boundary[0] = True
-            boundary[1:] = owner[1:] != owner[:-1]
-            keep = boundary.copy()
-            keep[1:] |= points[1:] != points[:-1]  # repro-lint: ignore[RL002] adjacent-duplicate drop mirrors the oracle's set-literal dedup
-            points = points[keep]
-            owner = owner[keep]
+            first = np.empty(points.size, dtype=bool)
+            first[0] = True
+            first[1:] = owner[1:] != owner[:-1]
+            keep = _thinned(points, first)
+            points, owner = points[keep], owner[keep]
             if kind != "lo":
-                boundary = np.empty(points.size, dtype=bool)
-                boundary[0] = True
-                boundary[1:] = owner[1:] != owner[:-1]
-                keep = boundary.copy()
-                keep[1:] |= np.diff(points) > 1e-12 * np.maximum(
-                    1.0, points[1:]
-                )
-                points = points[keep]
-                owner = owner[keep]
+                keep = _thinned(points, first[keep], near=True)
+                points, owner = points[keep], owner[keep]
         PERF.candidates += int(points.size)
         PERF.kernel_seconds += time.perf_counter() - start
         return points, owner, np.flatnonzero(alone)
+
+
+def _stacked(members: Sequence[CompiledTaskSet]) -> Callable[[str], np.ndarray]:
+    """``cat(name)``: the ``members``' ``name`` columns, concatenated in
+    member order (every row of a member is one row of the result)."""
+    return lambda name: np.concatenate([getattr(m, name) for m in members])
 
 
 def compile_population(
@@ -2163,12 +2002,10 @@ def compile_population(
     """Compile many task sets into one population SoA layout.
 
     Members already compiled (or derived snapshots) are adopted as-is;
-    plain ``TaskSet`` members go through the normal cached
-    :func:`compile_taskset` path, so population compiles share the same
-    registry as per-set compiles.
+    plain ``TaskSet`` members go through :func:`compile_tasksets`, so
+    population compiles share the same registry as per-set compiles.
     """
-    members = tuple(compile_taskset(taskset) for taskset in tasksets)
-    return CompiledPopulation._from_members(members)
+    return CompiledPopulation._from_members(tuple(compile_tasksets(tasksets)))
 
 
 # ---------------------------------------------------------------------------
@@ -2286,12 +2123,10 @@ class ScalarEvaluator:
         idx = int(np.argmax(ratios))
         return float(ratios[idx]), float(candidates[idx])
 
-    def lo_demand_ok(
-        self, candidates: np.ndarray, speed: float, rtol: float
-    ) -> bool:
+    def lo_demand_ok(self, candidates: np.ndarray, speed: float) -> bool:
         """Exhaustive LO-mode supply check (the pre-pruning behaviour)."""
         demand = np.asarray(self.total_dbf_lo(candidates), dtype=float)
-        return not bool(np.any(demand > speed * candidates * (1.0 + rtol) + rtol))
+        return not bool(np.any(demand > lo_supply_threshold(speed, candidates)))
 
     def candidate_density(self, kind: str = "dbf") -> float:
         if kind == "lo":

@@ -60,10 +60,10 @@ from repro.analysis.kernels import (
     Steps,
     compile_population,
     compile_tasksets,
+    lo_supply_threshold,
     window_peak_steps,
 )
 from repro.analysis.resetting import ResettingResult, crossing_steps
-from repro.analysis.schedulability import _RTOL as _SCHED_RTOL
 from repro.analysis.schedulability import LoProbe, lo_scan_start, lo_scan_steps
 from repro.analysis.speedup import (
     DEFAULT_MAX_CANDIDATES,
@@ -300,8 +300,8 @@ def _lo_verdicts(
     speeds: np.ndarray,
 ) -> np.ndarray:
     """Every window's LO verdict, in columns: whether ``DBF_LO(Delta) <=
-    speeds[j] * Delta`` (within ``_SCHED_RTOL``) at each breakpoint of
-    member ``at[j]``'s window ``(lo[j], hi[j]]``.
+    lo_supply_threshold(speeds[j], Delta)`` at each breakpoint of member
+    ``at[j]``'s window ``(lo[j], hi[j]]``.
 
     One flat lattice expansion, one fused demand pass per bucket and one
     segmented supply comparison serve all windows; the per-element
@@ -323,14 +323,14 @@ def _lo_verdicts(
     fused = pop.fuses(at, np.bincount(owner, minlength=at.size))
     for pos in np.flatnonzero(~fused).tolist():
         ok[pos] = pop.snapshot(int(at[pos])).lo_demand_ok(
-            points[owner == pos], float(speeds[pos]), _SCHED_RTOL
+            points[owner == pos], float(speeds[pos])
         )
     if not fused.all():
         keep = fused[owner]
         points, owner = points[keep], owner[keep]
     if points.size:
         demand = pop.eval_flat("lo", at[owner], points)
-        late = demand > speeds[owner] * points * (1.0 + _SCHED_RTOL) + _SCHED_RTOL
+        late = demand > lo_supply_threshold(speeds[owner], points)
         ok[owner[late]] = False
     return ok
 

@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Any, Callable, NamedTuple, Optional, Tuple, Un
 import numpy as np
 
 from repro.analysis.kernels import (
+    LO_SUPPLY_RTOL as _RTOL,
     MEMO,
     ArrayLike,
     CompiledTaskSet,
@@ -36,8 +37,6 @@ from repro.model.taskset import TaskSet
 
 if TYPE_CHECKING:  # type-only: repro.pipeline imports this module
     from repro.pipeline.request import AnalysisReport
-
-_RTOL = 1e-9
 
 
 def _scan_horizon(deadline_periods, speed: float, rate: float, excess: float) -> float:
@@ -98,7 +97,7 @@ def lo_mode_schedulable(
     def window_ok(window: Tuple[float, float, float]) -> bool:
         lo, hi, supply = window
         candidates = ev.breakpoints_in(lo, hi, kind="lo")
-        return not candidates.size or ev.lo_demand_ok(candidates, supply, _RTOL)
+        return not candidates.size or ev.lo_demand_ok(candidates, supply)
 
     verdict = drive(lo_scan_steps(ev, speed), {"window": window_ok})
     if memo_key is not None:
@@ -177,8 +176,8 @@ def lo_scan_steps(ev: Union[Evaluator, LoProbe], speed: float) -> Steps[bool]:
     Reads the set's LO-mode scalars from ``ev`` and yields:
 
     * ``("window", (lo, hi, speed))`` — whether ``DBF_LO(Delta) <=
-      speed * Delta`` (within ``_RTOL``) at every ``DBF_LO`` breakpoint
-      in ``(lo, hi]``.
+      kernels.lo_supply_threshold(speed, Delta)`` at every ``DBF_LO``
+      breakpoint in ``(lo, hi]``.
 
     Returns the verdict; a NaN ``speed`` fails the test.  Raises
     ``OverflowError`` when the scan reaches a horizon whose hyperperiod

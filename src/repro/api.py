@@ -268,8 +268,6 @@ def analyze_many(
         for item in tasksets
     ]
     if runner is None:
-        if isinstance(cache, str):
-            cache = ResultCache(cache)
         runner = BatchRunner(
             jobs=jobs,
             cache=cache,

@@ -243,7 +243,7 @@ def _run_batch(args, parser) -> int:
     # handlers install and BatchAborted propagates for the resume hint.
     core = WorkQueueCore(
         jobs=args.jobs,
-        cache=api.ResultCache(args.cache) if args.cache else None,
+        cache=args.cache or None,
         retry=retry,
         quarantine=args.quarantine,
         metrics=metrics,

@@ -23,6 +23,7 @@ module re-exports it unchanged.
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Union, cast
 
@@ -175,3 +176,16 @@ class ResultCache:
     def clear_memory(self) -> None:
         """Drop the in-memory layer (disk entries survive)."""
         self._memory.clear()
+
+
+def open_cache(cache: Union[ResultCache, PathLike, None]) -> Optional[ResultCache]:
+    """``cache`` as a :class:`ResultCache`: a directory path opens a disk
+    cache there; an instance or ``None`` is returned as is.  Raises
+    ``TypeError`` for anything else."""
+    if cache is None or isinstance(cache, ResultCache):
+        return cache
+    if isinstance(cache, (str, os.PathLike)):
+        return ResultCache(cache)
+    raise TypeError(
+        f"cache must be a ResultCache or a directory path, got {type(cache).__name__}"
+    )

@@ -56,7 +56,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.cache import ResultCache
+from repro.pipeline.cache import ResultCache, open_cache
 from repro.pipeline.fault_tolerance import (
     CheckpointIO,
     FaultStats,
@@ -198,7 +198,7 @@ class WorkQueueCore:
     def __init__(
         self,
         jobs: int = 1,
-        cache: Optional[ResultCache] = None,
+        cache: Union[ResultCache, PathLike, None] = None,
         retry: Optional[RetryPolicy] = None,
         quarantine: Optional[PathLike] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -214,7 +214,8 @@ class WorkQueueCore:
                 f"completed_capacity must be >= 1, got {completed_capacity}"
             )
         self.jobs = jobs
-        self.cache = cache
+        #: One cache for every run; a directory path opens it here.
+        self.cache = open_cache(cache)
         self.retry = retry if retry is not None else RetryPolicy()
         self.quarantine = quarantine
         self.metrics = metrics

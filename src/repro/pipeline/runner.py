@@ -88,7 +88,7 @@ from typing import (
 
 from repro.obs import trace
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.cache import ResultCache
+from repro.pipeline.cache import ResultCache, open_cache
 from repro.pipeline.fault_tolerance import (
     BatchAborted,
     CheckpointIO,
@@ -443,9 +443,10 @@ class BatchRunner:
         Worker processes; ``1`` (default) runs inline with no pool —
         the two paths produce identical reports.
     cache:
-        Optional :class:`ResultCache`; hits skip evaluation entirely.
-        Corrupt entries degrade to misses; failed writes are retried
-        under ``retry`` and then skipped.
+        Optional :class:`ResultCache`, or a directory path that opens one
+        at construction; hits skip evaluation entirely.  Corrupt entries
+        degrade to misses; failed writes are retried under ``retry`` and
+        then skipped.
     checkpoint:
         Optional JSONL path; every settled item is appended as a
         CRC-wrapped line and flushed+fsynced once per settled group, so
@@ -496,7 +497,7 @@ class BatchRunner:
     """
 
     jobs: int = 1
-    cache: Optional[ResultCache] = None
+    cache: Union[ResultCache, PathLike, None] = None
     checkpoint: Optional[PathLike] = None
     resume: bool = False
     chunk_size: Optional[int] = None
@@ -516,6 +517,12 @@ class BatchRunner:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
+        self.cache = open_cache(self.cache)
+
+    def _result_cache(self) -> Optional[ResultCache]:
+        """``cache``, which construction turned into a ``ResultCache``."""
+        assert self.cache is None or isinstance(self.cache, ResultCache)
+        return self.cache
 
     # ------------------------------------------------------------------
     # Checkpoint plumbing
@@ -607,11 +614,12 @@ class BatchRunner:
     # ------------------------------------------------------------------
     def _cache_put(self, key: str, payload: ReportPayload) -> None:
         """Store in the cache, retrying IO errors; a lost entry is not fatal."""
-        if self.cache is None:
+        cache = self._result_cache()
+        if cache is None:
             return
         for attempt in range(1, self.retry.max_attempts + 1):
             try:
-                self.cache.put(key, payload)
+                cache.put(key, payload)
                 return
             except OSError:
                 self.faults.cache_io_errors += 1
@@ -637,10 +645,10 @@ class BatchRunner:
         payloads: List[Optional[ReportPayload]] = [None] * len(requests)
 
         perf_before = PERF.snapshot()
+        cache = self._result_cache()
         cache_before = (
-            (self.cache.hits, self.cache.misses, self.cache.corrupt,
-             self.cache.io_errors)
-            if self.cache is not None
+            (cache.hits, cache.misses, cache.corrupt, cache.io_errors)
+            if cache is not None
             else (0, 0, 0, 0)
         )
         t_run = time.perf_counter()
@@ -661,8 +669,8 @@ class BatchRunner:
                 if payload.get("failure") is not None:
                     self.stats.failures += 1
                 continue
-            if self.cache is not None:
-                payload = self.cache.get(key)
+            if cache is not None:
+                payload = cache.get(key)
                 if payload is not None:
                     payloads[index] = payload
                     self.stats.cache_hits += 1
@@ -787,10 +795,10 @@ class BatchRunner:
             if quarantine_file is not None:
                 quarantine_file.close()
                 self.faults.checkpoint_io_errors += quarantine_file.io_errors
-            if self.cache is not None:
-                self.faults.cache_corrupt += self.cache.corrupt - cache_before[2]
+            if cache is not None:
+                self.faults.cache_corrupt += cache.corrupt - cache_before[2]
                 self.faults.cache_io_errors += (
-                    self.cache.io_errors - cache_before[3]
+                    cache.io_errors - cache_before[3]
                 )
             if self.metrics is not None:
                 # The main-process kernel delta covers the inline path (and
@@ -800,10 +808,10 @@ class BatchRunner:
                 self.metrics.record_kernel_perf(PERF.delta_since(perf_before))
                 self.metrics.record_batch_stats(self.stats.to_dict())
                 self.metrics.record_fault_stats(self.faults.to_dict())
-                if self.cache is not None:
+                if cache is not None:
                     self.metrics.record_cache(
-                        self.cache.hits - cache_before[0],
-                        self.cache.misses - cache_before[1],
+                        cache.hits - cache_before[0],
+                        cache.misses - cache_before[1],
                     )
                 self.metrics.timing(
                     "batch.wall_seconds", time.perf_counter() - t_run
@@ -1117,7 +1125,7 @@ def run_batch(
     requests: Sequence[AnalysisRequest],
     *,
     jobs: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Union[ResultCache, PathLike, None] = None,
     checkpoint: Optional[PathLike] = None,
     resume: bool = False,
     chunk_size: Optional[int] = None,

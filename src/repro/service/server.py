@@ -43,7 +43,6 @@ from typing import Any, Dict, Optional
 from urllib.parse import urlsplit
 
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.cache import ResultCache
 from repro.pipeline.core import JobHandle, WorkQueueCore
 from repro.pipeline.fault_tolerance import RetryPolicy
 from repro.service.schema import (
@@ -449,7 +448,7 @@ def serve(
     registry = metrics if metrics is not None else MetricsRegistry()
     core = WorkQueueCore(
         jobs=jobs,
-        cache=ResultCache(cache) if cache is not None else None,
+        cache=cache,
         retry=retry,
         quarantine=quarantine,
         metrics=registry,

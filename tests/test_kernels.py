@@ -55,13 +55,13 @@ def _fresh_caches():
 
 
 # ----------------------------------------------------------------------
-# Seeded mixed populations (HI + terminated + degraded LO tasks)
+# Seeded mixed populations (HI + terminated + degraded + carry-only LO)
 # ----------------------------------------------------------------------
 def make_set(n, seed, name):
     rng = np.random.default_rng(seed)
     tasks = []
     for i in range(n):
-        kind = rng.choice(["hi", "term", "degr"], p=[0.5, 0.25, 0.25])
+        kind = rng.choice(["hi", "term", "degr", "carry"], p=[0.5, 0.2, 0.15, 0.15])
         t = rng.uniform(10, 200)
         c_lo = rng.uniform(0.5, 0.08 * t)
         d_lo = rng.uniform(max(c_lo, 0.6 * t), t)
@@ -72,6 +72,13 @@ def make_set(n, seed, name):
         elif kind == "term":
             tasks.append(
                 MCTask(f"t{i}", Criticality.LO, c_lo, c_lo, d_lo, math.inf, t, math.inf)
+            )
+        elif kind == "carry":
+            # T(HI) = inf with a finite D(HI): one carried job, whose
+            # breakpoints lie outside the period lattice.
+            d_hi = rng.uniform(d_lo, 2 * t)
+            tasks.append(
+                MCTask(f"t{i}", Criticality.LO, c_lo, c_lo, d_lo, d_hi, t, math.inf)
             )
         else:
             t_hi = rng.uniform(t, 2 * t)
@@ -116,6 +123,24 @@ def test_fused_kernels_match_scalar_oracle(seed, n):
     # Scalar (0-d) evaluation goes through the widened single-column path.
     for delta in (0.0, float(probes[0]), *aligned[:3].tolist()):
         assert compiled.total_dbf_hi(delta) == dbf.total_dbf_hi(ts, delta)
+    # The same rows, fused beside another set in a two-member population,
+    # on many-point and one-point items.
+    sets = (ts, make_set(7, seed + 1, "other"))
+    pop = kernels.compile_population(sets)
+    items = [(0, probes), (1, probes), (0, probes[:1]), (1, probes[1:2])]
+    items += [(0, aligned), (0, aligned[:1])] if aligned.size else []
+    for kind, drop in (("lo", False), ("dbf", False), ("adb", False), ("adb", True)):
+        fused = pop.eval_many(kind, items, drop_terminated_carryover=drop)
+        for (index, deltas), demand in zip(items, fused):
+            if kind == "lo":
+                expected = dbf.total_dbf_lo(sets[index], deltas)
+            elif kind == "dbf":
+                expected = dbf.total_dbf_hi(sets[index], deltas)
+            else:
+                expected = dbf.total_adb_hi(
+                    sets[index], deltas, drop_terminated_carryover=drop
+                )
+            assert np.array_equal(demand, expected)
 
 
 @settings(max_examples=25, deadline=None)
@@ -142,6 +167,23 @@ def test_breakpoint_tables_match_points_module(seed, n):
         )
     for kind in ("dbf", "adb"):
         assert compiled.candidate_density(kind) == points.candidate_density(ts, kind)
+    # Fresh snapshots beside another set: one batched table build
+    # (prepare_tables), then fused windows.
+    clear_compile_cache()
+    sets = (make_set(n, seed, "hyp"), make_set(7, seed + 1, "other"))
+    pop = kernels.compile_population(sets)
+    items = [(index, lo, hi) for lo, hi in windows for index in (0, 1)]
+    for kind in ("dbf", "adb", "lo"):
+        pop.prepare_tables(kind)
+        for (index, lo, hi), found in zip(items, pop.breakpoints_many(items, kind=kind)):
+            if kind == "lo":
+                expected = points.dbf_lo_breakpoints_in(sets[index], lo, hi)
+            else:
+                expected = points.breakpoints_in(sets[index], lo, hi, kind=kind)
+            assert np.array_equal(found, expected)
+    for kind in ("dbf", "adb"):
+        for taskset, member in zip(sets, pop.members):
+            assert member.candidate_density(kind) == points.candidate_density(taskset, kind)
 
 
 def test_scan_shortcuts_match_exhaustive_evaluation():
@@ -156,8 +198,8 @@ def test_scan_shortcuts_match_exhaustive_evaluation():
         lo_cands = compiled.breakpoints_in(0.0, 2000.0, kind="lo")
         peak_ratio = oracle.window_peak(lo_cands if lo_cands.size else candidates)[0]
         for speed in (0.5, 0.9 * peak_ratio, peak_ratio, 1.1 * peak_ratio, 4.0):
-            assert compiled.lo_demand_ok(lo_cands, speed, 1e-9) == oracle.lo_demand_ok(
-                lo_cands, speed, 1e-9
+            assert compiled.lo_demand_ok(lo_cands, speed) == oracle.lo_demand_ok(
+                lo_cands, speed
             )
 
 

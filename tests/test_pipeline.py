@@ -207,6 +207,38 @@ class TestCache:
         assert len(cache) == 1
         assert cache.directory is None
 
+    def test_directory_path_opens_a_cache(self, tmp_path, population_requests):
+        runner = BatchRunner(cache=str(tmp_path))
+        runner.run(population_requests[:5])
+        assert runner.stats.computed == 5
+        runner.run(population_requests[:5])
+        assert runner.stats.cache_hits == 5 and runner.stats.computed == 0
+        fresh = BatchRunner(cache=tmp_path)
+        fresh.run(population_requests[:5])
+        assert fresh.stats.cache_hits == 5
+
+    def test_core_opens_one_cache_for_every_run(self, tmp_path, population_requests):
+        from repro.pipeline import WorkQueueCore
+
+        core = WorkQueueCore(cache=str(tmp_path))
+        try:
+            cache = core.cache
+            assert isinstance(cache, ResultCache)
+            core.run(population_requests[:5])
+            core.run(population_requests[:6])  # another job, same cache
+            assert core.cache is cache
+            assert (cache.hits, cache.misses) == (5, 6)
+        finally:
+            core.close()
+
+    def test_cache_of_another_type_fails_at_construction(self):
+        from repro.pipeline import WorkQueueCore
+
+        with pytest.raises(TypeError, match="cache must be"):
+            BatchRunner(cache=42)
+        with pytest.raises(TypeError, match="cache must be"):
+            WorkQueueCore(cache=42)
+
 
 class TestCheckpointResume:
     def test_resume_after_simulated_kill(self, tmp_path, population_requests):
