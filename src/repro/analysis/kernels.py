@@ -24,7 +24,9 @@ Two evaluators replace those loops, and share every kernel concern:
   (:func:`_breakpoint_table`); the lattice expansion
   (:func:`_lattice_counts`, :func:`_lattice_expand`) with its dedup and
   near-duplicate merge (:func:`_thinned`); the stripe layout of the
-  pruned scans (:func:`_stripes`); and the LO supply line
+  pruned scans (:func:`_stripes`); the stripe-pruned Theorem-2 window
+  peak (:func:`window_peaks`, many windows in columns or one); and the
+  LO supply line
   (:func:`lo_supply_threshold`).  :func:`compile_tasksets` is the one
   compile path.
 
@@ -143,8 +145,9 @@ class KernelCounters:
     candidates:
         Breakpoints materialised by the vectorized generator.
     pruned:
-        Candidates whose demand evaluation the stripe-pruned window peak
-        (:meth:`CompiledTaskSet.window_peak`) proved unnecessary.
+        Candidates whose demand evaluation the stripe-pruned scans
+        (:func:`window_peaks`, :meth:`CompiledTaskSet.lo_demand_ok`)
+        proved unnecessary.
     kernel_seconds:
         Wall-clock seconds spent inside the kernels and the generator.
     compiles:
@@ -228,80 +231,127 @@ def drive(steps: "Steps[_R]", answers: Mapping[str, Callable[[Any], Any]]) -> _R
         reply = answers[phase](payload)
 
 
-def window_peak_steps(
-    candidates: np.ndarray, best_ratio: float = 0.0
-) -> "Steps[Tuple[float, float]]":
-    """The stripe-pruned peak of ``DBF_HI(Delta) / Delta`` over a window's
-    breakpoints, as a scan generator.
+def window_peaks(
+    candidates: np.ndarray,
+    bounds: np.ndarray,
+    best: np.ndarray,
+    demand: Callable[[Any], np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The stripe-pruned peak of ``DBF_HI(Delta) / Delta`` over many
+    windows' breakpoints at once.
 
-    Yields ``("dbf", deltas)`` and expects ``DBF_HI`` at ``deltas`` back
-    as a float array; returns ``(ratio, delta)`` for the first candidate
-    attaining the maximum ratio *among the candidates whose demand was
-    evaluated*.  Demand is evaluated at every ``_STRIPE``-th breakpoint
-    first; a stripe of in-between candidates is only filled in when its
-    upper bound ``DBF_HI(c_right) / Delta_first`` (demand is
-    nondecreasing, division is monotone) can still reach ``max(best_ratio,
-    coarse peak)`` within the ``_PRUNE_GUARD`` margin.  Every skipped
-    candidate therefore has a ratio strictly below both the running best
-    and this window's maximum, so the supremum scan's ``(best_ratio,
+    Window ``j`` holds the ascending candidates
+    ``candidates[bounds[j]:bounds[j + 1]]`` (at least one) and the scan's
+    running best ratio ``best[j]``.  ``demand(selection)`` returns
+    ``DBF_HI`` at ``candidates[selection]`` as a float array; it is
+    called at most twice.  The first pass takes every candidate of a
+    window with fewer than ``3 * _STRIPE`` of them, and the coarse
+    candidates (every ``_STRIPE``-th, and the last) of the others.  A
+    stripe of in-between candidates is filled in by the second pass only
+    when its upper bound ``DBF_HI(c_right) / Delta_first`` (demand is
+    nondecreasing, division is monotone) can still reach ``max(best[j],
+    coarse peak)`` within the ``_PRUNE_GUARD`` margin; a window whose
+    stripes all stay live is evaluated whole.
+
+    Returns ``(ratio, delta)`` per window: the first candidate attaining
+    the maximum ratio *among the candidates whose demand was evaluated*.
+    Every skipped candidate has a ratio strictly below both the running
+    best and its window's maximum, so the supremum scan's ``(best_ratio,
     best_delta)`` trajectory — including first-argmax tie-breaking — is
     bit-identical to the scalar engine's exhaustive evaluation.
-    :meth:`CompiledTaskSet.window_peak` drives it with the set's own
-    kernel, the Theorem-2 lockstep with fused population calls.
+    :meth:`CompiledTaskSet.window_peak` calls it on one window with the
+    set's own kernel, the Theorem-2 lockstep on a round's windows with
+    fused population passes.
     """
-    m = candidates.size
-    if m < 3 * _STRIPE:
-        ratios = (yield "dbf", candidates) / candidates
-        idx = int(np.argmax(ratios))
-        return float(ratios[idx]), float(candidates[idx])
-    coarse, starts = _stripes(m)
-    d_coarse = yield "dbf", candidates[coarse]
-    r_coarse = d_coarse / candidates[coarse]
-    at_coarse = int(np.argmax(r_coarse))
-    coarse_peak = float(r_coarse[at_coarse])
-    best_eff = best_ratio if best_ratio > coarse_peak else coarse_peak
-    live = d_coarse / candidates[starts] * (1.0 + _PRUNE_GUARD) >= best_eff
-    if live.all():
-        ratios = (yield "dbf", candidates) / candidates
-        idx = int(np.argmax(ratios))
-        return float(ratios[idx]), float(candidates[idx])
-    interior = _stripe_interior(coarse, starts, live)
-    peak = coarse_peak
-    peak_index = int(coarse[at_coarse])
-    if interior.size:
-        r_interior = (yield "dbf", candidates[interior]) / candidates[interior]
-        at = int(np.argmax(r_interior))
+    sizes = bounds[1:] - bounds[:-1]
+    striped = sizes >= 3 * _STRIPE
+    if not striped.any():
+        ratios = demand(slice(None)) / candidates
+        at = _first_max(ratios, sizes)
+        return ratios[at], candidates[at]
+    # A window below three stripes is one stripe per candidate: all of
+    # it is coarse, and nothing is left for the second pass.
+    coarse, starts, count = _stripes(bounds[:-1], sizes, 1 + (_STRIPE - 1) * striped)
+    found = demand(coarse)
+    ratios = found / candidates[coarse]
+    at = _first_max(ratios, count)
+    top, index = ratios[at], coarse[at]
+    bound = found / candidates[starts] * (1.0 + _PRUNE_GUARD)
+    live = (bound >= np.maximum(best, top).repeat(count)) & striped.repeat(count)
+    heads = count.cumsum() - count
+    whole = np.logical_and.reduceat(live, heads)
+    # The second pass, stripe by stripe: a whole window's stripes with
+    # their coarse candidates, a pruned window's live stripes without.
+    span = (coarse - starts + whole.repeat(count)) * live
+    lengths = np.add.reduceat(span, heads)
+    PERF.pruned += int(np.add.reduce((sizes - count - lengths)[~whole]))
+    chosen = _spans(starts, span)
+    if chosen.size:
+        ratios = demand(chosen) / candidates[chosen]
+        runs = lengths.nonzero()[0]
+        at = _first_max(ratios, lengths[runs])
         # Exact tie-break: on ratio equality prefer the earlier
         # breakpoint so the pruned scan reports the same critical
         # delta as the scalar oracle's left-to-right argmax.
-        if float(r_interior[at]) > peak or (
-            float(r_interior[at]) == peak  # repro-lint: ignore[RL002] first-strict-maximum tie-break is exact by spec
-            and int(interior[at]) < peak_index
-        ):
-            peak = float(r_interior[at])
-            peak_index = int(interior[at])
-    PERF.pruned += int(m - coarse.size - interior.size)
-    return peak, float(candidates[peak_index])
+        found, place, held = ratios[at], chosen[at], top[runs]
+        wins = (found > held) | (
+            (found == held)  # repro-lint: ignore[RL002] first-strict-maximum tie-break is exact by spec
+            & (place < index[runs])
+        )
+        top[runs] = np.where(wins, found, held)
+        index[runs] = np.where(wins, place, index[runs])
+    return top, candidates[index]
 
 
-def _stripes(m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The stripes of ``m >= _STRIPE`` candidates: the coarse indices
-    (every ``_STRIPE``-th, and the last) and the start of each stripe."""
-    coarse = np.arange(_STRIPE - 1, m, _STRIPE)
-    if coarse[-1] != m - 1:
-        coarse = np.append(coarse, m - 1)
-    starts = np.empty(coarse.size, dtype=np.int64)
-    starts[0] = 0
-    starts[1:] = coarse[:-1] + 1
-    return coarse, starts
+#: The empty position array.
+_NO_INDEX = np.empty(0, dtype=np.int64)
+
+
+def _first_max(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The position of the first maximum of each run of ``values``, as
+    ``np.argmax`` finds it in one; the runs have the non-zero
+    ``lengths``, in order, and finite values."""
+    if lengths.size <= 1:
+        return values.argmax(keepdims=True) if lengths.size else _NO_INDEX
+    heads = lengths.cumsum() - lengths
+    top = np.maximum.reduceat(values, heads).repeat(lengths)
+    positions = np.where(
+        values == top,  # repro-lint: ignore[RL002] a first-argmax is exact by spec
+        np.arange(values.size),
+        values.size,
+    )
+    first = np.minimum.reduceat(positions, heads)
+    assert first.max() < values.size, "a run without a finite maximum"
+    return first
+
+
+def _spans(first: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions ``first[k], ..., first[k] + sizes[k] - 1`` of every
+    span ``k``, in order (one ``repeat``/``cumsum`` expansion)."""
+    if sizes.size <= 1:
+        return np.arange(first[0], first[0] + sizes[0]) if sizes.size else _NO_INDEX
+    ends = sizes.cumsum()
+    return (first - ends + sizes).repeat(sizes) + np.arange(ends[-1])
+
+
+def _stripes(
+    first: np.ndarray, sizes: np.ndarray, width: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stripes of windows of ``sizes[k] > 0`` candidates at positions
+    ``first[k], ...``, ``width[k]`` wide: the coarse positions (each
+    stripe's last, so every ``width[k]``-th candidate and the window's
+    last), the start of each stripe, and each window's stripe count, in
+    window order."""
+    count = (sizes + width - 1) // width
+    wide = width.repeat(count)
+    starts = first.repeat(count) + wide * _spans(np.zeros_like(count), count)
+    return np.minimum(starts + wide - 1, (first + sizes - 1).repeat(count)), starts, count
 
 
 def _stripe_interior(coarse: np.ndarray, starts: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """The candidates inside the ``live`` stripes, coarse indices excluded,
-    ascending (one ``repeat``/``cumsum`` expansion)."""
-    first = starts[live]
-    sizes = coarse[live] - first
-    return np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(int(sizes.sum()))
+    """The candidates inside the ``live`` stripes, coarse positions
+    excluded, ascending."""
+    return _spans(starts[live], coarse[live] - starts[live])
 
 
 def lo_supply_threshold(speed: ArrayLike, delta: ArrayLike) -> ArrayLike:
@@ -921,11 +971,15 @@ class CompiledTaskSet:
         self, candidates: np.ndarray, best_ratio: float = 0.0
     ) -> Tuple[float, float]:
         """Peak of ``DBF_HI(Delta) / Delta`` over a window's breakpoints:
-        :func:`window_peak_steps` driven with this set's own kernel."""
-        return drive(
-            window_peak_steps(candidates, best_ratio),
-            {"dbf": lambda deltas: np.asarray(self.total_dbf_hi(deltas), dtype=float)},
+        :func:`window_peaks` on this one window, with this set's own
+        kernel."""
+        ratio, delta = window_peaks(
+            candidates,
+            np.array([0, candidates.size]),
+            np.array([best_ratio]),
+            lambda chosen: np.asarray(self.total_dbf_hi(candidates[chosen]), dtype=float),
         )
+        return float(ratio[0]), float(delta[0])
 
     def lo_demand_ok(self, candidates: np.ndarray, speed: float) -> bool:
         """``DBF_LO(Delta) <= lo_supply_threshold(speed, Delta)`` everywhere?
@@ -945,7 +999,7 @@ class CompiledTaskSet:
         if m < 3 * _STRIPE:
             demand = np.asarray(self.total_dbf_lo(candidates), dtype=float)
             return not bool(np.any(demand > lo_supply_threshold(speed, candidates)))
-        coarse, starts = _stripes(m)
+        coarse, starts, _ = _stripes(np.zeros(1, dtype=np.int64), np.array([m]), np.array([_STRIPE]))
         d_coarse = np.asarray(self.total_dbf_lo(candidates[coarse]), dtype=float)
         if np.any(d_coarse > lo_supply_threshold(speed, candidates[coarse])):
             return False

@@ -14,15 +14,23 @@ answer one generator on one evaluator
 
 This module is the other driver.  :func:`_lockstep` advances every
 set's generator in rounds: each round visits the scan's phases in a
-fixed order and answers all generators parked at a phase with one call —
-one fused breakpoint pass
-(:meth:`~repro.analysis.kernels.CompiledPopulation.breakpoints_many`)
-or one fused demand pass per bucket
-(:meth:`~repro.analysis.kernels.CompiledPopulation.eval_many`).  A
-generator with nothing to ask at a phase waits for the next round, and a
-settled one drops out, so a converged set contributes nothing to later
-rounds.  Every answer is bit-identical to its per-set counterpart, and
-so is every result: ``min_speedup_many(tasksets)[i] ==
+fixed order and answers all generators parked at a phase with one call.
+A window phase — the Theorem-2 ``peak``, the Corollary-5 ``window``, the
+LO verdict — answers all parked windows in columns: one flat breakpoint
+pass
+(:meth:`~repro.analysis.kernels.CompiledPopulation.breakpoints_flat`),
+then the window arithmetic the per-set scans run on one window
+(:func:`~repro.analysis.kernels.window_peaks`,
+:func:`~repro.analysis.resetting.window_crossings`, the LO supply line)
+over all of them, with one fused demand pass per bucket
+(:meth:`~repro.analysis.kernels.CompiledPopulation.eval_flat`) for each
+of its demand rounds.  A window the flat pass leaves alone takes its
+points from the member's ``breakpoints_in``, and a window that alone
+fills an evaluation chunk is answered by the member's own pruned
+evaluator.  A generator with nothing to ask at a phase waits for the
+next round, and a settled one drops out, so a converged set contributes
+nothing to later rounds.  Every answer is bit-identical to its per-set
+counterpart, and so is every result: ``min_speedup_many(tasksets)[i] ==
 min_speedup(tasksets[i])``, and likewise for the other entry points.
 An error a generator raises for its set (a budget, a hyperperiod beyond
 the float range, a speedup that is not positive) becomes that set's
@@ -61,9 +69,14 @@ from repro.analysis.kernels import (
     compile_population,
     compile_tasksets,
     lo_supply_threshold,
-    window_peak_steps,
+    window_peaks,
 )
-from repro.analysis.resetting import ResettingResult, crossing_steps
+from repro.analysis.resetting import (
+    ResettingResult,
+    crossing_steps,
+    crossing_window,
+    window_crossings,
+)
 from repro.analysis.schedulability import LoProbe, lo_scan_start, lo_scan_steps
 from repro.analysis.speedup import (
     DEFAULT_MAX_CANDIDATES,
@@ -152,39 +165,58 @@ def _lockstep(
     return outcomes
 
 
-def _per_window(
+def _window_points(
+    pop: CompiledPopulation, kind: str, at: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every window's breakpoints, window by window: ``(lo[j], hi[j]]`` of
+    member ``at[j]``.  One flat lattice expansion
+    (:meth:`~repro.analysis.kernels.CompiledPopulation.breakpoints_flat`);
+    a window it leaves alone takes its points from the member's
+    ``breakpoints_in`` (its probe snapshot's,
+    :meth:`~repro.analysis.kernels.CompiledPopulation.snapshot`).
+    Returns ``(points, owner, bounds)``: window ``j``'s ascending points
+    are ``points[bounds[j]:bounds[j + 1]]``, and ``owner`` tags each
+    point with its window."""
+    points, owner, alone = pop.breakpoints_flat(kind, at, lo, hi)
+    if alone.size:
+        own = [
+            pop.snapshot(int(at[pos])).breakpoints_in(float(lo[pos]), float(hi[pos]), kind=kind)
+            for pos in alone.tolist()
+        ]
+        owner = np.concatenate([owner, np.repeat(alone, [c.size for c in own])])
+        order = np.argsort(owner, kind="stable")
+        points = np.concatenate([points, *own])[order]
+        owner = owner[order]
+    return points, owner, np.searchsorted(owner, np.arange(at.size + 1))
+
+
+def _split_off(
     pop: CompiledPopulation,
-    kind: str,
-    at: List[int],
-    windows: List[Tuple[float, float, Any]],
-    alone: Callable[[int, np.ndarray, Any], Any],
-    fused: Callable[[List[int], List[Tuple[np.ndarray, Any]]], Sequence[Any]],
-) -> List[Tuple[int, Any]]:
-    """Answer window requests ``(lo, hi, extra)``: one fused breakpoint
-    pass, then every window with breakpoints — with one batched ``fused``
-    call for those that fit an evaluation chunk, and ``alone`` (the
-    member's own pruned evaluator, same answer, stripe pruning intact)
-    for each window that fills one.  Returns ``(breakpoint count,
-    answer)`` per window, ``(0, None)`` for a window without breakpoints."""
-    breaks = pop.breakpoints_many(
-        [(index, lo, hi) for index, (lo, hi, _) in zip(at, windows)], kind=kind
-    )
-    replies: List[Tuple[int, Any]] = [(0, None)] * len(at)
-    together: List[int] = []
-    for pos, (index, candidates) in enumerate(zip(at, breaks)):
-        if not candidates.size:
-            continue
-        if pop.fuses(index, candidates.size):
-            together.append(pos)
-        else:
-            replies[pos] = (candidates.size, alone(index, candidates, windows[pos][2]))
-    answers = fused(
-        [at[pos] for pos in together],
-        [(breaks[pos], windows[pos][2]) for pos in together],
-    )
-    for pos, answer in zip(together, answers):
-        replies[pos] = (breaks[pos].size, answer)
-    return replies
+    at: np.ndarray,
+    points: np.ndarray,
+    owner: np.ndarray,
+    bounds: np.ndarray,
+    alone: Callable[[int, np.ndarray], Any],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Dict[int, Any]]:
+    """Answer each window that alone fills an evaluation chunk
+    (:meth:`~repro.analysis.kernels.CompiledPopulation.fuses`) with
+    ``alone(window, its points)``: the member's own pruned evaluator,
+    same answer.  Returns the other windows' ``(points, owner)``, the
+    ones among them with points and their ``bounds`` in ``points``, and
+    the answers by window."""
+    sizes = bounds[1:] - bounds[:-1]
+    fused = pop.fuses(at, sizes)
+    answers: Dict[int, Any] = {}
+    if not fused.all():
+        answers = {
+            pos: alone(pos, points[bounds[pos] : bounds[pos + 1]])
+            for pos in (~fused).nonzero()[0].tolist()
+        }
+        keep = fused[owner]
+        points, owner = points[keep], owner[keep]
+        sizes = sizes * fused
+    present = sizes.nonzero()[0]
+    return points, owner, present, np.concatenate(([0], sizes[present].cumsum())), answers
 
 
 def _run(name: str, size: int, lockstep: Callable[[], List[Any]]) -> List[Any]:
@@ -212,33 +244,36 @@ def _min_speedup_lockstep(
     on_budget: str,
 ) -> List[SpeedupOutcome]:
     """All members' :func:`~repro.analysis.speedup.supremum_steps`,
-    fused per round: the demand at 0, the windows' breakpoints, and the
-    windows' peaks.  With ``on_budget="raise"`` a budget-exhausted
+    fused per round: the demand at 0, and every window's peak in columns
+    (:func:`~repro.analysis.kernels.window_peaks`).  With ``on_budget="raise"`` a budget-exhausted
     member's outcome is the :class:`AnalysisBudgetExceeded` it raised —
     the caller decides whether to raise or capture it."""
     pop = compile_population(members)
     pop.prepare_tables("dbf")
 
-    def dbf(at: List[int], probes: List[Any]) -> List[np.ndarray]:
-        return pop.eval_many("dbf", list(zip(at, probes)))
-
     def peaks(at: List[int], windows: List[Any]) -> List[Any]:
-        # Fused peaks run window_peak_steps in a nested lockstep: their
-        # coarse passes share one fused call, their surviving stripes a
-        # second — the cells the pruned per-set scan evaluates.
-        found = _per_window(
-            pop, "dbf", at, windows,
-            lambda index, candidates, best: members[index].window_peak(candidates, best),
-            lambda at, requests: _lockstep(
-                [window_peak_steps(*request) for request in requests],
-                {"dbf": dbf},
-                owners=at,
-            ),
+        # Every window's stripe-pruned peak in columns (window_peaks): one
+        # fused pass over the coarse points, one over the live stripes —
+        # the cells the pruned per-set scan evaluates.
+        idx = np.array(at, dtype=np.int64)
+        lo, hi, best = (np.array(column, dtype=float) for column in zip(*windows))
+        points, owner, bounds = _window_points(pop, "dbf", idx, lo, hi)
+        sizes = np.diff(bounds).tolist()
+        points, owner, present, bounds, alone = _split_off(
+            pop, idx, points, owner, bounds,
+            lambda pos, candidates: members[at[pos]].window_peak(candidates, best[pos]),
         )
-        return [
-            (size, *peak) if size else (0, best, None)
-            for (size, peak), (_, _, best) in zip(found, windows)
-        ]
+        replies = [(0, b, None) for b in best.tolist()]
+        if present.size:
+            ratio, delta = window_peaks(
+                points, bounds, best[present],
+                lambda chosen: pop.eval_flat("dbf", idx[owner[chosen]], points[chosen]),
+            )
+            for pos, r, d in zip(present.tolist(), ratio.tolist(), delta.tolist()):
+                replies[pos] = (sizes[pos], r, d)
+        for pos, peak in alone.items():
+            replies[pos] = (sizes[pos], *peak)
+        return replies
 
     return _lockstep(
         [
@@ -248,7 +283,9 @@ def _min_speedup_lockstep(
             for member, budget in zip(members, max_candidates_list)
         ],
         {
-            "zero": lambda at, _: [float(d[0]) for d in dbf(at, [_ZERO] * len(at))],
+            "zero": lambda at, _: [
+                float(d[0]) for d in pop.eval_many("dbf", [(index, _ZERO) for index in at])
+            ],
             "peak": peaks,
         },
     )
@@ -311,27 +348,20 @@ def _lo_verdicts(
     hold no violation, and a window the flat expansion leaves alone
     takes its points from the member's ``breakpoints_in``.
     """
-    points, owner, alone = pop.breakpoints_flat("lo", at, lo, hi)
-    if alone.size:
-        own = [
-            pop.snapshot(int(at[pos])).breakpoints_in(float(lo[pos]), float(hi[pos]), kind="lo")
-            for pos in alone.tolist()
-        ]
-        points = np.concatenate([points, *own])
-        owner = np.concatenate([owner, np.repeat(alone, [c.size for c in own])])
+    points, owner, bounds = _window_points(pop, "lo", at, lo, hi)
+    points, owner, _, _, alone = _split_off(
+        pop, at, points, owner, bounds,
+        lambda pos, candidates: pop.snapshot(int(at[pos])).lo_demand_ok(
+            candidates, float(speeds[pos])
+        ),
+    )
     ok = np.ones(at.size, dtype=bool)
-    fused = pop.fuses(at, np.bincount(owner, minlength=at.size))
-    for pos in np.flatnonzero(~fused).tolist():
-        ok[pos] = pop.snapshot(int(at[pos])).lo_demand_ok(
-            points[owner == pos], float(speeds[pos])
-        )
-    if not fused.all():
-        keep = fused[owner]
-        points, owner = points[keep], owner[keep]
     if points.size:
         demand = pop.eval_flat("lo", at[owner], points)
         late = demand > lo_supply_threshold(speeds[owner], points)
         ok[owner[late]] = False
+    for pos, verdict in alone.items():
+        ok[pos] = verdict
     return ok
 
 
@@ -387,45 +417,77 @@ def _resetting_lockstep(
     max_candidates_list: Sequence[int],
 ) -> List[ResettingOutcome]:
     """All members' :func:`~repro.analysis.resetting.crossing_steps`,
-    fused per round.  Demand calls are grouped by the
+    fused per round: the demand at 0, and every window in columns
+    (:func:`~repro.analysis.resetting.window_crossings`) — one flat
+    breakpoint pass, one demand pass over the breakpoints and midpoints
+    and one at the interior crossings.  Demand passes are grouped by the
     ``drop_terminated_carryover`` flag: one fused call per flag."""
     pop = compile_population(members)
     pop.prepare_tables("adb")
+    speed = np.array(speeds, dtype=float)
 
-    def adb(at: List[int], point_sets: List[Any], flags: List[bool]) -> List[Any]:
-        replies: List[Any] = [None] * len(at)
+    def adb(at: np.ndarray, points: np.ndarray, flags: np.ndarray) -> np.ndarray:
+        # ``sum ADB_HI`` at ``points[j]`` of member ``at[j]``, with its
+        # ``drop_terminated_carryover`` flag ``flags[j]``.
+        values = np.empty(points.size)
         for drop in (False, True):
-            chosen = [pos for pos, flag in enumerate(flags) if flag is drop]
-            if not chosen:
-                continue
-            items = [(at[pos], points) for pos in chosen for points in point_sets[pos]]
-            values = iter(pop.eval_many("adb", items, drop_terminated_carryover=drop))
-            for pos in chosen:
-                replies[pos] = tuple(next(values) for _ in point_sets[pos])
+            chosen = flags == drop
+            if chosen.any():
+                values[chosen] = pop.eval_flat(
+                    "adb", at[chosen], points[chosen], drop_terminated_carryover=drop
+                )
+        return values
+
+    def windows(at: List[int], requests: List[Any]) -> List[Any]:
+        idx = np.array(at, dtype=np.int64)
+        lo, hi, prev_delta, prev_demand, flags = (np.array(column) for column in zip(*requests))
+        points, owner, bounds = _window_points(pop, "adb", idx, lo, hi)
+        sizes = np.diff(bounds).tolist()
+        points, owner, present, bounds, alone = _split_off(
+            pop, idx, points, owner, bounds,
+            lambda pos, breaks: crossing_window(
+                members[at[pos]], float(speed[at[pos]]), breaks, *requests[pos][2:]
+            ),
+        )
+        replies = [(0, (d, v)) for d, v in zip(prev_delta.tolist(), prev_demand.tolist())]
+        if present.size:
+            twice = np.concatenate((idx[owner], idx[owner]))
+            flagged = np.concatenate((flags[owner], flags[owner]))
+
+            def demand(breaks: np.ndarray, mids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+                values = adb(twice, np.concatenate((breaks, mids)), flagged)
+                return values[: breaks.size], values[breaks.size :]
+
+            outcomes = window_crossings(
+                speed[idx[present]], points, bounds, prev_delta[present],
+                prev_demand[present], demand,
+                lambda crossings, crossed: adb(
+                    idx[present[crossed]], crossings, flags[present[crossed]]
+                ),
+            )
+            for pos, outcome in zip(present.tolist(), outcomes):
+                replies[pos] = (sizes[pos], outcome)
+        for pos, outcome in alone.items():
+            replies[pos] = (sizes[pos], outcome)
         return replies
 
     return _lockstep(
         [
             crossing_steps(
                 member,
-                float(speed),
+                float(s),
                 drop_terminated_carryover=drop,
                 max_candidates=int(budget),
             )
-            for member, speed, drop, budget in zip(
+            for member, s, drop, budget in zip(
                 members, speeds, drops, max_candidates_list
             )
         ],
         {
-            "zero": lambda at, flags: [
-                float(values[0]) for (values,) in adb(at, [(_ZERO,)] * len(at), flags)
-            ],
-            "breaks": lambda at, windows: pop.breakpoints_many(
-                [(index, lo, hi) for index, (lo, hi) in zip(at, windows)], kind="adb"
-            ),
-            "adb": lambda at, requests: adb(
-                at, [request[:-1] for request in requests], [request[-1] for request in requests]
-            ),
+            "zero": lambda at, flags: adb(
+                np.array(at, dtype=np.int64), np.zeros(len(at)), np.array(flags, dtype=bool)
+            ).tolist(),
+            "window": windows,
         },
     )
 

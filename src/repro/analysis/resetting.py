@@ -21,14 +21,20 @@ system may never drain and ``Delta_R = +inf``.
 
 The scan is written once, as the generator :func:`crossing_steps`,
 which :func:`resetting_time` and the population lockstep
-(:mod:`repro.analysis.population`) both drive.
+(:mod:`repro.analysis.population`) both drive.  The generator keeps the
+window growth, the horizon, the scan end and the budget; the arithmetic
+of a window — segment midpoints and slopes, the interior and breakpoint
+tests, the first hit — is written once too, as :func:`window_crossings`
+over many windows in columns.  :func:`resetting_time` answers each
+window with it on one window (:func:`crossing_window`), the lockstep on
+every window of a round at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Tuple, Union
 
 import numpy as np
 
@@ -183,12 +189,10 @@ def resetting_time(
         if cached is not None:
             return cached
 
-    def adb(request: Tuple[Any, ...]) -> Tuple[np.ndarray, ...]:
-        *points, drop = request
-        return tuple(
-            np.asarray(ev.total_adb_hi(p, drop_terminated_carryover=drop), dtype=float)
-            for p in points
-        )
+    def window(request: Tuple[float, float, float, float, bool]) -> Tuple[int, Outcome]:
+        lo, hi, prev_delta, prev_demand, drop = request
+        breaks = ev.breakpoints_in(lo, hi, kind="adb")
+        return breaks.size, crossing_window(ev, s, breaks, prev_delta, prev_demand, drop)
 
     with trace.span("resetting.scan", engine=engine, n_tasks=len(taskset)):
         result = drive(
@@ -202,8 +206,7 @@ def resetting_time(
                 "zero": lambda drop: float(
                     ev.total_adb_hi(0.0, drop_terminated_carryover=drop)
                 ),
-                "breaks": lambda window: ev.breakpoints_in(*window, kind="adb"),
-                "adb": adb,
+                "window": window,
             },
         )
     if memo_key is not None:
@@ -224,10 +227,12 @@ def crossing_steps(
     Reads the set's scalars from ``ev`` and yields:
 
     * ``("zero", drop)`` — ``sum ADB_HI(0)`` as a float;
-    * ``("breaks", (lo, hi))`` — the ``ADB_HI`` breakpoints in ``(lo, hi]``;
-    * ``("adb", (*points, drop))`` — ``sum ADB_HI`` at each point array,
-      as a tuple of float arrays: the window's breakpoints and their
-      midpoints, and then the one-point array of an interior crossing;
+    * ``("window", (lo, hi, prev_delta, prev_demand, drop))`` — the
+      number of ``ADB_HI`` breakpoints in ``(lo, hi]`` and the window's
+      outcome after the breakpoint ``prev_delta`` of demand
+      ``prev_demand``, as :func:`window_crossings` gives it: the last
+      breakpoint's ``(delta, demand)`` (the scan goes on), or the
+      crossing's ``(delta_r, at_breakpoint, demand)``;
 
     with ``drop`` the ``drop_terminated_carryover`` flag.  Returns the
     :class:`ResettingResult`.  Raises ``ValueError`` for a speedup that
@@ -270,50 +275,17 @@ def crossing_steps(
             min(window_lo + step, scan_end * (1.0 + 1e-9) + 1e-12),
             kind="adb",
         )
-        budget.context = (
-            f"s={s:.6g}, demand rate={rate:.6g}, crossing horizon={horizon:.6g}, "
-            f"scan reached Delta={window_lo:.6g} of {scan_end:.6g}"
-        )
-        breaks = yield "breaks", (window_lo, window_hi)
-        budget.charge(breaks.size)
-        if breaks.size:
-            prevs = np.concatenate(([prev_delta], breaks[:-1]))
-            # Interior crossing strictly inside (prevs[j], breaks[j]): the
-            # demand there is linear from prev_vals[j] to its left limit at
-            # breaks[j].  Probe midpoints to recover the segment lines
-            # exactly.  A crossing landing exactly on a breakpoint does not
-            # count — the demand jumps upward there, so the post-jump value
-            # decides instead.
-            mids = 0.5 * (prevs + breaks)
-            values, mid_vals = yield "adb", (breaks, mids, drop)
-            prev_vals = np.concatenate(([prev_demand], values[:-1]))
-            lengths = breaks - prevs
-            left_limits = 2.0 * mid_vals - prev_vals
-            with np.errstate(divide="ignore", invalid="ignore"):
-                slopes = np.where(lengths > 0, (left_limits - prev_vals) / np.where(lengths > 0, lengths, 1.0), np.inf)
-                crossings = prevs + (prev_vals - s * prevs) / (s - slopes)
-            tol_b = _RTOL * (1.0 + np.abs(breaks))
-            interior_ok = (
-                (lengths > 0)
-                & (s > slopes)
-                & (prev_vals > s * prevs + _RTOL * (1.0 + np.abs(prev_vals)))
-                & (crossings >= prevs)
-                & (crossings < breaks - tol_b)
+        size, outcome = yield "window", (window_lo, window_hi, prev_delta, prev_demand, drop)
+        if size > budget.remaining:  # the charge raises: say how far the scan got
+            budget.context = (
+                f"s={s:.6g}, demand rate={rate:.6g}, crossing horizon={horizon:.6g}, "
+                f"scan reached Delta={window_lo:.6g} of {scan_end:.6g}"
             )
-            break_ok = values <= s * breaks + _RTOL * (1.0 + np.abs(values))
-            int_hits = np.flatnonzero(interior_ok)
-            brk_hits = np.flatnonzero(break_ok)
-            first_int = int(int_hits[0]) if int_hits.size else breaks.size
-            first_brk = int(brk_hits[0]) if brk_hits.size else breaks.size
-            if first_int <= first_brk and first_int < breaks.size:
-                j = first_int
-                crossing = float(max(crossings[j], prevs[j]))
-                (demand,) = yield "adb", (np.array([crossing]), drop)
-                return ResettingResult(crossing, s, False, float(demand[0]))
-            if first_brk < breaks.size:
-                j = first_brk
-                return ResettingResult(float(breaks[j]), s, True, float(values[j]))
-            prev_delta, prev_demand = float(breaks[-1]), float(values[-1])
+        budget.charge(size)
+        if len(outcome) == 3:
+            delta_r, at_breakpoint, demand = outcome
+            return ResettingResult(delta_r, s, at_breakpoint, demand)
+        prev_delta, prev_demand = outcome
         window_lo = window_hi
         step *= 2.0
 
@@ -322,6 +294,115 @@ def crossing_steps(
     raise RuntimeError(  # pragma: no cover - defensive
         f"resetting-time scan exhausted at Delta={window_lo} (s={s})"
     )
+
+
+#: A window's outcome: the last breakpoint's ``(delta, demand)`` when the
+#: scan goes on, or the crossing's ``(delta_r, at_breakpoint, demand)``.
+Outcome = Tuple[Any, ...]
+
+
+def window_crossings(
+    speeds: np.ndarray,
+    breaks: np.ndarray,
+    bounds: np.ndarray,
+    prev_delta: np.ndarray,
+    prev_demand: np.ndarray,
+    demand: Callable[[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]],
+    at_crossings: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> List[Outcome]:
+    """Corollary 5 on many scan windows at once: each window's outcome.
+
+    Window ``j`` scans at speed ``speeds[j]`` the ascending breakpoints
+    ``breaks[bounds[j]:bounds[j + 1]]`` (at least one), after the
+    breakpoint ``prev_delta[j]`` whose demand is ``prev_demand[j]``.
+    ``demand(breaks, mids)`` returns ``sum ADB_HI`` at the breakpoints and
+    at the midpoints of the segments before them, and
+    ``at_crossings(points, windows)`` at each interior crossing
+    ``points[k]`` of window ``windows[k]``; each is called at most once.
+
+    Returns one :data:`Outcome` per window: the crossing in the window's
+    first segment or at its first breakpoint where the demand meets the
+    supply line ``s * Delta``, or else its last breakpoint's
+    ``(delta, demand)``.
+    """
+    heads = bounds[:-1]
+    prevs = np.empty(breaks.size)
+    prevs[1:] = breaks[:-1]
+    prevs[heads] = prev_delta
+    # Interior crossing strictly inside (prevs[j], breaks[j]): the
+    # demand there is linear from prev_vals[j] to its left limit at
+    # breaks[j].  Probe midpoints to recover the segment lines
+    # exactly.  A crossing landing exactly on a breakpoint does not
+    # count — the demand jumps upward there, so the post-jump value
+    # decides instead.
+    mids = 0.5 * (prevs + breaks)
+    values, mid_vals = demand(breaks, mids)
+    prev_vals = np.empty(breaks.size)
+    prev_vals[1:] = values[:-1]
+    prev_vals[heads] = prev_demand
+    s = speeds.repeat(bounds[1:] - heads)
+    lengths = breaks - prevs
+    left_limits = 2.0 * mid_vals - prev_vals
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slopes = np.where(lengths > 0, (left_limits - prev_vals) / np.where(lengths > 0, lengths, 1.0), np.inf)
+        crossings = prevs + (prev_vals - s * prevs) / (s - slopes)
+    tol_b = _RTOL * (1.0 + np.abs(breaks))
+    interior_ok = (
+        (lengths > 0)
+        & (s > slopes)
+        & (prev_vals > s * prevs + _RTOL * (1.0 + np.abs(prev_vals)))
+        & (crossings >= prevs)
+        & (crossings < breaks - tol_b)
+    )
+    break_ok = values <= s * breaks + _RTOL * (1.0 + np.abs(values))
+    # Each window's first hit, else its last breakpoint; an interior
+    # crossing comes before the breakpoint that closes its segment.
+    at = np.minimum(
+        np.minimum.reduceat(
+            np.where(interior_ok | break_ok, np.arange(breaks.size), breaks.size), heads
+        ),
+        bounds[1:] - 1,
+    )
+    inside = interior_ok[at]
+    # max(crossing, prev) with Python's tie rule.
+    crossing = np.where(prevs[at] > crossings[at], prevs[at], crossings[at])
+    delta = np.where(inside, crossing, breaks[at])
+    value = values[at]
+    if inside.any():
+        crossed = inside.nonzero()[0]
+        value[crossed] = at_crossings(delta[crossed], crossed)
+    return [
+        (d, v) if not kind else (d, kind == 1, v)
+        for d, v, kind in zip(
+            delta.tolist(), value.tolist(), np.where(inside, 2, break_ok[at]).tolist()
+        )
+    ]
+
+
+def crossing_window(
+    ev: Evaluator, s: float, breaks: np.ndarray, prev_delta: float, prev_demand: float,
+    drop: bool,
+) -> Outcome:
+    """One window's :func:`window_crossings` outcome on one evaluator:
+    ``sum ADB_HI`` on the breakpoints, then on the midpoints, then at an
+    interior crossing.  A window without breakpoints keeps the previous
+    breakpoint's ``(delta, demand)``."""
+    if not breaks.size:
+        return prev_delta, prev_demand
+
+    def adb(points: np.ndarray) -> np.ndarray:
+        return np.asarray(ev.total_adb_hi(points, drop_terminated_carryover=drop), dtype=float)
+
+    (outcome,) = window_crossings(
+        np.array([s]),
+        breaks,
+        np.array([0, breaks.size]),
+        np.array([prev_delta]),
+        np.array([prev_demand]),
+        lambda points, mids: (adb(points), adb(mids)),
+        lambda points, _: adb(points),
+    )
+    return outcome
 
 
 def resetting_curve(

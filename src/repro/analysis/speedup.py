@@ -188,8 +188,8 @@ def supremum_steps(
     * ``("zero", None)`` — ``sum DBF_HI(0)`` as a float;
     * ``("peak", (lo, hi, best_ratio))`` — the number of ``DBF_HI``
       breakpoints in ``(lo, hi]`` and their ``(ratio, delta)`` peak, as
-      :meth:`~repro.analysis.kernels.CompiledTaskSet.window_peak` returns
-      it (``(0, best_ratio, None)`` for a window without breakpoints).
+      :func:`~repro.analysis.kernels.window_peaks` finds it
+      (``(0, best_ratio, None)`` for a window without breakpoints).
 
     Returns the :class:`SpeedupResult`, or raises
     :class:`~repro.analysis.budget.AnalysisBudgetExceeded` on budget
@@ -215,7 +215,8 @@ def supremum_steps(
     while True:
         window_hi = ev.clamp_window(window_lo, window_hi, kind="dbf")
         # The compiled engine prunes stripes that provably cannot beat
-        # best_ratio (kernels.window_peak_steps), the scalar engine
+        # best_ratio (kernels.window_peaks, one window per set or a
+        # lockstep round's windows in columns), the scalar engine
         # evaluates every candidate.  Both yield the identical
         # (best_ratio, best_delta) trajectory.
         size, peak_ratio, peak_delta = yield "peak", (window_lo, window_hi, best_ratio)

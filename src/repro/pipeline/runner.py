@@ -36,8 +36,11 @@
     than abort the run;
 * **durable checkpoint/resume** — every settled item is appended to a
   JSONL checkpoint as a CRC-wrapped line, flushed *and fsynced* once per
-  settled group (its results arrive together), so a process kill at any
-  byte offset loses at most the group in flight.  On resume, torn tails
+  settled group (its results arrive together).  Lines are appended in
+  group order at any ``jobs``: a pool's group that settles early is held
+  until every earlier group is appended, so the file's bytes do not
+  depend on ``jobs``, and a process kill at any byte offset loses at
+  most the groups not yet appended.  On resume, torn tails
   and corrupt lines are detected (CRC) and treated as "recompute";
   duplicate keys resolve last-wins; infrastructure failures (worker
   death, quarantine) are transient, not verdicts, and are recomputed.
@@ -189,6 +192,44 @@ def _cut(items: Sequence[ItemT], size: int) -> List[List[ItemT]]:
         list(items[(i * len(items)) // count : ((i + 1) * len(items)) // count])
         for i in range(count)
     ]
+
+
+class _GroupOrder:
+    """Append checkpoint entries in group order, each group's in item order.
+
+    A pool settles groups in completion order (and an item requeued or
+    quarantined after a failure on its own); each entry is held until its
+    group and every earlier one have settled.  The inline path settles
+    groups in order, so nothing waits there, and both write the same bytes.
+    """
+
+    def __init__(self, appender: DurableAppender, groups: Sequence[Sequence[str]]) -> None:
+        self.appender = appender
+        self.place = {
+            key: (group, slot)
+            for group, keys in enumerate(groups)
+            for slot, key in enumerate(keys)
+        }
+        self.held: List[List[Optional[CheckpointEntry]]] = [[None] * len(keys) for keys in groups]
+        self.left = [len(keys) for keys in groups]  # entries still to settle
+        self.next = 0
+
+    def append(self, key: str, entry: CheckpointEntry) -> None:
+        group, slot = self.place[key]
+        self.held[group][slot] = entry
+        self.left[group] -= 1
+        while self.next < len(self.left) and not self.left[self.next]:
+            self.flush(self.next + 1)
+
+    def flush(self, end: Optional[int] = None) -> None:
+        """Append what is held up to group ``end`` (every group, for a run
+        cut short), in group order."""
+        for held in self.held[self.next : end]:
+            for entry in held:
+                if entry is not None:
+                    self.appender.append(entry)
+            held.clear()
+        self.next = len(self.held) if end is None else end
 
 
 #: One unit of pool work: (slot within the chunk, request key, request).
@@ -688,6 +729,13 @@ class BatchRunner:
             self.progress(done, len(requests))
 
         appender = self._open_appender(resumed)
+        work = [(key, pending_request[key]) for key in pending]
+        groups = self._groups(work)
+        ordered = (
+            _GroupOrder(appender, [[key for key, _ in group] for group in groups])
+            if appender is not None
+            else None
+        )
         quarantine_file = (
             Quarantine(self.quarantine, io=self.io, policy=self.retry)
             if self.quarantine is not None
@@ -716,13 +764,11 @@ class BatchRunner:
                 # A quarantined verdict is transient; caching it would
                 # resurface an infrastructure hiccup as a cached fact.
                 self._cache_put(key, payload)
-            if appender is not None:
-                entry: CheckpointEntry = {
-                    "checkpoint_version": CHECKPOINT_VERSION,
-                    "key": key,
-                    "report": payload,
-                }
-                appender.append(entry)
+            if ordered is not None:
+                ordered.append(
+                    key,
+                    {"checkpoint_version": CHECKPOINT_VERSION, "key": key, "report": payload},
+                )
             if self.progress is not None:
                 self.progress(done, len(requests))
 
@@ -750,11 +796,10 @@ class BatchRunner:
             settle(item.key, report.to_dict(), quarantined=True)
             commit()
 
-        work = [(key, pending_request[key]) for key in pending]
         try:
             with GracefulShutdown(install=self.install_signal_handlers) as shutdown:
                 if self.jobs == 1 or len(work) <= 1:
-                    for group in self._groups(work):
+                    for group in groups:
                         if shutdown.requested:
                             raise self._aborted(shutdown, done, len(requests))
                         t0 = time.perf_counter()
@@ -789,6 +834,10 @@ class BatchRunner:
                         if pool is not self.pool:
                             pool.close()
         finally:
+            if ordered is not None:
+                # A run cut short (a signal, an unusable pool) keeps every
+                # settled result: held groups go out before the last commit.
+                ordered.flush()
             if appender is not None:
                 appender.close()
                 self.faults.checkpoint_io_errors += appender.io_errors

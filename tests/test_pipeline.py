@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -317,6 +318,29 @@ class TestCheckpointResume:
         assert runner.stats.computed == 1
         assert runner.faults.checkpoint_corrupt_lines == 1
         assert _dicts(reports) == _dicts(reference)
+
+    def test_pool_checkpoint_lines_follow_group_order(
+        self, tmp_path, population_requests, monkeypatch
+    ):
+        from repro.pipeline import runner as runner_module
+
+        requests = population_requests[:6]
+        ck = {jobs: tmp_path / f"j{jobs}.jsonl" for jobs in (1, 2)}
+        BatchRunner(jobs=1, chunk_size=2, checkpoint=ck[1]).run(requests)
+        first = requests[0].taskset.name
+        evaluate_group = runner_module._evaluate_group
+
+        def first_group_last(group):
+            # Forked pool workers inherit this patch: the first group
+            # completes after the other two.
+            if group[0].taskset.name == first:
+                time.sleep(1.0)
+            return evaluate_group(group)
+
+        monkeypatch.setattr(runner_module, "_evaluate_group", first_group_last)
+        BatchRunner(jobs=2, chunk_size=2, checkpoint=ck[2]).run(requests)
+        assert len(ck[1].read_text().splitlines()) == 6
+        assert ck[2].read_bytes() == ck[1].read_bytes()
 
 
 class TestErrorCapture:

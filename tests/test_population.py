@@ -419,26 +419,171 @@ class TestBudgetParity:
         pop = min_speedup_many(batch, max_candidates=100, on_budget="inexact")
         assert per_set == [r.to_dict() for r in pop]
 
+    @staticmethod
+    def _same_error(per_set, fused):
+        assert (fused.examined, fused.budget, fused.context) == (
+            per_set.examined, per_set.budget, per_set.context,
+        )
+        assert str(fused) == str(per_set)
+
     def test_raise_mode_raises_like_per_set(self, table1):
         hard = multi_window_set()
         _clear_caches()
         exact = min_speedup(hard)
         assert exact.exact
         assert exact.candidates_examined > 50
-        with pytest.raises(AnalysisBudgetExceeded):
+        with pytest.raises(AnalysisBudgetExceeded) as per_set:
             min_speedup(hard, max_candidates=50, on_budget="raise")
-        with pytest.raises(AnalysisBudgetExceeded):
+        with pytest.raises(AnalysisBudgetExceeded) as fused:
             min_speedup_many(
                 [table1, hard], max_candidates=50, on_budget="raise"
             )
+        self._same_error(per_set.value, fused.value)
 
     def test_resetting_budget_raises_like_per_set(self, table1):
         hard = near_critical_set()
-        with pytest.raises(AnalysisBudgetExceeded):
+        with pytest.raises(AnalysisBudgetExceeded) as per_set:
             resetting_time(hard, 1.9, max_candidates=1_000)
-        with pytest.raises(AnalysisBudgetExceeded):
+        assert "scan reached Delta=" in per_set.value.context
+        with pytest.raises(AnalysisBudgetExceeded) as fused:
             resetting_many([table1, hard], 1.9, max_candidates=1_000)
+        self._same_error(per_set.value, fused.value)
 
+
+def carry_set(table1) -> TaskSet:
+    """Table 1 plus a LO task with ``T(HI) = inf`` and a finite ``D(HI)``:
+    its ``DBF_HI`` points outside the lattice leave every window of the
+    set to its own ``breakpoints_in``."""
+    return TaskSet(
+        list(table1)
+        + [MCTask.lo("c", c=1.0, d_lo=3.0, t_lo=8.0, d_hi=9.0, t_hi=math.inf)],
+        name="carry",
+    )
+
+
+class TestColumnarWindows:
+    """The Theorem-2 ``peak`` and Corollary-5 ``window`` phases answer a
+    round's windows in columns; every route through them matches the
+    per-set scans report for report."""
+
+    @staticmethod
+    def _check(sets, speed=2.0):
+        _clear_caches()
+        peaks = [min_speedup(ts, engine="scalar").to_dict() for ts in sets]
+        crossings = [resetting_time(ts, speed, engine="scalar").to_dict() for ts in sets]
+        _clear_caches()
+        assert peaks == [r.to_dict() for r in min_speedup_many(sets)]
+        assert crossings == [r.to_dict() for r in resetting_many(sets, speed)]
+
+    def test_windows_left_alone(self, table1, small_population, monkeypatch):
+        sets = small_population[:6] + [carry_set(table1), near_critical_set()]
+        alone = _count_calls(monkeypatch, "breakpoints_in")
+        self._check(sets)
+        # The carry set's DBF_HI windows, and a dense ADB_HI window near
+        # the crossing horizon.
+        assert sets[6] in [member.taskset for member in alone]
+        assert sets[7] in [member.taskset for member in alone]
+
+    def test_windows_filling_a_chunk(self, small_population, monkeypatch):
+        sets = small_population[:6] + [near_critical_set(), dense_window_set(0.05625)]
+        peaks = _count_calls(monkeypatch, "window_peak")
+        crossings = _count_calls(monkeypatch, "total_adb_hi")
+        self._check(sets)
+        assert peaks and crossings
+
+    def test_empty_windows(self, table1, small_population, monkeypatch):
+        empty = []
+        original = population_module._window_points
+
+        def recorded(pop, kind, *window):
+            points, owner, bounds = original(pop, kind, *window)
+            empty.append(int((np.diff(bounds) == 0).sum()))
+            return points, owner, bounds
+
+        monkeypatch.setattr(population_module, "_window_points", recorded)
+        # A crossing horizon far below the first breakpoint: the early
+        # windows hold no breakpoint.
+        self._check(small_population[:4] + [table1], speed=50.0)
+        assert any(empty)
+
+    def test_mixed_drop_flags_and_a_nan_speed(self, small_population):
+        sets = [terminate_lo_tasks(ts) for ts in small_population[:8]]
+        speeds = [2.0, 2.0, 3.0, math.nan, 2.5, 2.0, 1.5, 2.0]
+        drops = [k % 3 == 1 for k in range(len(sets))]
+        _clear_caches()
+        expected = []
+        for ts, speed, drop in zip(sets, speeds, drops):
+            try:
+                expected.append(
+                    resetting_time(
+                        ts, speed, drop_terminated_carryover=drop, engine="scalar"
+                    ).to_dict()
+                )
+            except ValueError as error:
+                expected.append(str(error))
+        # The flag matters for these sets.
+        assert resetting_time(sets[1], 2.0).to_dict() != expected[1]
+        _clear_caches()
+        outcomes = population_module._resetting_lockstep(
+            kernels.compile_tasksets(sets), speeds, drops, [10**6] * len(sets)
+        )
+        assert [
+            str(o) if isinstance(o, ValueError) else o.to_dict() for o in outcomes
+        ] == expected
+        assert isinstance(outcomes[3], ValueError)
+        with pytest.raises(ValueError, match="speedup must be positive"):
+            resetting_many(sets[:2], math.nan)
+
+
+class TestWindowPeaks:
+    """``kernels.window_peaks`` on many windows at once against one
+    window at a time and the exhaustive first argmax."""
+
+    @staticmethod
+    def _windows():
+        """``(candidates, ratios, best)`` per window, with ratios exact."""
+        tie = np.ones(64)
+        # An interior ratio equal to the coarse peak at a later coarse
+        # index (31): the interior candidate comes first and wins.
+        tie[20] = tie[31] = 2.0
+        rising = np.linspace(1.0, 3.0, 64)  # every stripe stays live
+        rng = np.random.default_rng(11)
+        return [
+            (np.arange(1.0, 65.0), tie, 0.0),
+            (np.arange(1.0, 65.0), rising, 0.5),
+            (np.arange(3.0, 13.0), rng.uniform(1, 2, 10), 0.0),  # fewer than 3 stripes
+            (np.arange(1.0, 101.0), np.ones(100), 5.0),  # every stripe pruned
+            (np.arange(1.0, 90.0), rng.uniform(1, 2, 89), 1.2),
+        ]
+
+    def test_flat_matches_one_window_at_a_time(self):
+        windows = self._windows()
+        candidates = np.concatenate([c for c, _, _ in windows])
+        demand = np.concatenate([c * r for c, r, _ in windows])
+        bounds = np.concatenate(([0], np.cumsum([c.size for c, _, _ in windows])))
+        best = np.array([b for _, _, b in windows])
+        calls = []
+
+        def flat(chosen):
+            calls.append(chosen)
+            return demand[chosen]
+
+        before = kernels.PERF.snapshot()
+        ratio, delta = kernels.window_peaks(candidates, bounds, best, flat)
+        pruned = kernels.PERF.delta_since(before)["pruned"]
+        assert len(calls) == 2
+        before = kernels.PERF.snapshot()
+        for j, (c, r, b) in enumerate(windows):
+            one = kernels.window_peaks(
+                c, np.array([0, c.size]), np.array([b]), lambda chosen: (c * r)[chosen]
+            )
+            assert (one[0][0], one[1][0]) == (ratio[j], delta[j])
+        assert kernels.PERF.delta_since(before)["pruned"] == pruned > 0
+        exhaustive = [int(np.argmax(c * r / c)) for c, r, _ in windows]
+        assert delta[0] == windows[0][0][20] and ratio[0] == 2.0
+        for j in (0, 1, 2, 4):
+            c, r, _ = windows[j]
+            assert (ratio[j], delta[j]) == ((c * r / c)[exhaustive[j]], c[exhaustive[j]])
 
 class TestProbeColumns:
     """``CompiledPopulation.probe_lo_deadline_factors`` against the derived
