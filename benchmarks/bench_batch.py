@@ -1,7 +1,7 @@
 """Pipeline throughput: serial vs parallel vs cached batch analysis.
 
 Runs a paper-scale Figure-6 population (500 sets per utilization point,
-six points = 3000 analyses) through :class:`repro.pipeline.BatchRunner`
+six points = 3000 analyses) through :class:`repro.pipeline.WorkQueueCore`
 three ways and records the throughput ratios:
 
 * ``serial``      — ``jobs=1``, no cache (the pre-pipeline baseline);
@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from repro.api import AnalysisRequest, BatchRunner, ResultCache
+from repro.api import AnalysisRequest, ResultCache, WorkQueueCore
 from repro.generator.taskgen import GeneratorConfig, generate_taskset
 
 U_BOUNDS = (0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
@@ -51,26 +51,25 @@ def _population_requests():
     return requests
 
 
-def _timed_run(runner, requests):
-    start = time.perf_counter()
-    reports = runner.run(requests)
-    return reports, time.perf_counter() - start
+def _timed_run(requests, **resources):
+    """One pass on a fresh core (a reused one would coalesce the job)."""
+    with WorkQueueCore(**resources) as core:
+        start = time.perf_counter()
+        reports = core.run(requests)
+        seconds = time.perf_counter() - start
+    return core, reports, seconds
 
 
 def test_batch_throughput(record_artifact):
     requests = _population_requests()
     n = len(requests)
 
-    serial_reports, serial_s = _timed_run(BatchRunner(jobs=1), requests)
-
-    parallel_runner = BatchRunner(jobs=PARALLEL_JOBS)
-    parallel_reports, parallel_s = _timed_run(parallel_runner, requests)
+    _, serial_reports, serial_s = _timed_run(requests, jobs=1)
+    _, parallel_reports, parallel_s = _timed_run(requests, jobs=PARALLEL_JOBS)
 
     cache = ResultCache()
-    warm_runner = BatchRunner(jobs=1, cache=cache)
-    warm_runner.run(requests)
-    cached_runner = BatchRunner(jobs=1, cache=cache)
-    cached_reports, cached_s = _timed_run(cached_runner, requests)
+    _timed_run(requests, jobs=1, cache=cache)
+    cached_core, cached_reports, cached_s = _timed_run(requests, jobs=1, cache=cache)
 
     parallel_x = serial_s / parallel_s if parallel_s > 0 else float("inf")
     cached_x = serial_s / cached_s if cached_s > 0 else float("inf")
@@ -90,7 +89,7 @@ def test_batch_throughput(record_artifact):
     serial_payloads = [r.to_dict() for r in serial_reports]
     assert [r.to_dict() for r in parallel_reports] == serial_payloads
     assert [r.to_dict() for r in cached_reports] == serial_payloads
-    assert cached_runner.stats.computed == 0
+    assert cached_core.stats.computed == 0
 
     # A warm cache must beat recomputation regardless of the machine.
     assert cached_x >= 2.0, f"cache pass only {cached_x:.2f}x serial"

@@ -25,7 +25,7 @@ Scenarios
   probes via the fingerprint memo (>= 10x).
 * ``fig6_fig7_e2e`` — end-to-end wall clock of shrunken Figure-6 and
   Figure-7 sweeps through the batch pipeline: the "scalar" pass is the
-  per-item path (``BatchRunner(chunk_size=1)``), the "compiled" pass the
+  per-item path (``WorkQueueCore(chunk_size=1)``), the "compiled" pass the
   default grouped pipeline, with byte-identical figure data.
 
 Speedup scenarios additionally time the population engine in one fused
@@ -42,6 +42,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_kernels.py            # full run
     PYTHONPATH=src python benchmarks/bench_kernels.py --quick    # CI smoke
 
+A full run writes ``BENCH_kernels.json`` unless ``--out`` names another
+file.  A ``--quick`` run writes only to an explicit ``--out``, so the
+smoke never overwrites the committed full-run baseline.
+
 The full run enforces the acceptance thresholds (exit code 1 on a
 miss); ``--quick`` shrinks the workloads (so the ratios under-represent
 the full-size gains) and only enforces that the compiled engine is not
@@ -57,6 +61,7 @@ import math
 import platform
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -232,9 +237,12 @@ def _e2e_scenario(quick: bool) -> Scenario:
         u7, n7 = (0.25, 0.55, 0.85), 12
 
     def run(engine: str) -> Tuple[Any, ...]:
-        per_item = api.BatchRunner(chunk_size=1) if engine == "scalar" else None
-        points = fig6.run(u_bounds=u6, sets_per_point=n6, runner=per_item)
-        grid = fig7.run(u_points=u7, sets_per_point=n7, runner=per_item)
+        per_item = (
+            api.WorkQueueCore(chunk_size=1) if engine == "scalar" else nullcontext()
+        )
+        with per_item as core:
+            points = fig6.run(u_bounds=u6, sets_per_point=n6, core=core)
+            grid = fig7.run(u_points=u7, sets_per_point=n7, core=core)
         return (
             [
                 (p.u_bound, [(s.s_min, s.delta_r, s.lo_feasible) for s in p.samples])
@@ -337,10 +345,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--out",
         type=Path,
-        default=REPO_ROOT / "BENCH_kernels.json",
-        help="output JSON path",
+        default=None,
+        help="output JSON path (a full run defaults to BENCH_kernels.json; "
+        "--quick writes nothing without it)",
     )
     args = parser.parse_args(argv)
+    out = args.out
+    if out is None and not args.quick:
+        out = REPO_ROOT / "BENCH_kernels.json"
 
     runs = []
     failures = []
@@ -404,8 +416,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "perf_counters": kernels.perf_snapshot(),
         "runs": runs,
     }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    if out is None:
+        print("--quick without --out: no JSON written")
+    else:
+        out.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {out}")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

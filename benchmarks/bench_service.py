@@ -198,7 +198,7 @@ def run_bench(unique: int, total: int, quick: bool) -> Dict[str, Any]:
         "quick": quick,
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "jobs": core.jobs,
+        "jobs": core.runner.jobs,
         "requests": total,
         "unique_jobs": unique,
         "concurrency": total,

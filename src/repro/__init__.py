@@ -14,7 +14,7 @@ Public API highlights
   :class:`~repro.pipeline.request.AnalysisReport`.
 * :func:`repro.api.analyze_many` — the same over a population, with
   process-pool fan-out, content-addressed caching and
-  checkpoint/resume (:mod:`repro.pipeline`).
+  checkpoint/resume (:class:`~repro.pipeline.core.WorkQueueCore`).
 * :func:`repro.api.load_taskset` / :func:`repro.api.save_report` —
   versioned JSON I/O.
 * :mod:`repro.sim` — discrete-event EDF simulator with mode switching
@@ -40,8 +40,8 @@ from repro.model import (
 from repro.api import (
     AnalysisReport,
     AnalysisRequest,
-    BatchRunner,
     ResultCache,
+    WorkQueueCore,
     analyze,
     analyze_many,
     load_report,
@@ -50,7 +50,7 @@ from repro.api import (
     save_taskset,
 )
 
-__version__ = "2.0.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "Criticality",
@@ -62,8 +62,8 @@ __all__ = [
     "terminate_lo_tasks",
     "AnalysisReport",
     "AnalysisRequest",
-    "BatchRunner",
     "ResultCache",
+    "WorkQueueCore",
     "analyze",
     "analyze_many",
     "load_report",

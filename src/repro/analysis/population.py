@@ -47,8 +47,7 @@ tasks, or a probe whose first window passes short of its horizon, goes on
 as its own :func:`~repro.analysis.schedulability.lo_scan_steps`
 generator; ``lo_scan_steps`` stays the one multi-window LO scan.
 
-Results carry no perf snapshots (``SpeedupResult.perf`` is ``None``)
-and the shared :class:`~repro.analysis.kernels.AnalysisMemo` is neither
+The shared :class:`~repro.analysis.kernels.AnalysisMemo` is neither
 consulted nor populated: population scans always compute, which keeps
 their results trivially independent of call order.
 """

@@ -46,13 +46,12 @@ scan is written once, as the generator :func:`supremum_steps`:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 from repro.analysis.budget import AnalysisBudgetExceeded
 from repro.analysis.kernels import (
     MEMO,
-    PERF,
     CompiledTaskSet,
     Evaluator,
     Steps,
@@ -86,11 +85,6 @@ class SpeedupResult:
         when ``exact``).
     candidates_examined:
         Number of breakpoints evaluated (diagnostic).
-    perf:
-        Kernel perf counters accumulated by this computation on the
-        compiled engine (``None`` on the scalar path).  Excluded from
-        equality and serialisation: the analysis outcome is the other
-        five fields.
     """
 
     s_min: float
@@ -98,7 +92,6 @@ class SpeedupResult:
     exact: bool
     upper_bound: float
     candidates_examined: int
-    perf: Optional[Dict[str, Any]] = field(default=None, compare=False)
 
     @property
     def requires_speedup(self) -> bool:
@@ -133,7 +126,6 @@ class SpeedupResult:
             "exact": self.exact,
             "upper_bound": self.upper_bound,
             "candidates_examined": self.candidates_examined,
-            "perf": self.perf,
         }
 
     def to_dict(self) -> Dict[str, Any]:
@@ -313,7 +305,6 @@ def min_speedup(
         if cached is not None:
             return cached
 
-    before = PERF.snapshot() if memo_key is not None else None
     with trace.span("speedup.min_speedup", engine=engine, n_tasks=len(taskset)) as sp:
         result = drive(
             supremum_steps(
@@ -323,7 +314,6 @@ def min_speedup(
         )
         sp.add("candidates", result.candidates_examined)
     if memo_key is not None:
-        result = replace(result, perf=PERF.delta_since(before))
         MEMO.store(memo_key, result)
     return result
 

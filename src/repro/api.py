@@ -7,16 +7,16 @@ behind a small, stable surface:
   :class:`~repro.pipeline.request.AnalysisReport` out (Theorem 2,
   Corollary 5, LO/HI feasibility, Lemma 6/7 bounds, per-task tuning).
 * :func:`analyze_many` — the same over a population, optionally across
-  worker processes with caching and checkpoint/resume
-  (:class:`~repro.pipeline.runner.BatchRunner`).
+  worker processes with caching and checkpoint/resume (on a
+  :class:`WorkQueueCore`).
 * :func:`load_taskset` / :func:`save_taskset` /
   :func:`save_report` / :func:`load_report` — versioned JSON I/O.
 * The service surface: :func:`serve` runs the analysis-as-a-service
   HTTP front-end (``repro-mc serve``), :class:`AnalysisClient` is its
   synchronous client (``submit``/``poll``/``result`` helpers plus
   remote ``analyze``/``analyze_many``), and :class:`WorkQueueCore` /
-  :class:`JobHandle` expose the shared work-queue for in-process
-  submission with job-level dedup/coalescing.
+  :class:`JobHandle` expose the work-queue every batch runs through,
+  for in-process submission with job-level dedup/coalescing.
 * Blessed re-exports of the individual analyses (:func:`min_speedup`,
   :func:`resetting_time`, :func:`hi_mode_schedulable`, ...) for callers
   that want one number instead of a full report.
@@ -33,6 +33,7 @@ analysis package can evolve without touching every figure script.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import Any, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -99,7 +100,7 @@ from repro.pipeline.request import (
     AnalysisRequest,
     evaluate_request,
 )
-from repro.pipeline.runner import BatchRunner, BatchStats, ProgressCallback
+from repro.pipeline.runner import BatchStats, ProgressCallback
 from repro.service.client import AnalysisClient, ServiceError
 from repro.service.schema import WIRE_VERSION, WireError
 from repro.service.server import serve
@@ -112,7 +113,6 @@ __all__ = [
     "AnalysisRequest",
     "AnalysisResult",
     "BatchAborted",
-    "BatchRunner",
     "BatchStats",
     "ClosedFormBounds",
     "EdfVdDegradedResult",
@@ -230,7 +230,7 @@ def analyze_many(
     resume: bool = False,
     chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
-    runner: Optional[BatchRunner] = None,
+    core: Optional[WorkQueueCore] = None,
     retry: Optional[RetryPolicy] = None,
     quarantine: Optional[str] = None,
     **options: Any,
@@ -249,10 +249,15 @@ def analyze_many(
     bounds the handling of infrastructure failures (worker crashes,
     broken pools, watchdog timeouts); ``quarantine`` names a JSONL file
     that collects items exhausting their attempts instead of aborting
-    the sweep.  Pass a pre-configured ``runner`` to reuse one across
-    calls (its stats then accumulate per call).  SIGINT/SIGTERM during
-    a run drains gracefully and raises :class:`BatchAborted` with the
-    resumable checkpoint path.
+    the sweep.  SIGINT/SIGTERM during a run drains gracefully and raises
+    :class:`BatchAborted` with the resumable checkpoint path.  The call
+    runs on a :class:`WorkQueueCore` it closes before returning, so no
+    worker outlives it; pass ``core`` to reuse one you own and close
+    instead (its resources replace ``jobs``/``cache``/``chunk_size``/
+    ``retry``/``quarantine``).  An identical submission to the same core
+    coalesces onto the earlier job: nothing is recomputed, checkpointed
+    or reported to ``progress``.  For that, a core keeps the payloads
+    of up to ``completed_capacity`` completed jobs until it is closed.
 
     Pending requests are evaluated in groups of up to ``chunk_size``
     (default :data:`~repro.pipeline.runner.GROUP_SIZE`), the same groups
@@ -267,18 +272,21 @@ def analyze_many(
         else _build_request(item, speedup=speedup, budget=budget, **options)
         for item in tasksets
     ]
-    if runner is None:
-        runner = BatchRunner(
+    scope = (
+        nullcontext(core)
+        if core is not None
+        else WorkQueueCore(
             jobs=jobs,
             cache=cache,
-            checkpoint=checkpoint,
-            resume=resume,
-            chunk_size=chunk_size,
-            progress=progress,
-            retry=retry if retry is not None else RetryPolicy(),
+            retry=retry,
             quarantine=quarantine,
+            chunk_size=chunk_size,
         )
-    return runner.run(requests)
+    )
+    with scope as target:
+        return target.run(
+            requests, checkpoint=checkpoint, resume=resume, progress=progress
+        )
 
 
 def demand_curve(

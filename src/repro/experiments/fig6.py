@@ -127,13 +127,13 @@ def run(
     seed: int = 2015,
     config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
-    runner: Optional[api.BatchRunner] = None,
+    core: Optional[api.WorkQueueCore] = None,
 ) -> List[Fig6Point]:
     """Panels (a) and (c): distributions at each utilization point.
 
     ``jobs`` fans the per-set analyses over worker processes (results are
-    identical to the serial run); pass a configured ``runner`` instead
-    for caching or checkpoint/resume.
+    identical to the serial run); pass a :class:`~repro.api.WorkQueueCore`
+    as ``core`` instead to run on its cache and worker pool.
     """
     points: List[Fig6Point] = []
     owners: List[Fig6Point] = []
@@ -146,7 +146,7 @@ def run(
             ts = generate_taskset(u, rng, config, name=f"u{u:g}_{i}")
             owners.append(point)
             requests.append(_request(ts, y, s_for_reset))
-    reports = api.analyze_many(requests, jobs=jobs, runner=runner)
+    reports = api.analyze_many(requests, jobs=jobs, core=core)
     for point, report in zip(owners, reports):
         point.samples.append(_sample(report))
     return points
@@ -160,7 +160,7 @@ def run_sweep(
     seed: int = 2015,
     config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
-    runner: Optional[api.BatchRunner] = None,
+    core: Optional[api.WorkQueueCore] = None,
 ) -> Dict[Tuple[float, float], List[Fig6Point]]:
     """Panels (b) and (d): medians across ``(s, y)`` combinations.
 
@@ -192,7 +192,7 @@ def run_sweep(
                     owners.append(point)
                     requests.append(_request(ts, y, s, x=x))
             out[(s, y)] = series
-    reports = api.analyze_many(requests, jobs=jobs, runner=runner)
+    reports = api.analyze_many(requests, jobs=jobs, core=core)
     for point, report in zip(owners, reports):
         point.samples.append(_sample(report))
     return out

@@ -100,7 +100,7 @@ def run(
     config: GeneratorConfig = FIG7_CONFIG,
     jitter: float = 0.025,
     jobs: int = 1,
-    runner: Optional[api.BatchRunner] = None,
+    core: Optional[api.WorkQueueCore] = None,
 ) -> Fig7Grid:
     """Sweep the grid; ``reset_budget`` is in ms (5 s = 5000 ms).
 
@@ -128,7 +128,7 @@ def run(
                 if edf_vd_schedulable(ts).schedulable:
                     ok_1 += 1
             without[i, j] = ok_1 / sets_per_point
-    reports = api.analyze_many(requests, jobs=jobs, runner=runner)
+    reports = api.analyze_many(requests, jobs=jobs, core=core)
     accepted = np.zeros_like(with_speedup)
     for (i, j), report in zip(cells, reports):
         if _accepted(report):

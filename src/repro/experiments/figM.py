@@ -133,7 +133,7 @@ def run(
     seed: int = 2015,
     config: GeneratorConfig = GeneratorConfig(),
     jobs: int = 1,
-    runner: Optional[api.BatchRunner] = None,
+    core: Optional[api.WorkQueueCore] = None,
 ) -> List[FigMCell]:
     """Evaluate the full region grid.
 
@@ -171,7 +171,7 @@ def run(
                             x=x_prep,
                         )
                     )
-    reports = api.analyze_many(requests, jobs=jobs, runner=runner)
+    reports = api.analyze_many(requests, jobs=jobs, core=core)
     for cell, report in zip(owners, reports):
         cell.samples.append(_sample(report))
     return cells

@@ -42,7 +42,6 @@ pipeline ships back per chunk and the metrics registry surfaces as
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence
 
 from repro.analysis.kernels import PERF
@@ -191,7 +190,3 @@ def speedup_admission(
     """Build the default (paper) admission test for ``partition_tasks``."""
     return SpeedupAdmission(speedup_cap, engine=engine)
 
-
-def finite_or_none(value: float) -> Optional[float]:
-    """``value`` when finite, else ``None`` (report-payload helper)."""
-    return value if math.isfinite(value) else None

@@ -16,7 +16,7 @@ and test):
   settled-item timings.
 
 Wired through ``repro-mc batch --metrics out.json --trace trace.jsonl``
-and ``BatchRunner(metrics=...)``; see DESIGN.md section 10 for the span
+and ``WorkQueueCore(metrics=...)``; see DESIGN.md section 10 for the span
 taxonomy.
 """
 

@@ -1,11 +1,11 @@
 """Progress line with an ETA derived from settled-item timings.
 
 :class:`ProgressLine` is a drop-in ``progress(done, total)`` callback
-for :class:`~repro.pipeline.runner.BatchRunner`: it timestamps every
-settle, estimates the rate over a sliding window of recent settles (so
-the ETA tracks the current mix of cache hits and slow analyses rather
-than the whole-run average), and renders either an in-place ``\\r`` line
-(TTY) or one line per update (pipes, CI logs).
+for a batch run (``WorkQueueCore.run`` or ``analyze_many``): it
+timestamps every settle, estimates the rate over a sliding window of
+recent settles (so the ETA tracks the current mix of cache hits and
+slow analyses rather than the whole-run average), and renders either an
+in-place ``\\r`` line (TTY) or one line per update (pipes, CI logs).
 
 Pure stdlib, no repro imports — usable by any long loop, not just the
 batch pipeline.
@@ -78,7 +78,7 @@ class ProgressLine:
             return (total - done) * elapsed / done
         return float("inf")
 
-    # -- the BatchRunner callback ---------------------------------------
+    # -- the batch progress callback -----------------------------------
     def update(self, done: int, total: int) -> None:
         now = time.perf_counter()
         self._settles.append((now, done))

@@ -10,15 +10,18 @@ into a population-scale engine:
 * :mod:`repro.pipeline.cache` — content-addressed
   :class:`ResultCache` keyed by a canonical task-set hash, with
   checksummed disk entries (corruption degrades to a miss).
-* :mod:`repro.pipeline.runner` — :class:`BatchRunner`: process-pool
-  fan-out with chunking, per-item error capture, progress callbacks,
-  durable JSONL checkpoint/resume, retry/watchdog/pool-rebuild fault
-  handling and poison-item quarantine.
-* :mod:`repro.pipeline.core` — :class:`WorkQueueCore`: the long-lived
-  work-queue over the runner machinery that the CLI batch path and the
-  analysis service (:mod:`repro.service`) share — submission queue,
-  persistent supervised pool, job-level dedup/coalescing and a global
-  exactly-once stats tally.
+* :mod:`repro.pipeline.core` — :class:`WorkQueueCore`: the one batch
+  entry point, shared by :func:`repro.api.analyze_many`, the CLI, the
+  analysis service (:mod:`repro.service`), the figure sweeps and the
+  chaos harness — submission queue, one executor with its persistent
+  supervised pool, job-level dedup/coalescing, a global exactly-once
+  stats tally, and report payloads decoded once, only for callers that
+  ask for reports.
+* :mod:`repro.pipeline.runner` — the core's internal executor
+  (``BatchRunner``): process-pool fan-out with grouping, per-item error
+  capture, progress callbacks, durable JSONL checkpoint/resume,
+  retry/watchdog/pool-rebuild fault handling and poison-item
+  quarantine.
 * :mod:`repro.pipeline.fault_tolerance` — the fault-handling
   primitives: :class:`RetryPolicy`, CRC-wrapped durable lines, the
   injectable :class:`CheckpointIO` seam, :class:`Quarantine`,
@@ -62,19 +65,13 @@ from repro.pipeline.request import (
     evaluate_captured,
     evaluate_request,
 )
-from repro.pipeline.runner import (
-    BatchRunner,
-    BatchStats,
-    PersistentPool,
-    run_batch,
-)
+from repro.pipeline.runner import BatchStats, PersistentPool
 
 __all__ = [
     "AnalysisFailure",
     "AnalysisReport",
     "AnalysisRequest",
     "BatchAborted",
-    "BatchRunner",
     "BatchStats",
     "CheckpointIO",
     "FaultStats",
@@ -93,6 +90,5 @@ __all__ = [
     "job_fingerprint",
     "load_quarantine",
     "request_fingerprint",
-    "run_batch",
     "taskset_fingerprint",
 ]

@@ -83,8 +83,8 @@ class ResultCache:
     corrupt, torn or unreadable entry degrades to a cache *miss* — it
     is counted in :attr:`corrupt` (or :attr:`io_errors`), best-effort
     deleted, and recomputed — never a crash and never silently wrong
-    data.  Entries written before the checksum format are still read.
-    ``io`` is the injectable filesystem seam the chaos harness uses to
+    data.  An entry written before the checksum format counts as
+    corrupt the same way: it is deleted and recomputed.  ``io`` is the injectable filesystem seam the chaos harness uses to
     simulate storage faults; :meth:`put` raises ``OSError`` to the
     caller (the runner retries it under its
     :class:`~repro.pipeline.fault_tolerance.RetryPolicy`).

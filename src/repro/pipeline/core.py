@@ -1,28 +1,35 @@
-"""The shared work-queue core: one analysis engine, many clients.
+"""The work-queue core: the one public batch entry point.
 
-:class:`WorkQueueCore` is the long-lived heart that both front-ends of
-the pipeline share.  It owns every cross-run resource — the
-content-addressed :class:`~repro.pipeline.cache.ResultCache`, a
+:class:`WorkQueueCore` is the long-lived object every batch caller runs
+through — :func:`repro.api.analyze_many`, ``repro-mc batch``, the HTTP
+service, the figure sweeps and the chaos harness.  It builds one
+:class:`~repro.pipeline.runner.BatchRunner` executor from its resource
+arguments and runs every submission on it, so the content-addressed
+:class:`~repro.pipeline.cache.ResultCache`, the
 :class:`~repro.pipeline.runner.PersistentPool` of worker processes, the
-runner-wide :class:`~repro.pipeline.fault_tolerance.RetryPolicy`, the
-quarantine sink and the :class:`~repro.obs.metrics.MetricsRegistry` —
-and executes submissions through the exact
-:class:`~repro.pipeline.runner.BatchRunner` machinery the CLI has
-always used (chunked fan-out, retry/watchdog/pool-rebuild fault
-handling, durable checkpoints), which is why the ``repro-mc batch``
-output is byte-identical before and after the refactor.
+:class:`~repro.pipeline.fault_tolerance.RetryPolicy`, the quarantine
+sink and the :class:`~repro.obs.metrics.MetricsRegistry` exist once per
+core (read them through :attr:`WorkQueueCore.runner`).  Close the core,
+or use it as a context manager, to release the pool's workers.
 
 Two client shapes:
 
-* **Synchronous** (the CLI): :meth:`WorkQueueCore.run` executes the
-  submission in the calling thread — signal handlers stay installable
-  (main thread only), ``BatchAborted`` propagates for the resume-hint
-  path, and per-run checkpoint/resume arguments apply directly.
+* **Synchronous** (the CLI, :func:`~repro.api.analyze_many`):
+  :meth:`WorkQueueCore.run` executes the submission in the calling
+  thread — signal handlers stay installable (main thread only),
+  ``BatchAborted`` propagates for the resume-hint path, and per-run
+  checkpoint/resume/progress arguments apply directly.
 * **Asynchronous** (the HTTP service): :meth:`WorkQueueCore.submit`
   enqueues the submission and returns a :class:`JobHandle`
   immediately; a single dispatcher thread drains the queue FIFO, so
   submissions never race each other over the shared pool and the
   global accounting stays exactly-once.
+
+A settled job keeps the report payloads the executor returned — the
+encoding the cache, the checkpoint and the wire share.  They are
+decoded into reports only for a caller that asks for reports
+(:meth:`WorkQueueCore.run`, :meth:`JobHandle.result`); the service
+sends :meth:`JobHandle.payloads` as they are.
 
 Both paths **coalesce duplicate work** at two levels:
 
@@ -56,7 +63,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline.cache import ResultCache, open_cache
+from repro.pipeline.cache import ResultCache
 from repro.pipeline.fault_tolerance import (
     CheckpointIO,
     FaultStats,
@@ -65,12 +72,7 @@ from repro.pipeline.fault_tolerance import (
 )
 from repro.pipeline.payload import ReportPayload
 from repro.pipeline.request import AnalysisReport, AnalysisRequest
-from repro.pipeline.runner import (
-    BatchRunner,
-    BatchStats,
-    PersistentPool,
-    ProgressCallback,
-)
+from repro.pipeline.runner import BatchRunner, BatchStats, ProgressCallback
 
 PathLike = Union[str, Path]
 
@@ -164,7 +166,7 @@ class JobHandle:
         return self._payloads
 
     def result(self) -> List[AnalysisReport]:
-        """The settled reports, revived from their payloads."""
+        """The settled reports, decoded from their payloads on each call."""
         return [AnalysisReport.from_dict(payload) for payload in self.payloads()]
 
 
@@ -180,19 +182,19 @@ class _Submission:
 
 
 class WorkQueueCore:
-    """Long-lived submission queue over the supervised batch machinery.
+    """Long-lived submission queue over one batch executor.
 
-    Parameters mirror :class:`~repro.pipeline.runner.BatchRunner` where
-    they name shared resources (``jobs``, ``cache``, ``retry``,
-    ``quarantine``, ``metrics``, ``chunk_size``, ``io``, ``injection``);
-    per-run options (checkpoint, resume, progress) travel with each
-    submission instead.
+    The resource arguments (``jobs``, ``cache``, ``retry``,
+    ``quarantine``, ``metrics``, ``chunk_size``, ``io``, ``injection``)
+    build the core's one :class:`~repro.pipeline.runner.BatchRunner`,
+    :attr:`runner`; per-run options (checkpoint, resume, progress)
+    travel with each submission instead.
 
     The core is thread-safe: ``submit`` may be called from any thread,
-    and one dispatcher thread executes submissions FIFO over the shared
-    :class:`~repro.pipeline.runner.PersistentPool`.  :meth:`run` is the
-    synchronous client path (the CLI) and serialises against the
-    dispatcher through the same execution lock.
+    and one dispatcher thread executes submissions FIFO on the runner.
+    :meth:`run` is the synchronous client path and serialises against
+    the dispatcher through the same execution lock.  :meth:`close` (or
+    leaving a ``with`` block) shuts the runner's worker pool.
     """
 
     def __init__(
@@ -207,24 +209,21 @@ class WorkQueueCore:
         injection: Optional[InjectionSpec] = None,
         completed_capacity: int = DEFAULT_COMPLETED_CAPACITY,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         if completed_capacity < 1:
             raise ValueError(
                 f"completed_capacity must be >= 1, got {completed_capacity}"
             )
-        self.jobs = jobs
-        #: One cache for every run; a directory path opens it here.
-        self.cache = open_cache(cache)
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.quarantine = quarantine
-        self.metrics = metrics
-        self.chunk_size = chunk_size
-        self.io = io if io is not None else CheckpointIO()
-        self.injection = injection
-        #: Shared supervised pool; ``None`` for the inline (jobs=1) path.
-        self.pool: Optional[PersistentPool] = (
-            PersistentPool(jobs, injection) if jobs > 1 else None
+        #: The one executor every submission runs on; it owns the cache,
+        #: the worker pool, the retry policy and the metrics registry.
+        self.runner = BatchRunner(
+            jobs=jobs,
+            cache=cache,
+            chunk_size=chunk_size,
+            metrics=metrics,
+            retry=retry if retry is not None else RetryPolicy(),
+            quarantine=quarantine,
+            io=io if io is not None else CheckpointIO(),
+            injection=injection,
         )
         #: Executed submissions (coalesced duplicates excluded).
         self.jobs_executed = 0
@@ -240,6 +239,12 @@ class WorkQueueCore:
         self._queue: "queue.SimpleQueue[Optional[_Submission]]" = queue.SimpleQueue()
         self._dispatcher: Optional[threading.Thread] = None
         self._closed = False
+
+    def __enter__(self) -> "WorkQueueCore":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Aggregate views
@@ -274,7 +279,8 @@ class WorkQueueCore:
         dispatcher = self._dispatcher
         if dispatcher is not None and not dispatcher.is_alive():
             return False
-        return self.pool is None or self.pool.alive()
+        pool = self.runner.pool
+        return pool is None or pool.alive()
 
     # ------------------------------------------------------------------
     # Submission paths
@@ -297,22 +303,12 @@ class WorkQueueCore:
         call actually creates the job.
         """
         items = list(requests)
-        job_id = job_fingerprint(items)
-        with self._registry_lock:
-            if self._closed:
-                raise RuntimeError("work-queue core is closed")
-            existing = self._lookup_locked(job_id)
-            if existing is not None:
-                existing.coalesced += 1
-                self.jobs_coalesced += 1
-                return existing, True
-            handle = JobHandle(job_id, total=len(items))
-            self._active[job_id] = handle
-            self._ensure_dispatcher_locked()
-        self._queue.put(
-            _Submission(handle, items, checkpoint, resume, progress)
-        )
-        return handle, False
+        handle, coalesced = self._register(items, queued=True)
+        if not coalesced:
+            self._queue.put(
+                _Submission(handle, items, checkpoint, resume, progress)
+            )
+        return handle, coalesced
 
     def run(
         self,
@@ -333,22 +329,14 @@ class WorkQueueCore:
         job is awaited, a completed one answers from the registry).
         """
         items = list(requests)
-        job_id = job_fingerprint(items)
-        with self._registry_lock:
-            if self._closed:
-                raise RuntimeError("work-queue core is closed")
-            existing = self._lookup_locked(job_id)
-            if existing is not None:
-                existing.coalesced += 1
-                self.jobs_coalesced += 1
-            else:
-                handle = JobHandle(job_id, total=len(items))
-                self._active[job_id] = handle
-        if existing is not None:
-            existing.wait()
-            return existing.result()
-        submission = _Submission(handle, items, checkpoint, resume, progress)
-        self._execute(submission, install_signal_handlers=install_signal_handlers)
+        handle, coalesced = self._register(items, queued=False)
+        if coalesced:
+            handle.wait()
+        else:
+            self._execute(
+                _Submission(handle, items, checkpoint, resume, progress),
+                install_signal_handlers=install_signal_handlers,
+            )
         return handle.result()
 
     # ------------------------------------------------------------------
@@ -369,12 +357,35 @@ class WorkQueueCore:
         if not already_closed and dispatcher is not None:
             self._queue.put(None)
             dispatcher.join(timeout)
-        if self.pool is not None:
-            self.pool.close()
+        self.runner.close()
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _register(
+        self, items: List[AnalysisRequest], *, queued: bool
+    ) -> Tuple[JobHandle, bool]:
+        """Admit a submission: ``(handle, coalesced)``.
+
+        Fingerprints the job, rejects it once the core is closed, and
+        either coalesces it onto an existing job or creates its handle
+        (starting the dispatcher for a ``queued`` one).
+        """
+        job_id = job_fingerprint(items)
+        with self._registry_lock:
+            if self._closed:
+                raise RuntimeError("work-queue core is closed")
+            existing = self._lookup_locked(job_id)
+            if existing is not None:
+                existing.coalesced += 1
+                self.jobs_coalesced += 1
+                return existing, True
+            handle = JobHandle(job_id, total=len(items))
+            self._active[job_id] = handle
+            if queued:
+                self._ensure_dispatcher_locked()
+        return handle, False
+
     def _lookup_locked(self, job_id: str) -> Optional[JobHandle]:
         """Find an existing job by id; refreshes completed-registry LRU."""
         handle = self._active.get(job_id)
@@ -417,39 +428,28 @@ class WorkQueueCore:
             if client_progress is not None:
                 client_progress(done, total)
 
-        runner = BatchRunner(
-            jobs=self.jobs,
-            cache=self.cache,
-            checkpoint=submission.checkpoint,
-            resume=submission.resume,
-            chunk_size=self.chunk_size,
-            progress=progress,
-            metrics=self.metrics,
-            retry=self.retry,
-            quarantine=self.quarantine,
-            io=self.io,
-            injection=self.injection,
-            pool=self.pool,
-            install_signal_handlers=install_signal_handlers,
-        )
         with self._exec_lock:
             handle.state = "running"
             try:
-                reports = runner.run(submission.requests)
+                payloads = self.runner.run(
+                    submission.requests,
+                    checkpoint=submission.checkpoint,
+                    resume=submission.resume,
+                    progress=progress,
+                    install_signal_handlers=install_signal_handlers,
+                )
             except BaseException as error:
-                self._settle(handle, None, runner, error)
+                self._settle(handle, None, error)
                 raise
-            self._settle(
-                handle, [report.to_dict() for report in reports], runner, None
-            )
+            self._settle(handle, payloads, None)
 
     def _settle(
         self,
         handle: JobHandle,
         payloads: Optional[List[ReportPayload]],
-        runner: BatchRunner,
         error: Optional[BaseException],
     ) -> None:
+        runner = self.runner
         with self._registry_lock:
             self._stats = self._stats + runner.stats
             for name, value in runner.faults.to_dict().items():

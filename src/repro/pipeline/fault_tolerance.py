@@ -50,7 +50,6 @@ import threading
 import time
 import types
 import zlib
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, TextIO, Tuple, Union
@@ -61,16 +60,6 @@ PathLike = Union[str, Path]
 
 #: Version stamped into every quarantine line.
 QUARANTINE_VERSION = 1
-
-#: Exception types treated as *transient* infrastructure failures:
-#: retrying is worthwhile because the fault lives in the machinery (a
-#: worker process, the pool, the disk), not in the item.
-TRANSIENT_ERRORS: Tuple[type, ...] = (BrokenProcessPool, OSError, TimeoutError)
-
-
-def is_transient(error: BaseException) -> bool:
-    """True when ``error`` is worth retrying (machinery, not item)."""
-    return isinstance(error, TRANSIENT_ERRORS)
 
 
 # ---------------------------------------------------------------------------

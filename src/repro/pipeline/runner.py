@@ -1,6 +1,8 @@
 """Batched, parallel, fault-tolerant execution of analysis requests.
 
-:class:`BatchRunner` fans a population of
+:class:`BatchRunner` is the executor behind
+:class:`~repro.pipeline.core.WorkQueueCore`, the one public batch entry
+point.  It fans a population of
 :class:`~repro.pipeline.request.AnalysisRequest` items over a
 ``concurrent.futures.ProcessPoolExecutor`` (or runs them inline for
 ``jobs=1``) with
@@ -259,20 +261,18 @@ def _kill_executor(executor: ProcessPoolExecutor) -> None:
 
 
 class PersistentPool:
-    """A supervised worker pool that can outlive a single ``run()`` call.
+    """A supervised worker pool that outlives a single ``run()`` call.
 
-    Every parallel :class:`BatchRunner` run executes through one.  A
-    one-shot CLI sweep uses a private pool closed when the run ends; a
-    long-lived work-queue core (the analysis service) shares one across
-    runs so it does not pay the fork/spawn cost on every submission.
-    A ``PersistentPool`` owns the executor:
+    Every parallel :class:`BatchRunner` run executes through the one its
+    executor owns, so a work-queue core's submissions do not pay the
+    fork/spawn cost each time.  A ``PersistentPool`` owns the
+    ``ProcessPoolExecutor``:
 
     * :meth:`acquire` lazily creates the pool (and recreates it after a
       :meth:`discard`);
     * :meth:`discard` kills a broken or hung pool — the supervised run
-      calls it on every break, so fault recovery (rebuild, requeue,
-      quarantine) is the same for private and shared pools;
-    * :meth:`close` shuts the pool down for good.
+      calls it on every break (rebuild, requeue, quarantine);
+    * :meth:`close` shuts the pool down and releases its workers.
 
     The pool itself is not thread-safe; the work-queue core serialises
     runs over it (one executing submission at a time — parallelism comes
@@ -282,8 +282,6 @@ class PersistentPool:
     def __init__(
         self, jobs: int, injection: Optional[InjectionSpec] = None
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.injection = injection
         self.created = 0  #: executors built over the lifetime
@@ -476,7 +474,14 @@ class _Flight:
 
 @dataclass
 class BatchRunner:
-    """Run analysis requests serially or across worker processes.
+    """The batch executor: runs analysis requests inline or over a pool.
+
+    Internal to :class:`~repro.pipeline.core.WorkQueueCore`, which builds
+    one per core and runs every submission on it; callers go through the
+    core (or :func:`repro.api.analyze_many`).  The executor holds each
+    cross-run resource once: it opens the cache, validates ``jobs`` and
+    ``chunk_size``, and owns the :class:`PersistentPool` its parallel
+    runs share until :meth:`close`.
 
     Parameters
     ----------
@@ -488,28 +493,18 @@ class BatchRunner:
         at construction; hits skip evaluation entirely.  Corrupt entries
         degrade to misses; failed writes are retried under ``retry`` and
         then skipped.
-    checkpoint:
-        Optional JSONL path; every settled item is appended as a
-        CRC-wrapped line and flushed+fsynced once per settled group, so
-        a killed sweep loses at most the groups in flight.
-    resume:
-        Load the checkpoint before running and skip every request whose
-        key is already recorded (corrupt/torn lines are recomputed).
     chunk_size:
         Most requests per group (default :data:`GROUP_SIZE`).  The
         pending requests are cut into ``ceil(pending / chunk_size)``
         near-equal groups, the same at any ``jobs``; a group of two or
         more evaluates through the fused population scans, a singleton
         per item.  The pool ships one group per chunk.
-    progress:
-        ``progress(done, total)`` callback, invoked after every settled
-        item (cache hit, resumed, computed, quarantined or failed).
     metrics:
-        Optional :class:`~repro.obs.metrics.MetricsRegistry`; the run
+        Optional :class:`~repro.obs.metrics.MetricsRegistry`; each run
         folds in batch stats, cache totals, kernel perf deltas (summed
         across workers), per-worker chunk timings and fault counters.
     retry:
-        Runner-wide :class:`~repro.pipeline.fault_tolerance.RetryPolicy`
+        Executor-wide :class:`~repro.pipeline.fault_tolerance.RetryPolicy`
         (attempt budget, backoff, per-item watchdog timeout) for
         infrastructure failures; ``request.retry`` overrides it per
         item.
@@ -524,34 +519,23 @@ class BatchRunner:
         quarantine); the chaos harness substitutes a failing one.
     injection:
         Deterministic worker-fault injection spec (chaos/testing only).
-    pool:
-        Optional :class:`PersistentPool` shared across runs.  Without
-        one (the CLI default) each parallel run builds a private pool
-        and closes it when the run ends.  With one (the work-queue core)
-        executors survive between runs and broken pools are discarded
-        back to the shared supervisor.
-    install_signal_handlers:
-        Trap SIGINT/SIGTERM during :meth:`run` for graceful drain
-        (main thread only).  The first signal stops scheduling, flushes
-        checkpoint and metrics, and raises :class:`~repro.pipeline.
-        fault_tolerance.BatchAborted`; a second one kills the process.
+
+    ``stats`` and ``faults`` describe the latest :meth:`run`; each run
+    starts them afresh.
     """
 
     jobs: int = 1
     cache: Union[ResultCache, PathLike, None] = None
-    checkpoint: Optional[PathLike] = None
-    resume: bool = False
     chunk_size: Optional[int] = None
-    progress: Optional[ProgressCallback] = None
     metrics: Optional[MetricsRegistry] = None
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     quarantine: Optional[PathLike] = None
     io: CheckpointIO = field(default_factory=CheckpointIO)
     injection: Optional[InjectionSpec] = None
-    pool: Optional[PersistentPool] = None
-    install_signal_handlers: bool = True
-    stats: BatchStats = field(default_factory=BatchStats)
-    faults: FaultStats = field(default_factory=FaultStats)
+    stats: BatchStats = field(init=False, default_factory=BatchStats)
+    faults: FaultStats = field(init=False, default_factory=FaultStats)
+    #: The worker pool of the parallel runs; built at the first one.
+    pool: Optional[PersistentPool] = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -559,6 +543,11 @@ class BatchRunner:
         if self.chunk_size is not None and self.chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {self.chunk_size}")
         self.cache = open_cache(self.cache)
+
+    def close(self) -> None:
+        """Shut the worker pool down and release its workers."""
+        if self.pool is not None:
+            self.pool.close()
 
     def _result_cache(self) -> Optional[ResultCache]:
         """``cache``, which construction turned into a ``ResultCache``."""
@@ -568,7 +557,7 @@ class BatchRunner:
     # ------------------------------------------------------------------
     # Checkpoint plumbing
     # ------------------------------------------------------------------
-    def _load_checkpoint(self) -> Dict[str, ReportPayload]:
+    def _load_checkpoint(self, path: Path) -> Dict[str, ReportPayload]:
         """Completed payloads by key; corruption-tolerant.
 
         Every line is CRC-verified (:func:`~repro.pipeline.
@@ -582,9 +571,6 @@ class BatchRunner:
         machinery.
         """
         completed: Dict[str, ReportPayload] = {}
-        if not self.resume or self.checkpoint is None:
-            return completed
-        path = Path(self.checkpoint)
         if not path.exists():
             return completed
         try:
@@ -614,8 +600,8 @@ class BatchRunner:
         return completed
 
     def _open_appender(
-        self, completed: Dict[str, ReportPayload]
-    ) -> Optional[DurableAppender]:
+        self, path: Path, resume: bool, completed: Dict[str, ReportPayload]
+    ) -> DurableAppender:
         """Open the durable checkpoint appender.
 
         Not resuming: truncate — stale entries from an unrelated earlier
@@ -626,10 +612,7 @@ class BatchRunner:
         A failed compaction is not fatal: the appender falls back to
         plain append and last-wins resume absorbs the duplicates.
         """
-        if self.checkpoint is None:
-            return None
-        path = Path(self.checkpoint)
-        if self.resume and path.exists():
+        if resume and path.exists():
             lines = []
             # Canonical compaction order: the append order of the dying
             # file reflects jobs=N scheduling, so a key-sorted rewrite
@@ -671,18 +654,39 @@ class BatchRunner:
     # ------------------------------------------------------------------
     # Main entry point
     # ------------------------------------------------------------------
-    def run(self, requests: Sequence[AnalysisRequest]) -> List[AnalysisReport]:
-        """Evaluate every request, returning reports in request order.
+    def run(
+        self,
+        requests: Sequence[AnalysisRequest],
+        *,
+        checkpoint: Optional[PathLike] = None,
+        resume: bool = False,
+        progress: Optional[ProgressCallback] = None,
+        install_signal_handlers: bool = True,
+    ) -> List[ReportPayload]:
+        """Evaluate every request; its report payloads in request order.
 
-        Raises :class:`~repro.pipeline.fault_tolerance.BatchAborted`
-        when a trapped SIGINT/SIGTERM drains the run early; everything
-        settled up to that point is flushed and resumable.
+        The payloads are the ``to_dict`` encoding the cache, the
+        checkpoint and the wire store, so nothing is decoded here.
+
+        ``checkpoint`` is an optional JSONL path: every settled item is
+        appended as a CRC-wrapped line, flushed and fsynced once per
+        settled group, so a killed sweep loses at most the groups in
+        flight.  ``resume`` loads it first and skips every request whose
+        key is recorded there (corrupt or torn lines are recomputed).
+        ``progress(done, total)`` is called after every settled item
+        (cache hit, resumed, computed, quarantined or failed).
+        ``install_signal_handlers`` traps SIGINT/SIGTERM for a graceful
+        drain (main thread only): the first signal stops scheduling,
+        flushes checkpoint and metrics, and raises :class:`~repro.
+        pipeline.fault_tolerance.BatchAborted`; a second one kills the
+        process.
         """
         from repro.analysis.kernels import PERF
 
         requests = list(requests)
         self.stats = BatchStats(total=len(requests))
         self.faults = FaultStats()
+        path = Path(checkpoint) if checkpoint is not None else None
         payloads: List[Optional[ReportPayload]] = [None] * len(requests)
 
         perf_before = PERF.snapshot()
@@ -693,7 +697,7 @@ class BatchRunner:
             else (0, 0, 0, 0)
         )
         t_run = time.perf_counter()
-        resumed = self._load_checkpoint()
+        resumed = self._load_checkpoint(path) if resume and path is not None else {}
 
         # Settle cache/checkpoint hits and dedup the rest by key: a
         # population containing the same configured task set twice costs
@@ -725,10 +729,12 @@ class BatchRunner:
                 pending_request[key] = request
 
         done = len(requests) - sum(len(v) for v in pending.values())
-        if self.progress is not None and done:
-            self.progress(done, len(requests))
+        if progress is not None and done:
+            progress(done, len(requests))
 
-        appender = self._open_appender(resumed)
+        appender = (
+            self._open_appender(path, resume, resumed) if path is not None else None
+        )
         work = [(key, pending_request[key]) for key in pending]
         groups = self._groups(work)
         ordered = (
@@ -769,8 +775,8 @@ class BatchRunner:
                     key,
                     {"checkpoint_version": CHECKPOINT_VERSION, "key": key, "report": payload},
                 )
-            if self.progress is not None:
-                self.progress(done, len(requests))
+            if progress is not None:
+                progress(done, len(requests))
 
         def commit() -> None:
             if appender is not None:
@@ -797,11 +803,11 @@ class BatchRunner:
             commit()
 
         try:
-            with GracefulShutdown(install=self.install_signal_handlers) as shutdown:
+            with GracefulShutdown(install=install_signal_handlers) as shutdown:
                 if self.jobs == 1 or len(work) <= 1:
                     for group in groups:
                         if shutdown.requested:
-                            raise self._aborted(shutdown, done, len(requests))
+                            raise self._aborted(shutdown, done, len(requests), path)
                         t0 = time.perf_counter()
                         outcome = _evaluate_group([request for _, request in group])
                         for (key, _request), report in zip(group, outcome):
@@ -813,26 +819,18 @@ class BatchRunner:
                                 "inline", len(group), time.perf_counter() - t0
                             )
                 else:
-                    # A private pool dies with the run; a shared persistent
-                    # pool stays warm for the core's next submission.
-                    pool = (
-                        self.pool
-                        if self.pool is not None
-                        else PersistentPool(self.jobs, self.injection)
+                    # The pool stays warm for the next run, until close().
+                    if self.pool is None:
+                        self.pool = PersistentPool(self.jobs, self.injection)
+                    self._run_parallel(
+                        self.pool,
+                        work,
+                        settle,
+                        commit,
+                        quarantine_item,
+                        shutdown,
+                        lambda: self._aborted(shutdown, done, len(requests), path),
                     )
-                    try:
-                        self._run_parallel(
-                            pool,
-                            work,
-                            settle,
-                            commit,
-                            quarantine_item,
-                            shutdown,
-                            lambda: self._aborted(shutdown, done, len(requests)),
-                        )
-                    finally:
-                        if pool is not self.pool:
-                            pool.close()
         finally:
             if ordered is not None:
                 # A run cut short (a signal, an unusable pool) keeps every
@@ -866,28 +864,22 @@ class BatchRunner:
                     "batch.wall_seconds", time.perf_counter() - t_run
                 )
 
-        reports: List[AnalysisReport] = []
         for index, payload in enumerate(payloads):
             if payload is None:  # unreachable unless settle logic regresses
                 raise RuntimeError(
                     f"batch item {index} ({requests[index].key}) never settled"
                 )
-            reports.append(AnalysisReport.from_dict(payload))
-        return reports
+        return cast(List[ReportPayload], payloads)
 
     def _groups(self, items: Sequence[ItemT]) -> List[List[ItemT]]:
         """The evaluation groups of the pending list (see ``chunk_size``)."""
         return _cut(items, self.chunk_size or GROUP_SIZE)
 
+    @staticmethod
     def _aborted(
-        self, shutdown: GracefulShutdown, done: int, total: int
+        shutdown: GracefulShutdown, done: int, total: int, path: Optional[Path]
     ) -> BatchAborted:
-        return BatchAborted(
-            shutdown.signal_name or "signal",
-            done,
-            total,
-            Path(self.checkpoint) if self.checkpoint is not None else None,
-        )
+        return BatchAborted(shutdown.signal_name or "signal", done, total, path)
 
     # ------------------------------------------------------------------
     # Supervised pool execution
@@ -1121,78 +1113,49 @@ class BatchRunner:
                         requeue(item, item.policy.delay(item.key, item.counted))
                 break_pool(culprit_known=True)
 
-    # ------------------------------------------------------------------
-    # Generic fan-out (no cache/checkpoint): used by the resilience suite
-    # ------------------------------------------------------------------
-    def map_items(
-        self,
-        fn: Callable[[ItemT], ResultT],
-        items: Iterable[ItemT],
-    ) -> List[ResultT]:
-        """Map a picklable top-level function over items, in order.
 
-        Serial for ``jobs=1``; otherwise ``ProcessPoolExecutor.map`` with
-        the runner's chunking.  Exceptions propagate (no failure capture:
-        the caller owns the item semantics here) — except
-        ``BrokenProcessPool``, which rebuilds the pool and recomputes the
-        not-yet-consumed tail, bounded by ``retry.max_attempts``, so the
-        resilience sweep survives a dead worker like the batch path does.
-        """
-        items = list(items)
-        results: List[ResultT] = []
-        if self.jobs == 1 or len(items) <= 1:
-            for i, item in enumerate(items):
-                results.append(fn(item))
-                if self.progress is not None:
-                    self.progress(i + 1, len(items))
-            return results
-        size = self.chunk_size or max(
-            1, min(32, math.ceil(len(items) / (self.jobs * 4)))
-        )
-        breaks = 0
-        while len(results) < len(items):
-            remaining = items[len(results):]
-            try:
-                with ProcessPoolExecutor(max_workers=self.jobs) as executor:
-                    for result in executor.map(fn, remaining, chunksize=size):
-                        results.append(result)
-                        if self.progress is not None:
-                            self.progress(len(results), len(items))
-            except BrokenProcessPool as error:
-                breaks += 1
-                self.faults.pool_rebuilds += 1
-                self.faults.retries += 1
-                if breaks >= self.retry.max_attempts:
-                    raise RuntimeError(
-                        f"map_items pool broke {breaks} times; giving up"
-                    ) from error
-                time.sleep(self.retry.delay("map_items", breaks))
-        return results
-
-
-def run_batch(
-    requests: Sequence[AnalysisRequest],
+def map_items(
+    fn: Callable[[ItemT], ResultT],
+    items: Iterable[ItemT],
     *,
-    jobs: int = 1,
-    cache: Union[ResultCache, PathLike, None] = None,
-    checkpoint: Optional[PathLike] = None,
-    resume: bool = False,
-    chunk_size: Optional[int] = None,
+    jobs: int,
     progress: Optional[ProgressCallback] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    retry: Optional[RetryPolicy] = None,
-    quarantine: Optional[PathLike] = None,
-) -> List[AnalysisReport]:
-    """One-shot convenience wrapper around :class:`BatchRunner`."""
-    runner = BatchRunner(
-        jobs=jobs,
-        cache=cache,
-        checkpoint=checkpoint,
-        resume=resume,
-        chunk_size=chunk_size,
-        progress=progress,
-        metrics=metrics,
-        retry=retry if retry is not None else RetryPolicy(),
-        quarantine=quarantine,
-    )
-    return runner.run(requests)
+) -> List[ResultT]:
+    """Map a picklable top-level function over items, in order.
+
+    The generic fan-out of the resilience suite (no cache, checkpoint
+    or grouping): serial for ``jobs=1``, otherwise
+    ``ProcessPoolExecutor.map`` in chunks of a quarter of each worker's
+    share (at most 32).  Exceptions propagate (no failure capture: the
+    caller owns the item semantics here) — except ``BrokenProcessPool``,
+    which rebuilds the pool and recomputes the not-yet-consumed tail,
+    bounded by the default ``RetryPolicy().max_attempts``, so the sweep
+    survives a dead worker like the batch path does.
+    """
+    items = list(items)
+    policy = RetryPolicy()
+    results: List[ResultT] = []
+    if jobs == 1 or len(items) <= 1:
+        for i, item in enumerate(items):
+            results.append(fn(item))
+            if progress is not None:
+                progress(i + 1, len(items))
+        return results
+    size = max(1, min(32, math.ceil(len(items) / (jobs * 4))))
+    breaks = 0
+    while len(results) < len(items):
+        remaining = items[len(results):]
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as executor:
+                for result in executor.map(fn, remaining, chunksize=size):
+                    results.append(result)
+                    if progress is not None:
+                        progress(len(results), len(items))
+        except BrokenProcessPool as error:
+            breaks += 1
+            if breaks >= policy.max_attempts:
+                raise RuntimeError(
+                    f"map_items pool broke {breaks} times; giving up"
+                ) from error
+            time.sleep(policy.delay("map_items", breaks))
+    return results

@@ -113,7 +113,7 @@ class AnalysisService:
         self.core = core
         self.host = host
         self.port = port
-        self.metrics = metrics if metrics is not None else core.metrics
+        self.metrics = metrics if metrics is not None else core.runner.metrics
         self.event_interval = event_interval
         self.drain_grace = drain_grace
         self._server: Optional[asyncio.base_events.Server] = None

@@ -30,7 +30,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.api import (
-    BatchRunner,
     min_preparation_factor,
     min_speedup,
     min_speedup_margin,
@@ -38,6 +37,7 @@ from repro.api import (
 )
 from repro.model.taskset import TaskSet
 from repro.model.transform import apply_uniform_scaling
+from repro.pipeline.runner import map_items
 from repro.sim.degradation import DegradationPolicy, Rung
 from repro.sim.faults import FaultConfig
 from repro.sim.scheduler import SimConfig, simulate
@@ -520,8 +520,7 @@ def run_suite(
     if progress is not None:
         def reporter(done: int, total: int) -> None:
             progress(f"{labels[done - 1]} [{done}/{total}]")
-    runner = BatchRunner(jobs=jobs, progress=reporter)
-    return runner.map_items(_run_scenario_item, items)
+    return map_items(_run_scenario_item, items, jobs=jobs, progress=reporter)
 
 
 def render(verdicts: Sequence[ResilienceVerdict]) -> str:

@@ -6,9 +6,10 @@ from repro.analysis.budget import AnalysisBudgetExceeded, CandidateBudget
 from repro.analysis.points import breakpoints_in
 from repro.analysis.resetting import resetting_time
 from repro.analysis.speedup import min_speedup, speedup_schedulable
+from repro.api import analyze_many
 from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
-from repro.pipeline import AnalysisRequest, BatchRunner
+from repro.pipeline import AnalysisRequest
 from repro.pipeline.grouping import evaluate_chunk_grouped
 from tests.conftest import multi_window_set
 
@@ -135,7 +136,7 @@ class TestCertifiedVerdicts:
         if population:
             [report] = evaluate_chunk_grouped([request])
         else:
-            [report] = BatchRunner(jobs=1).run([request])
+            [report] = analyze_many([request])
         assert report.speedup is not None and not report.speedup.exact
         assert report.speedup.s_min < self.SPEEDUP < report.speedup.upper_bound
         assert report.hi_ok is False

@@ -23,12 +23,12 @@ from repro.generator.taskgen import GeneratorConfig, generate_taskset
 from repro.io import save_taskset
 from repro.pipeline import (
     BatchAborted,
-    BatchRunner,
     CheckpointIO,
     InjectionSpec,
     Quarantine,
     ResultCache,
     RetryPolicy,
+    WorkQueueCore,
     decode_durable_line,
     encode_durable_line,
     load_quarantine,
@@ -50,14 +50,21 @@ def population():
     ]
 
 
+def _run(requests, *, checkpoint=None, resume=False, **resources):
+    """One run on a fresh core: the core (stats, faults) and the payloads."""
+    with WorkQueueCore(**resources) as core:
+        reports = core.run(
+            requests,
+            checkpoint=checkpoint,
+            resume=resume,
+            install_signal_handlers=False,
+        )
+    return core, [r.to_dict() for r in reports]
+
+
 @pytest.fixture(scope="module")
 def baseline(population):
-    runner = BatchRunner(jobs=1, install_signal_handlers=False)
-    return [r.to_dict() for r in runner.run(population)]
-
-
-def _dicts(reports):
-    return [r.to_dict() for r in reports]
+    return _run(population)[1]
 
 
 class TestRetryPolicy:
@@ -202,15 +209,11 @@ class TestKillAtArbitraryOffset:
         self, tmp_path, population, baseline, fraction
     ):
         ck = tmp_path / "sweep.jsonl"
-        full = BatchRunner(jobs=1, checkpoint=ck, install_signal_handlers=False)
-        reference = full.run(population)
+        _, reference = _run(population, checkpoint=ck)
         raw = ck.read_bytes()
         ck.write_bytes(raw[: int(len(raw) * fraction)])
-        resumed = BatchRunner(
-            jobs=1, checkpoint=ck, resume=True, install_signal_handlers=False
-        )
-        reports = resumed.run(population)
-        assert _dicts(reports) == _dicts(reference) == baseline
+        resumed, payloads = _run(population, checkpoint=ck, resume=True)
+        assert payloads == reference == baseline
         assert resumed.stats.settled() == resumed.stats.total
         # Whole surviving lines resume; at most the torn tail recomputes.
         assert resumed.stats.resumed + resumed.stats.computed == len(population)
@@ -218,9 +221,7 @@ class TestKillAtArbitraryOffset:
     def test_checkpoint_lines_are_fsynced_per_batch(self, tmp_path, population):
         """Every line in a completed checkpoint is whole and CRC-valid."""
         ck = tmp_path / "sweep.jsonl"
-        BatchRunner(jobs=1, checkpoint=ck, install_signal_handlers=False).run(
-            population[:6]
-        )
+        _run(population[:6], checkpoint=ck)
         lines = ck.read_text().splitlines()
         assert len(lines) == 6
         for line in lines:
@@ -237,18 +238,17 @@ class TestPoolRecovery:
         armed.mkdir()
         victims = (population[3].key, population[10].key)
         spec = InjectionSpec(armed_dir=str(armed), kill_keys=victims)
-        runner = BatchRunner(
-            jobs=3,
+        core, payloads = _run(
+            population,
             checkpoint=tmp_path / "ck.jsonl",
+            jobs=3,
             retry=RetryPolicy(max_attempts=4, backoff_base=0.01, timeout=60.0),
             injection=spec,
-            install_signal_handlers=False,
         )
-        reports = runner.run(population)
-        assert _dicts(reports) == baseline
-        assert runner.faults.pool_rebuilds >= 1
-        assert runner.stats.settled() == runner.stats.total
-        assert runner.stats.quarantined == 0
+        assert payloads == baseline
+        assert core.faults.pool_rebuilds >= 1
+        assert core.stats.settled() == core.stats.total
+        assert core.stats.quarantined == 0
 
     def test_hung_worker_is_killed_by_watchdog(self, tmp_path, population, baseline):
         armed = tmp_path / "armed"
@@ -259,19 +259,18 @@ class TestPoolRecovery:
             hang_seconds=120.0,
         )
         t0 = time.perf_counter()
-        runner = BatchRunner(
+        core, payloads = _run(
+            population,
             jobs=3,
             retry=RetryPolicy(max_attempts=3, backoff_base=0.01, timeout=1.0),
             injection=spec,
             chunk_size=3,
-            install_signal_handlers=False,
         )
-        reports = runner.run(population)
         assert time.perf_counter() - t0 < 60.0  # did not wait out the hang
-        assert _dicts(reports) == baseline
-        assert runner.faults.timeouts >= 1
-        assert runner.faults.pool_rebuilds >= 1
-        assert runner.stats.settled() == runner.stats.total
+        assert payloads == baseline
+        assert core.faults.timeouts >= 1
+        assert core.faults.pool_rebuilds >= 1
+        assert core.stats.settled() == core.stats.total
 
     def test_poison_item_is_quarantined_not_fatal(
         self, tmp_path, population, baseline
@@ -280,24 +279,23 @@ class TestPoolRecovery:
         armed.mkdir()
         poison = population[7].key
         spec = InjectionSpec(armed_dir=str(armed), poison_keys=(poison,))
-        runner = BatchRunner(
+        core, payloads = _run(
+            population,
             jobs=3,
             quarantine=tmp_path / "q.jsonl",
             retry=RetryPolicy(max_attempts=3, backoff_base=0.01, timeout=60.0),
             injection=spec,
-            install_signal_handlers=False,
         )
-        reports = runner.run(population)
-        assert runner.stats.quarantined == 1
-        assert runner.stats.settled() == runner.stats.total
+        assert core.stats.quarantined == 1
+        assert core.stats.settled() == core.stats.total
         mismatched = [
             i
-            for i, (ref, rep) in enumerate(zip(baseline, _dicts(reports)))
+            for i, (ref, rep) in enumerate(zip(baseline, payloads))
             if ref != rep
         ]
         assert mismatched == [7]
-        assert reports[7].failure is not None
-        assert reports[7].failure.stage == "quarantine"
+        assert payloads[7]["failure"] is not None
+        assert payloads[7]["failure"]["stage"] == "quarantine"
         entries = load_quarantine(tmp_path / "q.jsonl")
         assert [e["key"] for e in entries] == [poison]
         assert len(entries[0]["attempts"]) >= 3
@@ -309,35 +307,29 @@ class TestPoolRecovery:
         poison = population[2].key
         spec = InjectionSpec(armed_dir=str(armed), poison_keys=(poison,))
         ck = tmp_path / "ck.jsonl"
-        first = BatchRunner(
-            jobs=2,
+        first, _ = _run(
+            population[:6],
             checkpoint=ck,
+            jobs=2,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.01, timeout=60.0),
             injection=spec,
-            install_signal_handlers=False,
         )
-        first.run(population[:6])
         assert first.stats.quarantined == 1
         # Resume without the fault: the item must be recomputed cleanly.
-        resumed = BatchRunner(
-            jobs=1, checkpoint=ck, resume=True, install_signal_handlers=False
-        )
-        reports = resumed.run(population[:6])
+        resumed, payloads = _run(population[:6], checkpoint=ck, resume=True)
         assert resumed.stats.computed == 1
         assert resumed.stats.resumed == 5
-        assert all(r.failure is None for r in reports)
+        assert all(p["failure"] is None for p in payloads)
 
     def test_cache_write_errors_degrade_not_abort(self, tmp_path, population):
         cache = ResultCache(tmp_path / "cache", io=FlakyIO(fail_after=0))
-        runner = BatchRunner(
-            jobs=1,
+        core, payloads = _run(
+            population[:4],
             cache=cache,
             retry=RetryPolicy(max_attempts=2, backoff_base=0.0, jitter=0.0),
-            install_signal_handlers=False,
         )
-        reports = runner.run(population[:4])
-        assert all(r.failure is None for r in reports)
-        assert runner.faults.cache_io_errors >= 4
+        assert all(p["failure"] is None for p in payloads)
+        assert core.faults.cache_io_errors >= 4
 
 
 class TestGracefulShutdown:
@@ -447,33 +439,28 @@ sys.exit(main([
 class TestCacheCorruption:
     def test_corrupt_cache_entry_degrades_to_miss(self, tmp_path, population):
         cache = ResultCache(tmp_path / "cache")
-        runner = BatchRunner(jobs=1, cache=cache, install_signal_handlers=False)
-        reference = runner.run(population[:3])
+        _, reference = _run(population[:3], cache=cache)
         key = population[0].key
         entry_file = tmp_path / "cache" / key[:2] / f"{key}.json"
         entry_file.write_text(entry_file.read_text()[:30])
         fresh = ResultCache(tmp_path / "cache")
-        rerun = BatchRunner(jobs=1, cache=fresh, install_signal_handlers=False)
-        reports = rerun.run(population[:3])
-        assert _dicts(reports) == _dicts(reference)
+        rerun, payloads = _run(population[:3], cache=fresh)
+        assert payloads == reference
         assert fresh.corrupt == 1
         assert rerun.stats.cache_hits == 2
         assert rerun.stats.computed == 1
 
     def test_pre_checksum_entry_is_recomputed(self, tmp_path, population):
         cache = ResultCache(tmp_path / "cache")
-        reference = BatchRunner(
-            jobs=1, cache=cache, install_signal_handlers=False
-        ).run(population[:1])
+        _, reference = _run(population[:1], cache=cache)
         key = population[0].key
         entry_file = tmp_path / "cache" / key[:2] / f"{key}.json"
         wrapped = decode_durable_line(entry_file.read_text())
         # Rewrite as the legacy (bare report, no CRC) format.
         entry_file.write_text(json.dumps(wrapped["report"]))
         fresh = ResultCache(tmp_path / "cache")
-        rerun = BatchRunner(jobs=1, cache=fresh, install_signal_handlers=False)
-        reports = rerun.run(population[:1])
-        assert _dicts(reports) == _dicts(reference)
+        rerun, payloads = _run(population[:1], cache=fresh)
+        assert payloads == reference
         assert fresh.corrupt == 1
         assert rerun.stats.cache_hits == 0
         assert rerun.stats.computed == 1

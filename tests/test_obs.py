@@ -22,6 +22,7 @@ import pytest
 
 import repro.obs
 from repro.analysis import kernels
+from repro.api import analyze_many
 from repro.experiments.table1 import table1_taskset
 from repro.generator.taskgen import GeneratorConfig, generate_taskset
 from repro.obs import MetricsRegistry, ProgressLine, format_eta, trace
@@ -30,14 +31,13 @@ from repro.pipeline import (
     AnalysisFailure,
     AnalysisReport,
     AnalysisRequest,
-    BatchRunner,
     ResultCache,
+    WorkQueueCore,
     decode_durable_line,
     encode_durable_line,
     evaluate_request,
-    run_batch,
 )
-from repro.pipeline.runner import CHECKPOINT_VERSION
+from repro.pipeline.runner import CHECKPOINT_VERSION, BatchRunner
 
 
 @pytest.fixture(autouse=True)
@@ -287,7 +287,7 @@ class TestInstrumentation:
             kernels.clear_memo()
             kernels.clear_compile_cache()
             trace.enable()
-            BatchRunner(jobs=jobs).run(_fresh_requests(8))
+            analyze_many(_fresh_requests(8), jobs=jobs)
             trace.disable()
             spans = [strip_timing(r) for r in trace.drain()]
             return sorted(json.dumps(s, sort_keys=True) for s in spans)
@@ -298,7 +298,7 @@ class TestInstrumentation:
         kernels.clear_memo()
         kernels.clear_compile_cache()
         trace.enable()
-        BatchRunner().run(_mixed_requests(count=12))
+        analyze_many(_mixed_requests(count=12))
         trace.disable()
         spans = trace.drain()
         stages = {
@@ -331,7 +331,8 @@ class TestJobsInvarianceAcrossGroups:
         kernels.clear_compile_cache()
         metrics = MetricsRegistry()
         trace.enable()
-        reports = BatchRunner(jobs=jobs, metrics=metrics).run(_mixed_requests())
+        with WorkQueueCore(jobs=jobs, metrics=metrics) as core:
+            reports = core.run(_mixed_requests())
         trace.disable()
         spans = sorted(
             json.dumps(strip_timing(r), sort_keys=True) for r in trace.drain()
@@ -384,7 +385,8 @@ class TestRunnerMetrics:
             kernels.clear_memo()
             kernels.clear_compile_cache()
             m = MetricsRegistry()
-            BatchRunner(jobs=jobs, metrics=m).run(_fresh_requests(10))
+            with WorkQueueCore(jobs=jobs, metrics=m) as core:
+                core.run(_fresh_requests(10))
             return MetricsRegistry.strip_timing(m.snapshot())
 
         assert snapshot(1) == snapshot(4)
@@ -421,13 +423,13 @@ class TestWorkerFailureResume:
         entry = self._worker_failure_entry(request)
         ck.write_text(encode_durable_line(entry) + "\n")
 
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        (report,) = runner.run([request])
+        runner = BatchRunner()
+        (payload,) = runner.run([request], checkpoint=ck, resume=True)
         # Dropped as an infrastructure failure, not as a corrupt line.
         assert runner.faults.checkpoint_corrupt_lines == 0
         assert runner.stats.resumed == 0
         assert runner.stats.computed == 1
-        assert report.failure is None
+        assert payload["failure"] is None
         # The recomputed verdict replaced the transient entry on disk
         # (rewritten in the CRC-framed durable format).
         (line,) = ck.read_text().splitlines()
@@ -439,27 +441,27 @@ class TestWorkerFailureResume:
         # Counterpart: a *verdict* failure (analysis stage) stays final.
         bad = _bad_request()
         ck = tmp_path / "ck.jsonl"
-        first = run_batch([bad], checkpoint=ck)[0]
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        (second,) = runner.run([bad])
+        first = analyze_many([bad], checkpoint=ck)[0]
+        runner = BatchRunner()
+        (second,) = runner.run([bad], checkpoint=ck, resume=True)
         assert runner.stats.resumed == 1
         assert runner.stats.computed == 0
-        assert second.to_dict() == first.to_dict()
+        assert second == first.to_dict()
 
     def test_worker_entry_acts_as_deletion_of_earlier_success(self, tmp_path):
         # Later infra-failure entry invalidates an earlier success for
         # the same key (last-wins semantics extend to deletions).
         request = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         ck = tmp_path / "ck.jsonl"
-        run_batch([request], checkpoint=ck)
+        analyze_many([request], checkpoint=ck)
         good_line = ck.read_text()
         ck.write_text(
             good_line
             + encode_durable_line(self._worker_failure_entry(request))
             + "\n"
         )
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run([request])
+        runner = BatchRunner()
+        runner.run([request], checkpoint=ck, resume=True)
         assert runner.stats.resumed == 0
         assert runner.stats.computed == 1
 
@@ -483,9 +485,9 @@ class TestFailureAccounting:
     def test_resumed_failure_counts(self, tmp_path):
         bad = _bad_request()
         ck = tmp_path / "ck.jsonl"
-        run_batch([bad], checkpoint=ck)
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run([bad])
+        analyze_many([bad], checkpoint=ck)
+        runner = BatchRunner()
+        runner.run([bad], checkpoint=ck, resume=True)
         assert runner.stats.resumed == 1
         assert runner.stats.failures == 1
 
@@ -498,8 +500,8 @@ class TestCheckpointHygiene:
         ck = tmp_path / "ck.jsonl"
         old = AnalysisRequest(taskset=table1_taskset(), speedup=1.5)
         new = AnalysisRequest(taskset=table1_taskset(), speedup=3.0)
-        run_batch([old], checkpoint=ck)
-        run_batch([new], checkpoint=ck)  # resume=False: must truncate
+        analyze_many([old], checkpoint=ck)
+        analyze_many([new], checkpoint=ck)  # resume=False: must truncate
         lines = ck.read_text().splitlines()
         assert len(lines) == 1
         assert decode_durable_line(lines[0])["key"] == new.key
@@ -507,7 +509,7 @@ class TestCheckpointHygiene:
     def test_resume_compacts_duplicate_keys_last_wins(self, tmp_path):
         request = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         ck = tmp_path / "ck.jsonl"
-        run_batch([request], checkpoint=ck)
+        analyze_many([request], checkpoint=ck)
         (good_line,) = ck.read_text().splitlines()
         stale = decode_durable_line(good_line)
         stale["report"] = dict(stale["report"])
@@ -520,11 +522,11 @@ class TestCheckpointHygiene:
         # Both lines are CRC-framed, so neither is dropped as corrupt.
         ck.write_text(encode_durable_line(stale) + "\n" + good_line + "\n")
 
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        (report,) = runner.run([request])
+        runner = BatchRunner()
+        (payload,) = runner.run([request], checkpoint=ck, resume=True)
         assert runner.faults.checkpoint_corrupt_lines == 0
         assert runner.stats.resumed == 1
-        assert report.failure is None
+        assert payload["failure"] is None
         lines = ck.read_text().splitlines()
         assert len(lines) == 1  # compacted
         assert decode_durable_line(lines[0])["report"]["failure"] is None
@@ -535,9 +537,9 @@ class TestCheckpointHygiene:
             for s in (1.5, 2.0, 3.0)
         ]
         ck = tmp_path / "ck.jsonl"
-        run_batch(requests[:1], checkpoint=ck)
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run(requests)
+        analyze_many(requests[:1], checkpoint=ck)
+        runner = BatchRunner()
+        runner.run(requests, checkpoint=ck, resume=True)
         assert runner.stats.resumed == 1
         assert runner.stats.computed == 2
         lines = ck.read_text().splitlines()

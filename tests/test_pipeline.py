@@ -2,6 +2,7 @@
 
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.kernels import compile_taskset, compile_tasksets
+from repro.api import analyze_many
 from repro.experiments.table1 import table1_degraded_taskset, table1_taskset
 from repro.generator.taskgen import GeneratorConfig, generate_taskset
 from repro.model.task import Criticality, MCTask
@@ -19,15 +21,16 @@ from repro.model.taskset import TaskSet
 from repro.pipeline import (
     AnalysisReport,
     AnalysisRequest,
-    BatchRunner,
     ResultCache,
+    WorkQueueCore,
     decode_durable_line,
     encode_durable_line,
     evaluate_request,
+    job_fingerprint,
     request_fingerprint,
-    run_batch,
     taskset_fingerprint,
 )
+from repro.pipeline.runner import BatchRunner, BatchStats
 
 
 @pytest.fixture(scope="module")
@@ -161,45 +164,45 @@ class TestPinnedContentAddresses:
 
 class TestDeterminism:
     def test_serial_and_parallel_reports_identical(self, population_requests):
-        serial = BatchRunner(jobs=1).run(population_requests)
-        parallel = BatchRunner(jobs=4).run(population_requests)
+        serial = analyze_many(population_requests, jobs=1)
+        parallel = analyze_many(population_requests, jobs=4)
         assert _dicts(serial) == _dicts(parallel)
 
     def test_reports_in_request_order(self, population, population_requests):
-        reports = BatchRunner(jobs=4).run(population_requests)
+        reports = analyze_many(population_requests, jobs=4)
         assert [r.name for r in reports] == [ts.name for ts in population]
 
     def test_duplicate_requests_computed_once(self):
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         runner = BatchRunner(jobs=1)
-        reports = runner.run([req, req, req])
+        payloads = runner.run([req, req, req])
         assert runner.stats.computed == 1
         assert runner.stats.total == 3
-        assert len({json.dumps(d, sort_keys=True) for d in _dicts(reports)}) == 1
+        assert len({json.dumps(d, sort_keys=True) for d in payloads}) == 1
 
 
 class TestCache:
     def test_second_run_recomputes_nothing(self, tmp_path, population_requests):
         cache = ResultCache(tmp_path / "cache")
         first = BatchRunner(jobs=1, cache=cache)
-        reports1 = first.run(population_requests[:50])
+        payloads1 = first.run(population_requests[:50])
         assert first.stats.computed == 50
         second = BatchRunner(jobs=1, cache=cache)
-        reports2 = second.run(population_requests[:50])
+        payloads2 = second.run(population_requests[:50])
         assert second.stats.computed == 0
         assert second.stats.cache_hits == 50
-        assert _dicts(reports1) == _dicts(reports2)
+        assert payloads1 == payloads2
 
     def test_disk_survives_memory_clear(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
-        r1 = BatchRunner(cache=cache).run([req])
+        p1 = BatchRunner(cache=cache).run([req])
         cache.clear_memory()
         assert len(cache) == 0
         runner = BatchRunner(cache=cache)
-        r2 = runner.run([req])
+        p2 = runner.run([req])
         assert runner.stats.cache_hits == 1
-        assert _dicts(r1) == _dicts(r2)
+        assert p1 == p2
 
     def test_memory_only_cache(self):
         cache = ResultCache()
@@ -219,22 +222,18 @@ class TestCache:
         assert fresh.stats.cache_hits == 5
 
     def test_core_opens_one_cache_for_every_run(self, tmp_path, population_requests):
-        from repro.pipeline import WorkQueueCore
-
         core = WorkQueueCore(cache=str(tmp_path))
         try:
-            cache = core.cache
+            cache = core.runner.cache
             assert isinstance(cache, ResultCache)
             core.run(population_requests[:5])
             core.run(population_requests[:6])  # another job, same cache
-            assert core.cache is cache
+            assert core.runner.cache is cache
             assert (cache.hits, cache.misses) == (5, 6)
         finally:
             core.close()
 
     def test_cache_of_another_type_fails_at_construction(self):
-        from repro.pipeline import WorkQueueCore
-
         with pytest.raises(TypeError, match="cache must be"):
             BatchRunner(cache=42)
         with pytest.raises(TypeError, match="cache must be"):
@@ -245,19 +244,19 @@ class TestCheckpointResume:
     def test_resume_after_simulated_kill(self, tmp_path, population_requests):
         requests = population_requests[:40]
         ck = tmp_path / "sweep.jsonl"
-        full = BatchRunner(jobs=1, checkpoint=ck)
-        reference = full.run(requests)
+        full = BatchRunner(jobs=1)
+        reference = full.run(requests, checkpoint=ck)
         lines = ck.read_text().splitlines()
         assert len(lines) == full.stats.computed
 
         # Simulate a mid-batch kill: keep only the first 15 completed
         # items (plus a torn final line, as a killed append would leave).
         ck.write_text("\n".join(lines[:15]) + "\n" + lines[15][: len(lines[15]) // 2])
-        resumed = BatchRunner(jobs=1, checkpoint=ck, resume=True)
-        reports = resumed.run(requests)
+        resumed = BatchRunner(jobs=1)
+        payloads = resumed.run(requests, checkpoint=ck, resume=True)
         assert resumed.stats.resumed == 15
         assert resumed.stats.computed == full.stats.computed - 15
-        assert _dicts(reports) == _dicts(reference)
+        assert payloads == reference
 
     def test_resume_with_complete_checkpoint_computes_nothing(self, tmp_path):
         requests = [
@@ -265,35 +264,35 @@ class TestCheckpointResume:
             for s in (1.5, 2.0, 3.0)
         ]
         ck = tmp_path / "done.jsonl"
-        BatchRunner(checkpoint=ck).run(requests)
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run(requests)
+        BatchRunner().run(requests, checkpoint=ck)
+        runner = BatchRunner()
+        runner.run(requests, checkpoint=ck, resume=True)
         assert runner.stats.computed == 0
         assert runner.stats.resumed == 3
 
     def test_unknown_checkpoint_version_is_skipped(self, tmp_path):
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         ck = tmp_path / "old.jsonl"
-        BatchRunner(checkpoint=ck).run([req])
+        BatchRunner().run([req], checkpoint=ck)
         entry = decode_durable_line(ck.read_text())
         entry["checkpoint_version"] = 99
         # Re-wrap with a valid CRC: the version check alone must reject it.
         ck.write_text(encode_durable_line(entry) + "\n")
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run([req])
+        runner = BatchRunner()
+        runner.run([req], checkpoint=ck, resume=True)
         assert runner.stats.resumed == 0
         assert runner.stats.computed == 1
 
     def test_legacy_uncrc_checkpoint_line_is_recomputed(self, tmp_path):
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
         ck = tmp_path / "legacy.jsonl"
-        BatchRunner(checkpoint=ck).run([req])
+        BatchRunner().run([req], checkpoint=ck)
         # Strip the CRC wrapper, leaving a v1-era bare entry line.
         entry = decode_durable_line(ck.read_text())
         entry["checkpoint_version"] = 1
         ck.write_text(json.dumps(entry) + "\n")
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        runner.run([req])
+        runner = BatchRunner()
+        runner.run([req], checkpoint=ck, resume=True)
         assert runner.stats.resumed == 0
         assert runner.stats.computed == 1
         assert runner.faults.checkpoint_corrupt_lines == 1
@@ -304,7 +303,7 @@ class TestCheckpointResume:
             for s in (1.5, 2.0, 3.0)
         ]
         ck = tmp_path / "flip.jsonl"
-        reference = BatchRunner(checkpoint=ck).run(requests)
+        reference = BatchRunner().run(requests, checkpoint=ck)
         lines = ck.read_text().splitlines()
         # Flip one character inside the middle line's entry: the CRC
         # must catch it and that item must be recomputed, not trusted.
@@ -312,12 +311,12 @@ class TestCheckpointResume:
         if bad == lines[1]:
             bad = lines[1][:-20] + "X" + lines[1][-19:]
         ck.write_text("\n".join([lines[0], bad, lines[2]]) + "\n")
-        runner = BatchRunner(checkpoint=ck, resume=True)
-        reports = runner.run(requests)
+        runner = BatchRunner()
+        payloads = runner.run(requests, checkpoint=ck, resume=True)
         assert runner.stats.resumed == 2
         assert runner.stats.computed == 1
         assert runner.faults.checkpoint_corrupt_lines == 1
-        assert _dicts(reports) == _dicts(reference)
+        assert payloads == reference
 
     def test_pool_checkpoint_lines_follow_group_order(
         self, tmp_path, population_requests, monkeypatch
@@ -326,7 +325,7 @@ class TestCheckpointResume:
 
         requests = population_requests[:6]
         ck = {jobs: tmp_path / f"j{jobs}.jsonl" for jobs in (1, 2)}
-        BatchRunner(jobs=1, chunk_size=2, checkpoint=ck[1]).run(requests)
+        analyze_many(requests, jobs=1, chunk_size=2, checkpoint=ck[1])
         first = requests[0].taskset.name
         evaluate_group = runner_module._evaluate_group
 
@@ -338,7 +337,7 @@ class TestCheckpointResume:
             return evaluate_group(group)
 
         monkeypatch.setattr(runner_module, "_evaluate_group", first_group_last)
-        BatchRunner(jobs=2, chunk_size=2, checkpoint=ck[2]).run(requests)
+        analyze_many(requests, jobs=2, chunk_size=2, checkpoint=ck[2])
         assert len(ck[1].read_text().splitlines()) == 6
         assert ck[2].read_bytes() == ck[1].read_bytes()
 
@@ -348,7 +347,7 @@ class TestErrorCapture:
         req = AnalysisRequest(
             taskset=table1_taskset(), speedup=2.0, max_candidates=1
         )
-        report = run_batch([req])[0]
+        report = analyze_many([req])[0]
         assert report.failure is not None
         assert report.failure.error_type == "AnalysisBudgetExceeded"
         assert not report.ok
@@ -359,9 +358,9 @@ class TestErrorCapture:
         bad = AnalysisRequest(
             taskset=table1_taskset(), speedup=2.0, max_candidates=1
         )
-        runner = BatchRunner(jobs=1)
-        reports = runner.run([bad, good, bad])
-        assert runner.stats.failures == 1  # bad deduplicates to one computation
+        with WorkQueueCore(jobs=1) as core:
+            reports = core.run([bad, good, bad])
+        assert core.stats.failures == 1  # bad deduplicates to one computation
         assert reports[1].failure is None
         assert reports[1].ok
         assert reports[0].to_dict() == reports[2].to_dict()
@@ -371,18 +370,19 @@ class TestErrorCapture:
             taskset=table1_taskset(), speedup=2.0, max_candidates=1
         )
         ck = tmp_path / "fail.jsonl"
-        first = run_batch([bad], checkpoint=ck)[0]
-        resumed = BatchRunner(checkpoint=ck, resume=True)
-        second = resumed.run([bad])[0]
+        first = analyze_many([bad], checkpoint=ck)[0]
+        resumed = BatchRunner()
+        second = resumed.run([bad], checkpoint=ck, resume=True)[0]
         assert resumed.stats.resumed == 1
-        assert second.to_dict() == first.to_dict()
+        assert second == first.to_dict()
 
 
 class TestProgress:
     def test_progress_reaches_total(self, population_requests):
         seen = []
-        BatchRunner(jobs=1, progress=lambda done, total: seen.append((done, total))).run(
-            population_requests[:10]
+        analyze_many(
+            population_requests[:10],
+            progress=lambda done, total: seen.append((done, total)),
         )
         assert seen[-1] == (10, 10)
         assert [d for d, _ in seen] == sorted(d for d, _ in seen)
@@ -390,11 +390,11 @@ class TestProgress:
     def test_progress_counts_cache_hits(self):
         cache = ResultCache()
         req = AnalysisRequest(taskset=table1_taskset(), speedup=2.0)
-        BatchRunner(cache=cache).run([req])
+        analyze_many([req], cache=cache)
         seen = []
-        BatchRunner(
-            cache=cache, progress=lambda done, total: seen.append((done, total))
-        ).run([req])
+        analyze_many(
+            [req], cache=cache, progress=lambda done, total: seen.append((done, total))
+        )
         assert seen == [(1, 1)]
 
 
@@ -507,8 +507,6 @@ class TestReportShape:
 
 class TestBatchStatsMerge:
     def test_add_is_fieldwise(self):
-        from repro.pipeline.runner import BatchStats
-
         a = BatchStats(total=5, computed=3, cache_hits=1, resumed=0,
                        deduplicated=1, quarantined=0, failures=2)
         b = BatchStats(total=4, computed=2, cache_hits=1, resumed=1,
@@ -520,8 +518,6 @@ class TestBatchStatsMerge:
         }
 
     def test_add_identity_and_invariant_preserving(self):
-        from repro.pipeline.runner import BatchStats
-
         zero = BatchStats()
         a = BatchStats(total=3, computed=2, cache_hits=1)
         assert (a + zero).to_dict() == a.to_dict()
@@ -533,8 +529,6 @@ class TestBatchStatsMerge:
         ["computed", "cache_hits", "resumed", "deduplicated", "quarantined"],
     )
     def test_every_disposition_settles_and_merges(self, disposition):
-        from repro.pipeline.runner import BatchStats
-
         one = BatchStats(total=1, **{disposition: 1})
         assert one.reconciles()
         assert one.to_dict()[disposition] == 1
@@ -545,24 +539,17 @@ class TestBatchStatsMerge:
 
 class TestWorkQueueCore:
     def test_run_byte_identical_to_batch_runner(self, population_requests):
-        """The non-regression proof of the runner refactor: the shared
-        core produces byte-identical reports to a direct BatchRunner on
+        """The core's reports, decoded once from its executor's
+        payloads, are byte-identical to a direct run of the executor on
         the seeded 200-set population."""
-        from repro.pipeline import WorkQueueCore
-
         direct = BatchRunner(jobs=1).run(population_requests)
-        core = WorkQueueCore(jobs=1)
-        try:
+        with WorkQueueCore(jobs=1) as core:
             via_core = core.run(population_requests)
-        finally:
-            core.close()
         assert json.dumps(_dicts(via_core), sort_keys=True) == json.dumps(
-            _dicts(direct), sort_keys=True
+            direct, sort_keys=True
         )
 
     def test_submit_settles_with_per_job_invariant(self, population_requests):
-        from repro.pipeline import WorkQueueCore
-
         core = WorkQueueCore(jobs=1)
         try:
             handle, coalesced = core.submit(population_requests[:10])
@@ -576,8 +563,6 @@ class TestWorkQueueCore:
             core.close()
 
     def test_duplicate_job_coalesces_completed(self, population_requests):
-        from repro.pipeline import WorkQueueCore
-
         core = WorkQueueCore(jobs=1)
         try:
             first, _ = core.submit(population_requests[:5])
@@ -637,8 +622,6 @@ class TestWorkQueueCore:
     def test_error_job_not_pinned_in_registry(self, population_requests):
         """A job that dies to infrastructure is not kept for dedup: a
         resubmission must retry it, not coalesce onto the stale error."""
-        from repro.pipeline import WorkQueueCore, job_fingerprint
-
         core = WorkQueueCore(jobs=1)
         try:
             def boom(done: int, total: int) -> None:
@@ -654,3 +637,97 @@ class TestWorkQueueCore:
             assert handle.state == "done"
         finally:
             core.close()
+
+
+class TestCoreLifetime:
+    """One executor and one pool per core, and no worker outlives it."""
+
+    @staticmethod
+    def _boom(done: int, total: int) -> None:
+        raise RuntimeError("progress exploded")
+
+    def test_analyze_many_leaves_no_worker_behind(self, population_requests):
+        before = set(multiprocessing.active_children())
+        reports = analyze_many(population_requests[:8], jobs=2)
+        assert len(reports) == 8
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_close_after_a_raising_run_leaves_no_worker(self, population_requests):
+        before = set(multiprocessing.active_children())
+        core = WorkQueueCore(jobs=2)
+        with pytest.raises(RuntimeError, match="progress exploded"):
+            core.run(population_requests[:8], progress=self._boom)
+        assert core.runner.pool is not None and core.runner.pool.created == 1
+        core.close()
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_runs_share_one_executor_and_pool(self, population_requests):
+        with WorkQueueCore(jobs=2) as core:
+            runner = core.runner
+            core.run(population_requests[:8])
+            pool = runner.pool
+            core.run(population_requests[8:16])
+            assert core.runner is runner and runner.pool is pool
+            assert pool is not None and pool.created == 1
+            assert core.jobs_executed == 2
+
+    def test_given_core_applies_per_run_options(self, tmp_path, population_requests):
+        ck = tmp_path / "ck.jsonl"
+        seen = []
+        with WorkQueueCore() as core:
+            analyze_many(
+                population_requests[:5],
+                core=core,
+                checkpoint=str(ck),
+                progress=lambda done, total: seen.append((done, total)),
+            )
+        assert len(ck.read_text().splitlines()) == 5
+        assert seen[-1] == (5, 5)
+
+    def test_per_job_stats_reconcile_and_sum_into_core_stats(
+        self, population_requests
+    ):
+        slices = [(0, 6), (3, 9), (0, 9)]
+        with WorkQueueCore(cache=ResultCache()) as core:
+            handles = []
+            for lo, hi in slices:
+                core.run(population_requests[lo:hi])
+                handles.append(core.get_job(job_fingerprint(population_requests[lo:hi])))
+            # Each run starts the executor's stats afresh.
+            assert core.runner.stats is handles[-1].stats
+        assert [h.stats.computed for h in handles] == [6, 3, 0]
+        assert [h.stats.cache_hits for h in handles] == [0, 3, 9]
+        assert all(h.stats.reconciles() for h in handles)
+        total = BatchStats()
+        for handle in handles:
+            total = total + handle.stats
+        assert core.stats == total
+        assert core.stats.reconciles()
+
+    def test_each_report_is_encoded_once_and_decoded_once(
+        self, monkeypatch, population_requests
+    ):
+        """The submit path decodes nothing; run decodes each payload once."""
+        calls = {"to_dict": 0, "from_dict": 0}
+        to_dict = AnalysisReport.to_dict
+        from_dict = AnalysisReport.from_dict.__func__
+
+        def counting_to_dict(report):
+            calls["to_dict"] += 1
+            return to_dict(report)
+
+        def counting_from_dict(cls, data):
+            calls["from_dict"] += 1
+            return from_dict(cls, data)
+
+        monkeypatch.setattr(AnalysisReport, "to_dict", counting_to_dict)
+        monkeypatch.setattr(
+            AnalysisReport, "from_dict", classmethod(counting_from_dict)
+        )
+        with WorkQueueCore() as core:
+            handle, _ = core.submit(population_requests[:6])
+            assert handle.wait(120)
+            assert len(handle.payloads()) == 6
+            assert calls == {"to_dict": 6, "from_dict": 0}
+            core.run(population_requests[6:12])
+            assert calls == {"to_dict": 12, "from_dict": 6}

@@ -37,7 +37,7 @@ from repro.model.task import MCTask, ModelError
 from repro.model.taskset import TaskSet
 from repro.model.transform import apply_uniform_scaling, terminate_lo_tasks
 from repro.obs.metrics import MetricsRegistry
-from repro.pipeline import AnalysisRequest, BatchRunner, evaluate_captured
+from repro.pipeline import AnalysisRequest, WorkQueueCore, evaluate_captured
 from tests.conftest import multi_window_set
 
 
@@ -845,14 +845,12 @@ class TestGroupedPipeline:
         # Reference: chunk_size=1 keeps every request on the per-item path.
         _clear_caches()
         plain_metrics = MetricsRegistry()
-        plain = BatchRunner(jobs=jobs, chunk_size=1, metrics=plain_metrics).run(
-            pipeline_requests
-        )
+        with WorkQueueCore(jobs=jobs, chunk_size=1, metrics=plain_metrics) as core:
+            plain = core.run(pipeline_requests)
         _clear_caches()
         grouped_metrics = MetricsRegistry()
-        grouped = BatchRunner(jobs=jobs, metrics=grouped_metrics).run(
-            pipeline_requests
-        )
+        with WorkQueueCore(jobs=jobs, metrics=grouped_metrics) as core:
+            grouped = core.run(pipeline_requests)
         assert [r.to_dict() for r in plain] == [r.to_dict() for r in grouped]
         assert plain_metrics.counter("kernels.population_batches") == 0
         assert grouped_metrics.counter("kernels.population_batches") > 0
@@ -903,7 +901,8 @@ class TestGroupedFailures:
         for jobs in (1, 2):
             _clear_caches()
             metrics = MetricsRegistry()
-            reports = BatchRunner(jobs=jobs, metrics=metrics).run(requests)
+            with WorkQueueCore(jobs=jobs, metrics=metrics) as core:
+                reports = core.run(requests)
             assert [report.to_dict() for report in reports] == reference
             counters[jobs] = MetricsRegistry.strip_timing(metrics.snapshot())
         # Equal counters: no failed pool chunk was isolated and redone.
@@ -975,7 +974,8 @@ class TestCounters:
         ]
         _clear_caches()
         metrics = MetricsRegistry()
-        BatchRunner(jobs=1, metrics=metrics).run(requests)
+        with WorkQueueCore(metrics=metrics) as core:
+            core.run(requests)
         snapshot = metrics.snapshot()
         assert snapshot["counters"]["kernels.population_batches"] >= 1
         assert snapshot["counters"]["kernels.population_sets"] >= 10
