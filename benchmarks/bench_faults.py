@@ -50,6 +50,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_faults.py            # full run
     PYTHONPATH=src python benchmarks/bench_faults.py --quick    # CI smoke
 
+A full run writes ``BENCH_faults.json`` unless ``--out`` names another
+file.  A ``--quick`` run writes only to an explicit ``--out``, so the
+smoke never overwrites the committed full-run baseline.
+
 The full run enforces the < 2% ceiling (exit 1 on a miss); ``--quick``
 shrinks the population and relaxes the ceiling to 10%, because on a
 tiny workload the constant per-run setup dominates and shared-runner
@@ -279,10 +283,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--out",
         type=Path,
-        default=REPO_ROOT / "BENCH_faults.json",
-        help="output JSON path",
+        default=None,
+        help="output JSON path (a full run defaults to BENCH_faults.json; "
+        "--quick writes nothing without it)",
     )
     args = parser.parse_args(argv)
+    out = args.out
+    if out is None and not args.quick:
+        out = REPO_ROOT / "BENCH_faults.json"
 
     sets = args.sets if args.sets is not None else (60 if args.quick else 2000)
     ceiling = QUICK_CEILING_PCT if args.quick else OVERHEAD_CEILING_PCT
@@ -365,8 +373,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         "noise_floor_pct": noise_floor,
         "runs": runs,
     }
-    args.out.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    if out is None:
+        print("--quick without --out: no JSON written")
+    else:
+        out.write_text(json.dumps(payload, indent=2) + "\n")
+        print(f"wrote {out}")
     if failures:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)

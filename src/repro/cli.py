@@ -22,7 +22,8 @@ evaluation finishes in about a minute (the benchmark harness under
 full dual-mode analysis on a user-supplied JSON task set (see
 :mod:`repro.io` for the format); ``batch`` runs it over a directory of
 task-set files through the parallel pipeline (:mod:`repro.pipeline`)
-with caching, durable checkpointing, per-file failure capture and
+with caching, durable checkpointing, per-file failure capture (a file
+that does not load is a usage error naming it, before any analysis) and
 infrastructure fault tolerance (``--retries``/``--timeout`` bound the
 retry budget and per-item watchdog; ``--quarantine`` collects poison
 items instead of aborting; Ctrl-C drains gracefully and prints the
@@ -226,7 +227,15 @@ def _run_batch(args, parser) -> int:
     files = sorted(directory.glob("*.json"))
     if not files:
         parser.error(f"--tasksets: no .json task sets in {directory}")
-    tasksets = [api.load_taskset(f) for f in files]
+    tasksets = []
+    for path in files:
+        # A file that does not load (malformed JSON, a foreign or future
+        # document, a task the model rejects) stops the run before any
+        # analysis, as a usage error naming it.
+        try:
+            tasksets.append(api.load_taskset(path))
+        except (OSError, ValueError, TypeError) as error:
+            parser.error(f"--tasksets: cannot load {path}: {error}")
 
     from repro.obs import MetricsRegistry, ProgressLine, trace
     from repro.pipeline.core import WorkQueueCore

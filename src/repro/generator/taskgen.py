@@ -24,7 +24,7 @@ target is hit exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -104,11 +104,53 @@ class GeneratorConfig:
 FIG7_CONFIG = GeneratorConfig(gamma_range=(10.0, 10.0))
 
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``float(rng.uniform(lo, hi))``, bit for bit, without its call overhead.
+
+    NumPy's ``uniform`` returns ``low + (high - low) * next_double`` from
+    one draw, the same draw ``rng.random()`` makes, and refuses an
+    infinite range before drawing; so does this.
+    """
+    low = float(lo)
+    span = float(hi) - low
+    if not span < math.inf:
+        raise OverflowError("high - low range exceeds valid bounds")
+    return low + span * rng.random()
+
+
 def _draw_period(rng: np.random.Generator, config: GeneratorConfig) -> float:
     lo, hi = config.period_range
     if config.log_uniform_periods:
         return float(np.exp(rng.uniform(np.log(lo), np.log(hi))))
-    return float(rng.uniform(lo, hi))
+    return _uniform(rng, lo, hi)
+
+
+#: One drawn task before it is built: ``(crit, period, c_lo, c_hi)``.
+_Draw = Tuple[Criticality, float, float, float]
+
+
+def _draw(
+    rng: np.random.Generator, config: GeneratorConfig, crit: Optional[Criticality]
+) -> _Draw:
+    """Draw one implicit-deadline task's parameters (see :func:`random_task`)."""
+    if crit is None:
+        crit = Criticality.HI if rng.random() < config.p_hi else Criticality.LO
+    period = _draw_period(rng, config)
+    c_lo = _uniform(rng, *config.u_lo_range) * period
+    if crit is Criticality.HI:
+        gamma = _uniform(rng, *config.gamma_range)
+        return crit, period, c_lo, min(gamma * c_lo, period)  # C(HI) <= D(HI) = T
+    return crit, period, c_lo, c_lo
+
+
+def _build(name: str, draw: _Draw, scale: float = 1.0) -> MCTask:
+    """The task of ``draw``, its WCETs (so its utilizations) times ``scale``."""
+    crit, period, c_lo, c_hi = draw
+    if crit is Criticality.HI:
+        return MCTask.hi(
+            name, c_lo=c_lo * scale, c_hi=c_hi * scale, d_lo=period, d_hi=period, period=period
+        )
+    return MCTask.lo(name, c=c_lo * scale, d_lo=period, t_lo=period)
 
 
 def random_task(
@@ -123,70 +165,77 @@ def random_task(
     ``crit`` forces the criticality level (used by the Figure-7 variant
     that fills HI and LO budgets independently).
     """
-    if crit is None:
-        crit = Criticality.HI if rng.uniform() < config.p_hi else Criticality.LO
-    period = _draw_period(rng, config)
-    u_lo = float(rng.uniform(*config.u_lo_range))
-    c_lo = u_lo * period
-    if crit is Criticality.HI:
-        gamma = float(rng.uniform(*config.gamma_range))
-        c_hi = min(gamma * c_lo, period)  # C(HI) <= D(HI) = T structurally
-        return MCTask.hi(name, c_lo=c_lo, c_hi=c_hi, d_lo=period, d_hi=period, period=period)
-    return MCTask.lo(name, c=c_lo, d_lo=period, t_lo=period)
+    return _build(name, _draw(rng, config, crit))
 
 
-def _scale_task_u_lo(task: MCTask, factor: float) -> MCTask:
-    """Shrink a task's LO utilization by ``factor`` (WCETs scale together)."""
-    return replace(task, c_lo=task.c_lo * factor, c_hi=task.c_hi * factor)
+class _Terms:
+    """The ``C/T`` terms of a growing task set, one list per sum, in task order.
 
+    Every utilization is a ``sum()`` over one of these lists, never a
+    running total: from Python 3.12 ``sum()`` of floats is compensated,
+    so only the same terms summed in the same order draw the same sets
+    on every Python version.
+    """
 
-def _mode_utils(tasks: List[MCTask]) -> Tuple[float, float]:
-    u_lo = sum(t.c_lo / t.t_lo for t in tasks)
-    u_hi = sum(t.c_hi / t.t_hi for t in tasks)
-    return u_lo, u_hi
+    __slots__ = ("metric_name", "lo", "hi", "lo_of_lo", "hi_of_hi")
 
+    def __init__(self, metric_name: str) -> None:
+        self.metric_name = metric_name
+        self.lo: List[float] = []  # C(LO)/T(LO) of every task
+        self.hi: List[float] = []  # C(HI)/T(HI) of every task
+        self.lo_of_lo: List[float] = []  # C(LO)/T(LO) of the LO tasks
+        self.hi_of_hi: List[float] = []  # C(HI)/T(HI) of the HI tasks
 
-def _crit_utils(tasks: List[MCTask]) -> Tuple[float, float]:
-    """(U^LO of the LO tasks, U^HI of the HI tasks) — Figure-7 notation."""
-    u_lo_of_lo = sum(t.c_lo / t.t_lo for t in tasks if t.crit is Criticality.LO)
-    u_hi_of_hi = sum(t.c_hi / t.t_hi for t in tasks if t.crit is Criticality.HI)
-    return u_lo_of_lo, u_hi_of_hi
+    def push(self, draw: _Draw) -> None:
+        crit, period, c_lo, c_hi = draw
+        self.lo.append(c_lo / period)
+        self.hi.append(c_hi / period)
+        if crit is Criticality.HI:
+            self.hi_of_hi.append(self.hi[-1])
+        else:
+            self.lo_of_lo.append(self.lo[-1])
 
+    def pop(self, draw: _Draw) -> None:
+        self.lo.pop()
+        self.hi.pop()
+        (self.hi_of_hi if draw[0] is Criticality.HI else self.lo_of_lo).pop()
 
-def _metric(tasks: List[MCTask], config: GeneratorConfig) -> float:
-    if config.metric == "avg_crit":
-        u_lo_of_lo, u_hi_of_hi = _crit_utils(tasks)
-        return 0.5 * (u_lo_of_lo + u_hi_of_hi)
-    u_lo, u_hi = _mode_utils(tasks)
-    if config.metric == "avg":
-        return 0.5 * (u_lo + u_hi)
-    if config.metric == "max":
-        return max(u_lo, u_hi)
-    if config.metric == "lo":
-        return u_lo
-    return u_hi
+    def metric(self) -> float:
+        """The dimensioning metric ``U_bound`` of the set (see GeneratorConfig)."""
+        if self.metric_name == "avg_crit":
+            return 0.5 * (sum(self.lo_of_lo) + sum(self.hi_of_hi))
+        if self.metric_name == "avg":
+            return 0.5 * (sum(self.lo) + sum(self.hi))
+        if self.metric_name == "max":
+            return max(sum(self.lo), sum(self.hi))
+        if self.metric_name == "lo":
+            return sum(self.lo)
+        return sum(self.hi)
 
 
 def _max_admissible_scale(
-    tasks: List[MCTask],
-    candidate: MCTask,
+    terms: _Terms,
+    base: float,
+    candidate: _Draw,
     u_bound: float,
     config: GeneratorConfig,
 ) -> float:
-    """Largest factor ``f`` so that ``tasks + f*candidate`` respects both
-    the metric target and the per-mode cap (utilizations are linear in f)."""
-    base = _metric(tasks, config)
-    load = _metric(tasks + [candidate], config) - base
+    """Largest factor ``f`` so that the set plus ``f*candidate`` respects
+    both the metric target and the per-mode cap (utilizations are linear
+    in f); ``base`` is the set's metric."""
+    terms.push(candidate)
+    load = terms.metric() - base
+    terms.pop(candidate)
     factors = [1.0]
     if load > 0.0:
         factors.append((u_bound - base) / load)
     if config.metric in ("avg", "avg_crit") and math.isfinite(config.cap_each_mode):
-        u_lo, u_hi = _mode_utils(tasks)
-        c_lo, c_hi = _mode_utils([candidate])
-        if c_lo > 0.0:
-            factors.append((config.cap_each_mode - u_lo) / c_lo)
-        if c_hi > 0.0:
-            factors.append((config.cap_each_mode - u_hi) / c_hi)
+        _, period, c_lo, c_hi = candidate
+        u_lo, u_hi = c_lo / period, c_hi / period
+        if u_lo > 0.0:
+            factors.append((config.cap_each_mode - sum(terms.lo)) / u_lo)
+        if u_hi > 0.0:
+            factors.append((config.cap_each_mode - sum(terms.hi)) / u_hi)
     return min(factors)
 
 
@@ -208,29 +257,32 @@ def generate_taskset(
     if not 0.0 < u_bound <= 1.0 + 1e-9:
         raise ModelError(f"u_bound must be in (0, 1], got {u_bound}")
     tasks: List[MCTask] = []
-    index = 0
-    while _metric(tasks, config) < u_bound - 1e-12:
-        candidate = random_task(rng, config, name=f"{name}_{index}")
+    terms = _Terms(config.metric)
+    while True:
+        base = terms.metric()
+        if not base < u_bound - 1e-12:
+            return TaskSet(tasks, name=name)
+        task_name = f"{name}_{len(tasks)}"
+        candidate = _draw(rng, config, None)
         attempts = 0
         while True:
-            scale = _max_admissible_scale(tasks, candidate, u_bound, config)
+            scale = _max_admissible_scale(terms, base, candidate, u_bound, config)
             if scale >= 1.0 - 1e-12:
-                tasks.append(candidate)
-                index += 1
+                tasks.append(_build(task_name, candidate))
+                terms.push(candidate)
                 break
             if config.overshoot == "drop":
                 return TaskSet(tasks, name=name)
             if config.overshoot == "resample" and attempts < 100:
-                candidate = random_task(rng, config, name=f"{name}_{index}")
+                candidate = _draw(rng, config, None)
                 attempts += 1
                 continue
             # "scale" (and resample fallback): shrink the candidate so every
             # constraint is met exactly, then stop (nothing more fits).
             if scale <= min_u_floor:
                 return TaskSet(tasks, name=name)
-            tasks.append(_scale_task_u_lo(candidate, scale))
-            return TaskSet(tasks, name=f"{name}")
-    return TaskSet(tasks, name=name)
+            tasks.append(_build(task_name, candidate, scale))
+            return TaskSet(tasks, name=name)
 
 
 def generate_taskset_with_targets(
@@ -256,26 +308,25 @@ def generate_taskset_with_targets(
         Criticality.HI: max(1e-6, u_hi_target + float(rng.uniform(-jitter, jitter))),
         Criticality.LO: max(1e-6, u_lo_target + float(rng.uniform(-jitter, jitter))),
     }
-    index = 0
     for crit, target in targets.items():
-        def level_util(task_list: List[MCTask]) -> float:
-            level = Criticality.HI if crit is Criticality.HI else Criticality.LO
-            return sum(t.utilization(level) for t in task_list if t.crit is crit)
-
-        while level_util(tasks) < target - 1e-12:
-            candidate = random_task(rng, config, name=f"{name}_{index}", crit=crit)
-            overshoot = level_util(tasks + [candidate]) - target
-            if overshoot > 1e-12:
-                load = level_util(tasks + [candidate]) - level_util(tasks)
-                headroom = target - level_util(tasks)
+        # This level's tasks' utilizations at their own level, in task
+        # order; every sum is a sum() over them (see _Terms).
+        level_terms: List[float] = []
+        while sum(level_terms) < target - 1e-12:
+            task_name = f"{name}_{len(tasks)}"
+            candidate = _draw(rng, config, crit)
+            _, period, c_lo, c_hi = candidate
+            used = sum(level_terms)
+            level_terms.append((c_hi if crit is Criticality.HI else c_lo) / period)
+            with_candidate = sum(level_terms)
+            if with_candidate - target > 1e-12:
+                load = with_candidate - used
+                headroom = target - used
                 if load <= 0.0 or headroom <= 1e-6:
                     break
-                candidate = _scale_task_u_lo(candidate, headroom / load)
-                tasks.append(candidate)
-                index += 1
+                tasks.append(_build(task_name, candidate, headroom / load))
                 break
-            tasks.append(candidate)
-            index += 1
+            tasks.append(_build(task_name, candidate))
     return TaskSet(tasks, name=name)
 
 

@@ -43,8 +43,8 @@ def _encode_value(value: float):
     return None if math.isinf(value) else value
 
 
-def _decode_value(value) -> float:
-    return math.inf if value is None else float(value)
+def _decode_value(value):
+    return math.inf if value is None else value
 
 
 def task_to_dict(task: MCTask) -> Dict:
@@ -62,17 +62,24 @@ def task_to_dict(task: MCTask) -> Dict:
 
 
 def task_from_dict(data: Dict) -> MCTask:
-    """Inverse of :func:`task_to_dict`; validates via the model."""
+    """Inverse of :func:`task_to_dict`; validates via the model.
+
+    Each JSON value reaches :class:`MCTask` as it is, except that
+    ``null`` in ``d_hi``/``t_hi`` decodes to ``inf``.  So a JSON number
+    (an integer too) converts as it does in ``MCTask(...)``, and a bool,
+    a string, any other ``null`` or a non-string name fails with the
+    model's own message.
+    """
     try:
         crit = Criticality(data["criticality"])
         return MCTask(
-            name=str(data["name"]),
+            name=data["name"],
             crit=crit,
-            c_lo=float(data["c_lo"]),
-            c_hi=float(data["c_hi"]),
-            d_lo=float(data["d_lo"]),
+            c_lo=data["c_lo"],
+            c_hi=data["c_hi"],
+            d_lo=data["d_lo"],
             d_hi=_decode_value(data["d_hi"]),
-            t_lo=float(data["t_lo"]),
+            t_lo=data["t_lo"],
             t_hi=_decode_value(data["t_hi"]),
         )
     except KeyError as missing:
@@ -111,7 +118,7 @@ def taskset_from_dict(payload: Dict) -> TaskSet:
     rejects anything else — unknown future schemas fail loudly instead
     of being misread.
     """
-    if payload.get("format") != "repro-mc-taskset":
+    if not isinstance(payload, dict) or payload.get("format") != "repro-mc-taskset":
         raise ValueError("not a repro-mc task-set document")
     version = _document_version(payload)
     if version not in SUPPORTED_VERSIONS:

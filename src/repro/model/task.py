@@ -31,7 +31,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Any, Optional
 
 
 class Criticality(enum.Enum):
@@ -52,9 +52,33 @@ class ModelError(ValueError):
     """Raised when task parameters violate the paper's model constraints."""
 
 
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise ModelError(message)
+def _timing_value(task: "MCTask", attr: str, label: str, value: Any) -> float:
+    """Timing field ``attr`` as a float, or the ModelError its checks raise.
+
+    A value whose type is exactly ``float`` skips the type check and is
+    not written back; any other real number (an int, a NumPy float, a
+    ``Fraction``) is converted and stored, and a bool never counts as one.
+    """
+    if type(value) is float:
+        number: float = value
+    else:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ModelError(
+                f"{task.name}: {label} must be a real number, got "
+                f"{value!r} ({type(value).__name__}); pass a float "
+                "(math.inf is only legal for D(HI)/T(HI) of LO tasks)"
+            )
+        number = float(value)
+        object.__setattr__(task, attr, number)
+    if not number >= 0.0:
+        if math.isnan(number):
+            raise ModelError(
+                f"{task.name}: {label} is NaN — timing parameters must "
+                "be well-defined numbers; check the upstream computation "
+                "or input file for a 0/0 or missing value"
+            )
+        raise ModelError(f"{task.name}: {label} must be non-negative, got {number}")
+    return number
 
 
 @dataclass(frozen=True)
@@ -84,73 +108,67 @@ class MCTask:
     t_lo: float
     t_hi: float
 
-    #: Timing fields in declaration order, paired with their paper notation.
-    _TIMING_FIELDS = (
-        ("c_lo", "C(LO)"),
-        ("c_hi", "C(HI)"),
-        ("d_lo", "D(LO)"),
-        ("d_hi", "D(HI)"),
-        ("t_lo", "T(LO)"),
-        ("t_hi", "T(HI)"),
-    )
-
     def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
-            raise ModelError(
-                f"task name must be a non-empty string, got {self.name!r}"
-            )
+        # One pass over the checks in a fixed order: the first failing
+        # check's message is the one raised, and a message is formatted
+        # only when its check fails.
+        name = self.name
+        if not isinstance(name, str) or not name:
+            raise ModelError(f"task name must be a non-empty string, got {name!r}")
         if not isinstance(self.crit, Criticality):
             raise ModelError(
-                f"{self.name}: crit must be a Criticality "
+                f"{name}: crit must be a Criticality "
                 f"(Criticality.LO or Criticality.HI), got {self.crit!r}"
             )
-        for attr, label in self._TIMING_FIELDS:
-            value = getattr(self, attr)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ModelError(
-                    f"{self.name}: {label} must be a real number, got "
-                    f"{value!r} ({type(value).__name__}); pass a float "
-                    "(math.inf is only legal for D(HI)/T(HI) of LO tasks)"
-                )
-            value = float(value)
-            if math.isnan(value):
-                raise ModelError(
-                    f"{self.name}: {label} is NaN — timing parameters must "
-                    "be well-defined numbers; check the upstream computation "
-                    "or input file for a 0/0 or missing value"
-                )
-            if value < 0:
-                raise ModelError(
-                    f"{self.name}: {label} must be non-negative, got {value}"
-                )
-            object.__setattr__(self, attr, value)
-        _check(self.c_lo > 0, f"{self.name}: C(LO) must be positive")
-        _check(self.c_hi > 0, f"{self.name}: C(HI) must be positive")
-        _check(self.d_lo > 0, f"{self.name}: D(LO) must be positive")
-        _check(self.t_lo > 0, f"{self.name}: T(LO) must be positive")
-        _check(math.isfinite(self.c_lo), f"{self.name}: C(LO) must be finite")
-        _check(math.isfinite(self.c_hi), f"{self.name}: C(HI) must be finite")
-        _check(math.isfinite(self.d_lo), f"{self.name}: D(LO) must be finite")
-        _check(math.isfinite(self.t_lo), f"{self.name}: T(LO) must be finite")
+        c_lo = _timing_value(self, "c_lo", "C(LO)", self.c_lo)
+        c_hi = _timing_value(self, "c_hi", "C(HI)", self.c_hi)
+        d_lo = _timing_value(self, "d_lo", "D(LO)", self.d_lo)
+        d_hi = _timing_value(self, "d_hi", "D(HI)", self.d_hi)
+        t_lo = _timing_value(self, "t_lo", "T(LO)", self.t_lo)
+        t_hi = _timing_value(self, "t_hi", "T(HI)", self.t_hi)
+        if not c_lo > 0:
+            raise ModelError(f"{name}: C(LO) must be positive")
+        if not c_hi > 0:
+            raise ModelError(f"{name}: C(HI) must be positive")
+        if not d_lo > 0:
+            raise ModelError(f"{name}: D(LO) must be positive")
+        if not t_lo > 0:
+            raise ModelError(f"{name}: T(LO) must be positive")
+        if not math.isfinite(c_lo):
+            raise ModelError(f"{name}: C(LO) must be finite")
+        if not math.isfinite(c_hi):
+            raise ModelError(f"{name}: C(HI) must be finite")
+        if not math.isfinite(d_lo):
+            raise ModelError(f"{name}: D(LO) must be finite")
+        if not math.isfinite(t_lo):
+            raise ModelError(f"{name}: T(LO) must be finite")
         # Constrained deadlines (Section II).
-        _check(self.d_lo <= self.t_lo, f"{self.name}: D(LO) <= T(LO) required")
-        _check(
-            self.d_hi <= self.t_hi or (math.isinf(self.d_hi) and math.isinf(self.t_hi)),
-            f"{self.name}: D(HI) <= T(HI) required",
-        )
-        _check(self.c_lo <= self.d_lo, f"{self.name}: C(LO) <= D(LO) required")
+        if not d_lo <= t_lo:
+            raise ModelError(f"{name}: D(LO) <= T(LO) required")
+        if not (d_hi <= t_hi or (math.isinf(d_hi) and math.isinf(t_hi))):
+            raise ModelError(f"{name}: D(HI) <= T(HI) required")
+        if not c_lo <= d_lo:
+            raise ModelError(f"{name}: C(LO) <= D(LO) required")
         if self.crit is Criticality.HI:
             # Eq. (1).
-            _check(self.t_hi == self.t_lo, f"{self.name}: HI task needs T(HI) == T(LO)")
-            _check(self.d_lo <= self.d_hi, f"{self.name}: HI task needs D(LO) <= D(HI)")
-            _check(math.isfinite(self.d_hi), f"{self.name}: HI task needs finite D(HI)")
-            _check(self.c_hi >= self.c_lo, f"{self.name}: HI task needs C(HI) >= C(LO)")
-            _check(self.c_hi <= self.d_hi, f"{self.name}: C(HI) <= D(HI) required")
+            if not t_hi == t_lo:
+                raise ModelError(f"{name}: HI task needs T(HI) == T(LO)")
+            if not d_lo <= d_hi:
+                raise ModelError(f"{name}: HI task needs D(LO) <= D(HI)")
+            if not math.isfinite(d_hi):
+                raise ModelError(f"{name}: HI task needs finite D(HI)")
+            if not c_hi >= c_lo:
+                raise ModelError(f"{name}: HI task needs C(HI) >= C(LO)")
+            if not c_hi <= d_hi:
+                raise ModelError(f"{name}: C(HI) <= D(HI) required")
         else:
             # Eq. (2); Eq. (3) is the inf special case.
-            _check(self.t_hi >= self.t_lo, f"{self.name}: LO task needs T(HI) >= T(LO)")
-            _check(self.d_hi >= self.d_lo, f"{self.name}: LO task needs D(HI) >= D(LO)")
-            _check(self.c_hi == self.c_lo, f"{self.name}: LO task needs C(HI) == C(LO)")
+            if not t_hi >= t_lo:
+                raise ModelError(f"{name}: LO task needs T(HI) >= T(LO)")
+            if not d_hi >= d_lo:
+                raise ModelError(f"{name}: LO task needs D(HI) >= D(LO)")
+            if not c_hi == c_lo:
+                raise ModelError(f"{name}: LO task needs C(HI) == C(LO)")
 
     # ------------------------------------------------------------------
     # Convenience constructors
@@ -204,13 +222,15 @@ class MCTask:
     @staticmethod
     def implicit_hi(name: str, c_lo: float, c_hi: float, period: float, x: float) -> "MCTask":
         """Implicit-deadline HI task with LO deadline shortened by ``x`` (Eq. 13)."""
-        _check(0 < x <= 1, "x must be in (0, 1]")
+        if not 0 < x <= 1:
+            raise ModelError("x must be in (0, 1]")
         return MCTask.hi(name, c_lo, c_hi, d_lo=x * period, d_hi=period, period=period)
 
     @staticmethod
     def implicit_lo(name: str, c: float, period: float, y: float = 1.0) -> "MCTask":
         """Implicit-deadline LO task with HI-mode service degraded by ``y`` (Eq. 14)."""
-        _check(y >= 1, "y must be >= 1")
+        if not y >= 1:
+            raise ModelError("y must be >= 1")
         return MCTask.lo(name, c, d_lo=period, t_lo=period, d_hi=y * period, t_hi=y * period)
 
     # ------------------------------------------------------------------
@@ -278,12 +298,14 @@ class MCTask:
 
     def with_degraded_service(self, d_hi: float, t_hi: float) -> "MCTask":
         """Return a copy of a LO task with new degraded HI-mode parameters."""
-        _check(self.is_lo, f"{self.name}: only LO tasks can be degraded")
+        if not self.is_lo:
+            raise ModelError(f"{self.name}: only LO tasks can be degraded")
         return replace(self, d_hi=d_hi, t_hi=t_hi)
 
     def with_lo_deadline(self, d_lo: float) -> "MCTask":
         """Return a copy of a HI task with a new (shortened) LO-mode deadline."""
-        _check(self.is_hi, f"{self.name}: only HI tasks have tunable LO deadlines")
+        if not self.is_hi:
+            raise ModelError(f"{self.name}: only HI tasks have tunable LO deadlines")
         return replace(self, d_lo=d_lo)
 
     def scaled(self, factor: float) -> "MCTask":
@@ -292,7 +314,8 @@ class MCTask:
         Useful for changing time units (e.g. ms to us) without altering any
         analysis outcome apart from the same scaling of ``Delta_R``.
         """
-        _check(factor > 0, "scale factor must be positive")
+        if not factor > 0:
+            raise ModelError("scale factor must be positive")
         return replace(
             self,
             c_lo=self.c_lo * factor,

@@ -127,3 +127,45 @@ class TestAnalyzeGolden:
             "Within recovery budget 100:        False\n"
             "Speedup margin (headroom):            1.21429\n"
         )
+
+
+class TestBatchLoadErrors:
+    """A task-set file that does not load ends ``batch`` as a usage
+    error naming the file (exit 2), never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "t1: C(LO) must be non-negative, got -1.0"),
+            ("{not json", "Expecting property name enclosed in double quotes"),
+            ('{"format": "something-else"}', "not a repro-mc task-set document"),
+            ("[]", "not a repro-mc task-set document"),
+            (
+                '{"format": "repro-mc-taskset", "schema_version": 99, "tasks": []}',
+                "unsupported task-set schema version 99",
+            ),
+        ],
+        ids=["model", "malformed", "foreign", "not_an_object", "future"],
+    )
+    def test_bad_file_is_a_usage_error(self, tmp_path, capsys, text, message):
+        import json
+
+        from repro.experiments.table1 import table1_taskset
+        from repro.io import save_taskset, taskset_to_json
+
+        save_taskset(table1_taskset(), tmp_path / "a_good.json")
+        if text is None:
+            document = json.loads(taskset_to_json(table1_taskset()))
+            document["tasks"][0]["name"] = "t1"
+            document["tasks"][0]["c_lo"] = -1.0
+            text = json.dumps(document)
+        bad = tmp_path / "b_bad.json"
+        bad.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["batch", "--tasksets", str(tmp_path), "--speedup", "2"])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: --tasksets: cannot load {bad}: " in captured.err
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+        assert "Batch analysis" not in captured.out

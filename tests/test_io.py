@@ -39,6 +39,33 @@ class TestTaskRoundTrip:
         with pytest.raises(ModelError):
             task_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("c_lo", True, "l: C(LO) must be a real number, got True (bool)"),
+            ("t_lo", "10", "l: T(LO) must be a real number, got '10' (str)"),
+            ("c_hi", None, "l: C(HI) must be a real number, got None (NoneType)"),
+            ("name", 7, "task name must be a non-empty string, got 7"),
+        ],
+        ids=["bool", "string", "null", "int_name"],
+    )
+    def test_json_values_are_not_coerced(self, field, value, message):
+        # The loader hands JSON values to the model as they are, so a
+        # value MCTask(...) rejects is rejected in a file too, with the
+        # model's message.
+        data = task_to_dict(MCTask.lo("l", c=2, d_lo=6, t_lo=6))
+        data[field] = value
+        with pytest.raises(ModelError) as raised:
+            task_from_dict(data)
+        assert str(raised.value).startswith(message)
+
+    def test_json_integers_still_convert(self):
+        data = task_to_dict(MCTask.lo("l", c=2, d_lo=6, t_lo=6))
+        data.update(c_lo=2, c_hi=2, d_lo=6, t_lo=6, d_hi=None, t_hi=None)
+        task = task_from_dict(data)
+        assert task == MCTask.lo("l", c=2.0, d_lo=6.0, t_lo=6.0, d_hi=math.inf, t_hi=math.inf)
+        assert all(type(getattr(task, f)) is float for f in ("c_lo", "c_hi", "d_lo", "t_lo"))
+
 
 class TestTasksetRoundTrip:
     def test_json_round_trip(self, table1):
@@ -55,6 +82,11 @@ class TestTasksetRoundTrip:
         path = tmp_path / "set.json"
         save_taskset(table1, path)
         assert load_taskset(path) == table1
+
+    @pytest.mark.parametrize("text", ["[]", "7", '"repro-mc-taskset"'])
+    def test_rejects_non_object_document(self, text):
+        with pytest.raises(ValueError, match="not a repro-mc task-set document"):
+            taskset_from_json(text)
 
     def test_rejects_foreign_document(self):
         with pytest.raises(ValueError, match="not a repro-mc"):

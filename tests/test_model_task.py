@@ -1,7 +1,9 @@
 """Unit tests for the dual-criticality task model (Section II)."""
 
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.model.task import Criticality, MCTask, ModelError
@@ -176,3 +178,103 @@ class TestCriticalityOrdering:
 
     def test_str(self):
         assert str(Criticality.HI) == "HI"
+
+
+# A valid HI and a valid LO task; each case below breaks one (or two) of
+# their fields.
+_HI = dict(name="t", crit=Criticality.HI, c_lo=1.0, c_hi=2.0, d_lo=3.0, d_hi=4.0, t_lo=4.0, t_hi=4.0)
+_LO = dict(name="t", crit=Criticality.LO, c_lo=1.0, c_hi=1.0, d_lo=3.0, d_hi=4.0, t_lo=4.0, t_hi=4.0)
+
+_REAL = "must be a real number, got {} ({}); pass a float (math.inf is only legal for D(HI)/T(HI) of LO tasks)"
+_NAN = (
+    "is NaN — timing parameters must be well-defined numbers; check the "
+    "upstream computation or input file for a 0/0 or missing value"
+)
+
+#: (id, base task, overrides, exact message), one row per check of
+#: ``MCTask.__post_init__`` in the order it runs them.  The HI-only
+#: "needs finite D(HI)" check has no row: D(HI) = inf needs T(HI) = inf
+#: (D(HI) <= T(HI)), which needs T(LO) = inf (T(HI) == T(LO)), and an
+#: infinite T(LO) fails "must be finite" first.
+MESSAGE_TABLE = [
+    ("name-not-str", _HI, dict(name=7), "task name must be a non-empty string, got 7"),
+    ("name-empty", _HI, dict(name=""), "task name must be a non-empty string, got ''"),
+    (
+        "crit-not-criticality", _HI, dict(crit="HI"),
+        "t: crit must be a Criticality (Criticality.LO or Criticality.HI), got 'HI'",
+    ),
+    *[
+        (f"{attr}-bool", _HI, {attr: True}, f"t: {label} " + _REAL.format("True", "bool"))
+        for attr, label in (("c_lo", "C(LO)"), ("c_hi", "C(HI)"), ("d_lo", "D(LO)"),
+                            ("d_hi", "D(HI)"), ("t_lo", "T(LO)"), ("t_hi", "T(HI)"))
+    ],
+    ("c_lo-str", _HI, dict(c_lo="1"), "t: C(LO) " + _REAL.format("'1'", "str")),
+    ("t_hi-none", _LO, dict(t_hi=None), "t: T(HI) " + _REAL.format("None", "NoneType")),
+    *[
+        (f"{attr}-nan", _HI, {attr: math.nan}, f"t: {label} {_NAN}")
+        for attr, label in (("c_lo", "C(LO)"), ("c_hi", "C(HI)"), ("d_lo", "D(LO)"),
+                            ("d_hi", "D(HI)"), ("t_lo", "T(LO)"), ("t_hi", "T(HI)"))
+    ],
+    ("c_lo-negative-int", _HI, dict(c_lo=-1), "t: C(LO) must be non-negative, got -1.0"),
+    ("d_hi-negative", _LO, dict(d_hi=-0.5), "t: D(HI) must be non-negative, got -0.5"),
+    ("t_hi-minus-inf", _LO, dict(t_hi=-math.inf), "t: T(HI) must be non-negative, got -inf"),
+    ("c_lo-zero", _HI, dict(c_lo=0.0), "t: C(LO) must be positive"),
+    ("c_hi-zero", _HI, dict(c_hi=0), "t: C(HI) must be positive"),
+    ("d_lo-zero", _HI, dict(d_lo=0.0), "t: D(LO) must be positive"),
+    ("t_lo-zero", _HI, dict(t_lo=0.0), "t: T(LO) must be positive"),
+    ("c_lo-inf", _HI, dict(c_lo=math.inf), "t: C(LO) must be finite"),
+    ("c_hi-inf", _HI, dict(c_hi=math.inf), "t: C(HI) must be finite"),
+    ("d_lo-inf", _HI, dict(d_lo=math.inf), "t: D(LO) must be finite"),
+    ("t_lo-inf", _HI, dict(t_lo=math.inf), "t: T(LO) must be finite"),
+    ("d_lo-over-t_lo", _HI, dict(d_lo=5.0), "t: D(LO) <= T(LO) required"),
+    ("d_hi-over-t_hi", _LO, dict(d_hi=5.0), "t: D(HI) <= T(HI) required"),
+    ("c_lo-over-d_lo", _LO, dict(c_lo=3.5, c_hi=3.5), "t: C(LO) <= D(LO) required"),
+    ("hi-periods-differ", _HI, dict(t_hi=5.0), "t: HI task needs T(HI) == T(LO)"),
+    ("hi-d_lo-over-d_hi", _HI, dict(d_lo=4.0, d_hi=3.5), "t: HI task needs D(LO) <= D(HI)"),
+    ("hi-c_hi-below-c_lo", _HI, dict(c_lo=2.0, c_hi=1.5), "t: HI task needs C(HI) >= C(LO)"),
+    ("hi-c_hi-over-d_hi", _HI, dict(c_hi=4.5), "t: C(HI) <= D(HI) required"),
+    ("lo-t_hi-below-t_lo", _LO, dict(d_hi=3.0, t_hi=3.0), "t: LO task needs T(HI) >= T(LO)"),
+    ("lo-d_hi-below-d_lo", _LO, dict(d_hi=2.0), "t: LO task needs D(HI) >= D(LO)"),
+    ("lo-wcets-differ", _LO, dict(c_hi=2.0), "t: LO task needs C(HI) == C(LO)"),
+    # Two faults: the check that runs first wins.
+    ("nan-c_lo-and-negative-t_lo", _HI, dict(c_lo=math.nan, t_lo=-1.0), f"t: C(LO) {_NAN}"),
+    (
+        "negative-c_lo-and-bool-c_hi", _HI, dict(c_lo=-2.0, c_hi=True),
+        "t: C(LO) must be non-negative, got -2.0",
+    ),
+    ("zero-c_lo-and-str-t_lo", _HI, dict(c_lo=0.0, t_lo="4"), "t: T(LO) " + _REAL.format("'4'", "str")),
+    ("zero-c_lo-and-zero-c_hi", _HI, dict(c_lo=0.0, c_hi=0.0), "t: C(LO) must be positive"),
+    ("inf-c_lo-and-zero-c_hi", _HI, dict(c_lo=math.inf, c_hi=0.0), "t: C(HI) must be positive"),
+    ("inf-c_lo-and-d_lo-over-t_lo", _HI, dict(c_lo=math.inf, d_lo=5.0), "t: C(LO) must be finite"),
+    ("c_lo-over-d_lo-and-hi-periods", _HI, dict(c_lo=3.5, t_hi=5.0), "t: C(LO) <= D(LO) required"),
+    ("empty-name-and-bad-crit", _HI, dict(name="", crit=None), "task name must be a non-empty string, got ''"),
+    (
+        "bad-crit-and-nan-c_lo", _HI, dict(crit="LO", c_lo=math.nan),
+        "t: crit must be a Criticality (Criticality.LO or Criticality.HI), got 'LO'",
+    ),
+]
+
+
+class TestMessages:
+    """The exact first message for each invalid task.
+
+    Failure payloads and the service's 400 bodies carry these texts, so
+    they are pinned byte for byte.
+    """
+
+    @pytest.mark.parametrize(
+        "base, overrides, message",
+        [row[1:] for row in MESSAGE_TABLE],
+        ids=[row[0] for row in MESSAGE_TABLE],
+    )
+    def test_message(self, base, overrides, message):
+        with pytest.raises(ModelError) as raised:
+            MCTask(**{**base, **overrides})
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize(
+        "value", [3, np.float64(3.0), Fraction(3, 1), 3.0], ids=["int", "float64", "fraction", "float"]
+    )
+    def test_real_numbers_are_stored_as_floats(self, value):
+        task = MCTask(**{**_HI, "d_lo": value})
+        assert type(task.d_lo) is float and task.d_lo == 3.0

@@ -178,8 +178,15 @@ class TestSchema:
             lambda doc: doc["tasks"][0].pop("c_hi"),
             lambda doc: doc["tasks"][0].update(criticality="MEDIUM"),
             lambda doc: doc["tasks"][0].update(c_lo=-1.0),
+            lambda doc: doc["tasks"][0].update(c_lo=True),
+            lambda doc: doc["tasks"][0].update(t_lo="10"),
+            lambda doc: doc["tasks"][0].update(c_hi=None),
+            lambda doc: doc["tasks"][0].update(name=7),
         ],
-        ids=["format", "version", "missing_field", "criticality", "negative_c_lo"],
+        ids=[
+            "format", "version", "missing_field", "criticality", "negative_c_lo",
+            "bool_c_lo", "string_t_lo", "null_c_hi", "int_name",
+        ],
     )
     def test_invalid_taskset_message_matches_the_document_parser(
         self, tasksets, mutate
@@ -378,6 +385,23 @@ class TestServiceEndToEnd:
                 assert status == 400
                 assert payload["wire_version"] == WIRE_VERSION
                 assert "rejected" in payload["error"]
+
+    def test_uncoerced_task_field_is_structured_400(self, tasksets):
+        # A bool where a number belongs fails with the model's message,
+        # as MCTask(c_lo=True) does, rather than loading as 1.0.
+        from repro.io import taskset_to_json
+
+        document = json.loads(taskset_to_json(tasksets[0]))
+        document["tasks"][0]["c_lo"] = True
+        name = document["tasks"][0]["name"]
+        body = json.dumps({"wire_version": WIRE_VERSION, "taskset": document}).encode()
+        with ServiceThread(WorkQueueCore(jobs=1)) as svc:
+            status, payload = svc.raw("POST", "/analyze", body)
+        assert status == 400
+        assert payload["error"] == (
+            f"task set #0 invalid: {name}: C(LO) must be a real number, got True "
+            "(bool); pass a float (math.inf is only legal for D(HI)/T(HI) of LO tasks)"
+        )
 
     def test_unknown_wire_version_is_structured_400(self):
         with ServiceThread(WorkQueueCore(jobs=1)) as svc:
