@@ -80,6 +80,7 @@ from repro.analysis.speedup import min_speedup  # noqa: E402
 from repro.analysis.tuning import min_preparation_factor  # noqa: E402
 from repro.experiments import fig6, fig7  # noqa: E402
 from repro.generator.taskgen import GeneratorConfig, population  # noqa: E402
+from repro.model import fingerprint  # noqa: E402
 from repro.model.taskset import TaskSet  # noqa: E402
 from repro.model.transform import (  # noqa: E402
     apply_uniform_scaling,
@@ -113,10 +114,11 @@ def _reset_caches(tasksets: Sequence[TaskSet]) -> None:
     kernels.clear_memo()
     kernels.clear_compile_cache()
     for ts in tasksets:
-        try:
-            delattr(ts, kernels._COMPILED_ATTR)
-        except AttributeError:
-            pass
+        for attr in (kernels._COMPILED_ATTR, fingerprint._DIGEST_ATTR):
+            try:
+                delattr(ts, attr)
+            except AttributeError:
+                pass
 
 
 def _best_of(

@@ -52,7 +52,6 @@ import math
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Generator, List, Mapping, Optional, Sequence, Tuple,
     TypeVar, Union, cast,
@@ -71,7 +70,7 @@ from repro.analysis.dbf import (
     total_dbf_hi,
     total_dbf_lo,
 )
-from repro.model.fingerprint import digest_task_rows
+from repro.model.fingerprint import digest_task_rows, taskset_fingerprint
 from repro.model.task import Criticality, ModelError
 from repro.model.taskset import TaskSet
 from repro.obs import trace
@@ -1288,7 +1287,8 @@ def compile_tasksets(
     Returns the same snapshots ``[compile_taskset(ts) for ts in tasksets]``
     would — same instance-attribute and registry caching — and cold
     misses share one extraction pass: each task's parameters are read
-    once (feeding both the content digest and the parameter matrix), all
+    once (feeding both the parameter matrix and, unless the set's key
+    already memoised it, the content digest), all
     missed sets' rows go through a *single* ``np.array`` call, and every
     snapshot's parameter columns are views into the shared matrix.
     Population-scale front-ends compile hundreds of small sets per call,
@@ -1311,7 +1311,7 @@ def compile_tasksets(
             (t.name, t.crit.value, t.c_lo, t.c_hi, t.d_lo, t.d_hi, t.t_lo, t.t_hi)
             for t in ts
         ]
-        fingerprint = digest_task_rows(sorted(rows, key=itemgetter(0)))
+        fingerprint = taskset_fingerprint(ts, rows)
         cached = _COMPILED_REGISTRY.get(fingerprint)
         if cached is not None or fingerprint in found:
             found.setdefault(fingerprint, cached)

@@ -35,7 +35,8 @@ import hashlib
 import json
 import math
 import struct
-from typing import Any, Dict, Iterable, Optional, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.model.taskset import TaskSet
 
@@ -47,6 +48,15 @@ FINGERPRINT_VERSION = 2
 _DIGEST_HEADER = b"repro-taskset-fingerprint:2\x00"
 
 _PACK_PARAMS = struct.Struct("<6d").pack
+
+#: One task as a digest row: ``(name, crit, c_lo, c_hi, d_lo, d_hi, t_lo, t_hi)``.
+TaskRow = Tuple[str, str, float, float, float, float, float, float]
+
+#: Attribute under which a task set's digest is memoised.  A ``TaskSet``
+#: is immutable by convention, as for the compiled snapshot cached on it
+#: the same way, and the attribute travels with a pickled set: a request
+#: keyed in one process compiles in another without hashing again.
+_DIGEST_ATTR = "_repro_digest"
 
 
 def canonical_number(value: Optional[float]) -> Optional[str]:
@@ -95,9 +105,7 @@ def digest_payload(payload: Dict[str, Any]) -> str:
     return hashlib.sha256(encoded.encode("utf-8")).hexdigest()
 
 
-def digest_task_rows(
-    rows: Iterable[Tuple[str, str, float, float, float, float, float, float]],
-) -> str:
+def digest_task_rows(rows: Iterable[TaskRow]) -> str:
     """Digest ``(name, crit, c_lo, c_hi, d_lo, d_hi, t_lo, t_hi)`` rows.
 
     ``rows`` must already be sorted by name and ``crit`` is the
@@ -119,9 +127,25 @@ def digest_task_rows(
     return hashlib.sha256(b"".join(parts)).hexdigest()
 
 
-def taskset_fingerprint(taskset: TaskSet) -> str:
-    """SHA-256 content hash of the canonical task-set encoding."""
-    return digest_task_rows(
-        (t.name, t.crit.value, t.c_lo, t.c_hi, t.d_lo, t.d_hi, t.t_lo, t.t_hi)
-        for t in sorted(taskset, key=lambda task: task.name)
-    )
+def taskset_fingerprint(
+    taskset: TaskSet, rows: Optional[List[TaskRow]] = None
+) -> str:
+    """SHA-256 content hash of the canonical task-set encoding.
+
+    Digested once per set and memoised on it.  ``rows``, the set's tasks
+    as digest rows in task order, spare a caller that has read them
+    already a second pass over the tasks.
+    """
+    digest: Optional[str] = getattr(taskset, _DIGEST_ATTR, None)
+    if digest is None:
+        if rows is None:
+            rows = [
+                (t.name, t.crit.value, t.c_lo, t.c_hi, t.d_lo, t.d_hi, t.t_lo, t.t_hi)
+                for t in taskset
+            ]
+        digest = digest_task_rows(sorted(rows, key=itemgetter(0)))
+        try:
+            setattr(taskset, _DIGEST_ATTR, digest)
+        except (AttributeError, TypeError):  # pragma: no cover - exotic subclasses
+            pass
+    return digest

@@ -107,9 +107,10 @@ class MetricsRegistry:
         """Record one settled chunk for per-worker breakdowns.
 
         ``worker`` identifies the process (``"inline"`` for the serial
-        path, ``"pid<n>"`` for pool workers).  Worker identity and chunk
-        distribution depend on the job count, so the whole breakdown
-        lives in the timing section.
+        path, ``"caller"`` for the group the calling process evaluates
+        beside its pool, ``"pid<n>"`` for pool workers).  Worker
+        identity and chunk distribution depend on the job count, so the
+        whole breakdown lives in the timing section.
         """
         entry = self._workers.setdefault(
             worker, {"chunks": 0, "items": 0, "seconds": 0.0}

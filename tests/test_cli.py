@@ -169,3 +169,41 @@ class TestBatchLoadErrors:
         assert message in captured.err
         assert "Traceback" not in captured.err
         assert "Batch analysis" not in captured.out
+
+
+class TestAnalyzeLoadErrors:
+    """A task-set file that does not load ends ``analyze`` as a usage
+    error naming the file (exit 2), on the default and the report path."""
+
+    @pytest.fixture
+    def bad_file(self, tmp_path):
+        import json
+
+        from repro.experiments.table1 import table1_taskset
+        from repro.io import taskset_to_json
+
+        document = json.loads(taskset_to_json(table1_taskset()))
+        document["tasks"][0]["name"] = "t1"
+        document["tasks"][0]["c_lo"] = -1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(document))
+        return bad
+
+    @pytest.mark.parametrize("extra", [[], ["--report"]], ids=["default", "report"])
+    def test_model_error_is_a_usage_error(self, bad_file, capsys, extra):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--taskset", str(bad_file), "--speedup", "2", *extra])
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert f"error: --taskset: cannot load {bad_file}: " in captured.err
+        assert "t1: C(LO) must be non-negative, got -1.0" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("extra", [[], ["--report"]], ids=["default", "report"])
+    def test_missing_file_is_a_usage_error(self, tmp_path, capsys, extra):
+        missing = tmp_path / "missing.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["analyze", "--taskset", str(missing), *extra])
+        assert exit_info.value.code == 2
+        assert f"error: --taskset: cannot load {missing}: " in capsys.readouterr().err
