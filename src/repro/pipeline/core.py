@@ -185,10 +185,14 @@ class WorkQueueCore:
     """Long-lived submission queue over one batch executor.
 
     The resource arguments (``jobs``, ``cache``, ``retry``,
-    ``quarantine``, ``metrics``, ``chunk_size``, ``io``, ``injection``)
-    build the core's one :class:`~repro.pipeline.runner.BatchRunner`,
-    :attr:`runner`; per-run options (checkpoint, resume, progress)
-    travel with each submission instead.
+    ``quarantine``, ``metrics``, ``chunk_size``, ``io``, ``injection``,
+    ``keep_pool``) build the core's one
+    :class:`~repro.pipeline.runner.BatchRunner`, :attr:`runner`; per-run
+    options (checkpoint, resume, progress) travel with each submission
+    instead.  A core keeps its ``jobs`` workers warm between runs; one
+    built to run once passes ``keep_pool=False``, so each run forks only
+    the workers it can use and evaluates a group in the calling process
+    (see the runner's ``keep_pool``).
 
     The core is thread-safe: ``submit`` may be called from any thread,
     and one dispatcher thread executes submissions FIFO on the runner.
@@ -208,6 +212,7 @@ class WorkQueueCore:
         io: Optional[CheckpointIO] = None,
         injection: Optional[InjectionSpec] = None,
         completed_capacity: int = DEFAULT_COMPLETED_CAPACITY,
+        keep_pool: bool = True,
     ) -> None:
         if completed_capacity < 1:
             raise ValueError(
@@ -224,6 +229,7 @@ class WorkQueueCore:
             quarantine=quarantine,
             io=io if io is not None else CheckpointIO(),
             injection=injection,
+            keep_pool=keep_pool,
         )
         #: Executed submissions (coalesced duplicates excluded).
         self.jobs_executed = 0

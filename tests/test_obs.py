@@ -283,16 +283,19 @@ class TestInstrumentation:
         assert trace.records() == []
 
     def test_trace_content_identical_across_job_counts(self):
-        def stripped_spans(jobs):
+        def stripped_spans(jobs, chunk_size):
             kernels.clear_memo()
             kernels.clear_compile_cache()
             trace.enable()
-            analyze_many(_fresh_requests(8), jobs=jobs)
+            analyze_many(_fresh_requests(8), jobs=jobs, chunk_size=chunk_size)
             trace.disable()
             spans = [strip_timing(r) for r in trace.drain()]
             return sorted(json.dumps(s, sort_keys=True) for s in spans)
 
-        assert stripped_spans(1) == stripped_spans(2)
+        # Four groups over two jobs: two workers and a dispatching caller.
+        # Two groups: one worker, and the caller evaluates the other.
+        for chunk_size in (2, 4):
+            assert stripped_spans(1, chunk_size) == stripped_spans(2, chunk_size)
 
     def test_grouped_stages_have_their_own_spans(self):
         kernels.clear_memo()
@@ -381,15 +384,19 @@ class TestRunnerMetrics:
         assert counters["cache.misses"] == 5  # 4 unique pending + 1 dup probe
 
     def test_metrics_identical_across_job_counts(self):
-        def snapshot(jobs):
+        def snapshot(jobs, **options):
             kernels.clear_memo()
             kernels.clear_compile_cache()
             m = MetricsRegistry()
-            with WorkQueueCore(jobs=jobs, metrics=m) as core:
+            with WorkQueueCore(jobs=jobs, metrics=m, **options) as core:
                 core.run(_fresh_requests(10))
             return MetricsRegistry.strip_timing(m.snapshot())
 
+        # A kept pool of four workers; then a run-scoped pool, where three
+        # groups fork two workers and the caller evaluates the third.
         assert snapshot(1) == snapshot(4)
+        run_scoped = {"keep_pool": False, "chunk_size": 4}
+        assert snapshot(1, **run_scoped) == snapshot(4, **run_scoped)
 
     def test_inline_run_records_kernel_counters(self):
         kernels.clear_memo()
