@@ -14,7 +14,7 @@ Usage::
     repro-mc serve [--host H] [--port P] [--jobs N] [--cache DIR]
     repro-mc chaos [--quick] [--jobs N] [--families kill,poison,...]
     repro-mc lint [paths ...] [--format json|sarif] [--rules RL001,...]
-                  [--write-baseline] [--write-contracts]
+                  [--contracts FILE] [--write-contracts]
 
 ``--quick`` shrinks the synthetic population sizes so the whole
 evaluation finishes in about a minute (the benchmark harness under
@@ -37,8 +37,8 @@ fault family.  ``serve`` starts the analysis-as-a-service HTTP front-end
 POST task sets to ``/analyze``, poll ``/jobs/{id}``, scrape
 ``/metrics``; SIGTERM drains gracefully.  ``lint`` runs the repro-lint
 static-analysis pack
-(:mod:`repro.lint`) over the given paths (default ``src``) and exits
-non-zero on any non-baselined finding.
+(:mod:`repro.lint`) over the given paths (default ``src``) and exits 1
+on any finding.
 """
 
 from __future__ import annotations
@@ -544,17 +544,6 @@ def main(argv=None) -> int:
         help="'lint' report format (default text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE.json",
-        help="'lint' baseline file (default lint-baseline.json)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current 'lint' findings as the new baseline and exit 0 "
-        "(refused while RL006 contract-drift findings are present)",
-    )
-    parser.add_argument(
         "--rules",
         metavar="RL001,RL002,...",
         help="comma-separated subset of lint rules to run (default: all)",
@@ -582,8 +571,6 @@ def main(argv=None) -> int:
         return run_lint_command(
             args.paths,
             output_format=args.lint_format,
-            baseline_path=args.baseline,
-            update_baseline=args.write_baseline,
             rules=args.rules,
             contracts_path=args.contracts,
             write_contracts=args.write_contracts,

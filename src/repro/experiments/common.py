@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -127,21 +127,3 @@ def ascii_curve(
     lines.append(f"{y0:10.4g} +" + "-" * width + "+")
     lines.append(f"{'':12}{x0:<10.4g}{'':{max(0, width - 20)}}{x1:>10.4g}")
     return "\n".join(lines)
-
-
-def fraction_finite(values: Iterable[float]) -> float:
-    """Share of finite entries (used for schedulable-percentage series)."""
-    values = list(values)
-    if not values:
-        return 0.0
-    return sum(1 for v in values if math.isfinite(v)) / len(values)
-
-
-def percentile_or_inf(values: Sequence[float], q: float) -> float:
-    """Percentile treating ``inf`` entries as larger than any finite value."""
-    arr = sorted(values)
-    if not arr:
-        return float("nan")
-    idx = min(int(math.ceil(q / 100.0 * len(arr))) - 1, len(arr) - 1)
-    idx = max(idx, 0)
-    return arr[idx]

@@ -81,17 +81,17 @@ def _request(
     y: float,
     s_for_reset: float,
     x: Optional[float] = None,
-    method: str = "exact",
 ) -> api.AnalysisRequest:
     """The Figure-6 evaluation of one set as a pipeline request.
 
-    ``resetting="always"`` reproduces the figure's convention: the
-    resetting time is reported whenever ``s_min`` is finite, not only
-    when the set is feasible at ``s_for_reset``.
+    Without a precomputed ``x`` the request tunes the minimal exact
+    ``x`` itself.  ``resetting="always"`` reproduces the figure's
+    convention: the resetting time is reported whenever ``s_min`` is
+    finite, not only when the set is feasible at ``s_for_reset``.
     """
     if x is None:
         return api.AnalysisRequest(
-            taskset=taskset, speedup=s_for_reset, auto_x=method, y=y,
+            taskset=taskset, speedup=s_for_reset, auto_x="exact", y=y,
             resetting="always",
         )
     return api.AnalysisRequest(
@@ -101,22 +101,6 @@ def _request(
 
 def _sample(report: api.AnalysisReport) -> PointSample:
     return PointSample(report.s_min, report.delta_r, bool(report.lo_ok))
-
-
-def evaluate_taskset(
-    taskset: TaskSet,
-    y: float,
-    s_for_reset: float,
-    x: float = None,
-    method: str = "exact",
-) -> PointSample:
-    """Pipeline for one set: minimal x, apply (x, y), Theorem 2, Corollary 5.
-
-    ``x`` may be precomputed (the sweep reuses it across (s, y) combos);
-    ``method`` selects the x-tuning of
-    :func:`repro.api.min_preparation_factor`.
-    """
-    return _sample(api.evaluate_request(_request(taskset, y, s_for_reset, x, method)))
 
 
 def run(

@@ -23,15 +23,14 @@ The analysis core makes promises the test suite can only sample:
 The engine parses every file into a
 :class:`~repro.lint.model.ProjectModel` (alias tables, top-level
 definitions, re-export resolution), then runs the rules with that
-whole-program context.  Suppressions (``# repro-lint: ignore[RL002]
-reason``) require a reason; grandfathered findings live in a committed
-JSON baseline (:mod:`repro.lint.baseline`); reporters render text,
-JSON and SARIF 2.1.0 (:mod:`repro.lint.report`,
+whole-program context.  Every finding is fixed or suppressed inline
+with a written reason (``# repro-lint: ignore[RL002] reason``).
+Reporters render text, JSON and SARIF 2.1.0 (:mod:`repro.lint.report`,
 :mod:`repro.lint.sarif`).  The ``repro-mc lint`` subcommand
-(:mod:`repro.lint.cli`) is the entry point used by CI.
+(:mod:`repro.lint.cli`) is the entry point used by CI: exit 0 clean,
+1 on any finding, 2 on a usage error.
 """
 
-from repro.lint.baseline import Baseline, load_baseline, write_baseline
 from repro.lint.contracts import compute_contracts
 from repro.lint.engine import (
     Finding,
@@ -40,7 +39,6 @@ from repro.lint.engine import (
     Rule,
     available_rules,
     lint_file,
-    lint_paths,
     lint_project,
     register,
 )
@@ -52,7 +50,6 @@ from repro.lint.sarif import render_sarif
 from repro.lint import rules as _rules  # noqa: F401  (import for side effect)
 
 __all__ = [
-    "Baseline",
     "Finding",
     "LintContext",
     "LintRun",
@@ -62,12 +59,9 @@ __all__ = [
     "build_model",
     "compute_contracts",
     "lint_file",
-    "lint_paths",
     "lint_project",
-    "load_baseline",
     "register",
     "render_json",
     "render_sarif",
     "render_text",
-    "write_baseline",
 ]

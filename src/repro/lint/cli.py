@@ -7,20 +7,20 @@ Usage::
     repro-mc lint src/ --format sarif       # SARIF 2.1.0 (CI upload)
     repro-mc lint src/ --rules RL001,RL003  # a subset of the pack
     repro-mc lint src/ --write-contracts    # regenerate lint-contracts.json
-    repro-mc lint src/ --write-baseline     # grandfather current findings
-    repro-mc lint src/ --baseline other.json
 
-Exit status: **0** when the tree is clean, **1** on any fresh (non-
-baselined) finding, **2** on usage errors, **3** when every finding is
-baselined — clean-but-grandfathered is distinguishable from clean, so
-CI can track baseline burn-down without re-parsing reports.
+Exit status: **0** when the tree is clean, **1** on any finding, **2**
+on a usage error.  A deliberate exception is suppressed inline with a
+written reason (``# repro-lint: ignore[RL002] <why>``); there is no
+other way to silence a finding.
 
-The run summary (file count, duration) goes to stderr so stdout stays
-pure JSON under ``--format json``/``sarif``.
+RL006 compares against ``--contracts FILE``, else ``lint-contracts.json``
+in the working directory.  A named contract file, or a default one
+that is present, must load: one that does not is a usage error naming
+it.  When the default file is absent and RL006 runs, a note on stderr
+names the path that was looked for, and RL006 reports nothing.
 
-``--write-baseline`` refuses to run while RL006 (contract drift)
-findings are present: a drifted serialized surface must be fixed or
-re-versioned, never grandfathered.
+The run summary (file count, duration) and every note go to stderr, so
+stdout stays pure JSON under ``--format json``/``sarif``.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
-from repro.lint.baseline import (
-    DEFAULT_BASELINE_NAME,
-    load_baseline,
-    write_baseline,
+from repro.lint.contracts import (
+    DEFAULT_CONTRACTS_NAME,
+    compute_contracts,
+    load_contracts,
 )
-from repro.lint.contracts import DEFAULT_CONTRACTS_NAME, compute_contracts
 from repro.lint.engine import (
     available_rules,
     iter_python_files,
@@ -56,8 +55,6 @@ def run_lint_command(
     paths: Sequence[str],
     *,
     output_format: str = "text",
-    baseline_path: Optional[str] = None,
-    update_baseline: bool = False,
     rules: Optional[str] = None,
     contracts_path: Optional[str] = None,
     write_contracts: bool = False,
@@ -80,10 +77,7 @@ def run_lint_command(
             )
             return 2
 
-    contracts_file = (
-        Path(contracts_path) if contracts_path
-        else Path(DEFAULT_CONTRACTS_NAME)
-    )
+    contracts_file = Path(contracts_path or DEFAULT_CONTRACTS_NAME)
 
     if write_contracts:
         model = build_model(list(iter_python_files(targets)))
@@ -98,45 +92,31 @@ def run_lint_command(
         )
         return 0
 
-    run = lint_project(
-        targets,
-        selected,
-        contracts_path=contracts_file if contracts_file.is_file() else None,
-    )
+    contracts: Optional[Dict[str, Any]] = None
+    if contracts_path or contracts_file.is_file():
+        try:
+            contracts = load_contracts(contracts_file)
+        except ValueError as exc:
+            _note(str(exc))
+            return 2
+    elif selected is None or _CONTRACT_RULE in selected:
+        _note(
+            f"no contract file at {contracts_file.resolve()}; RL006 "
+            f"(contract drift) checks nothing without one: pass "
+            f"--contracts FILE"
+        )
+
+    run = lint_project(targets, selected, contracts=contracts)
     _note(
         f"{len(run.checked_files)} file(s) checked "
         f"({run.duration_s:.2f}s)"
     )
 
-    baseline_file = Path(baseline_path) if baseline_path else Path(
-        DEFAULT_BASELINE_NAME
-    )
-    if update_baseline:
-        drifted = [f for f in run.findings if f.rule == _CONTRACT_RULE]
-        if drifted:
-            _note(
-                f"refusing to baseline {len(drifted)} RL006 contract-"
-                f"drift finding(s): bump the version constant (or revert "
-                f"the surface change) and regenerate lint-contracts.json "
-                f"with --write-contracts instead"
-            )
-            for finding in drifted:
-                _note(f"  {finding.path}:{finding.line} {finding.message}")
-            return 1
-        write_baseline(baseline_file, run.findings)
-        _note(f"wrote {len(run.findings)} finding(s) to {baseline_file}")
-        return 0
-
-    baseline = load_baseline(baseline_file)
-    fresh, grandfathered = baseline.split(run.findings)
-
     checked = len(run.checked_files)
     if output_format == "json":
-        print(render_json(fresh, grandfathered, checked_files=checked))
+        print(render_json(run.findings, checked_files=checked))
     elif output_format == "sarif":
-        print(render_sarif(fresh, grandfathered, checked_files=checked))
+        print(render_sarif(run.findings, checked_files=checked))
     else:
-        print(render_text(fresh, grandfathered, checked_files=checked))
-    if fresh:
-        return 1
-    return 3 if grandfathered else 0
+        print(render_text(run.findings, checked_files=checked))
+    return 1 if run.findings else 0

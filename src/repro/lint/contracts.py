@@ -196,17 +196,24 @@ def compute_contracts(model: ProjectModel) -> Dict[str, Any]:
     }
 
 
-def load_contracts(path: Optional[Path]) -> Optional[Dict[str, Any]]:
-    """The committed contract document, or ``None`` when absent or foreign."""
-    if path is None or not path.is_file():
-        return None
+def load_contracts(path: Path) -> Dict[str, Any]:
+    """The committed contract document at ``path``.
+
+    Raises :class:`ValueError` naming the file when it is missing,
+    unreadable, not JSON or not a version-:data:`CONTRACTS_VERSION`
+    contract document: a contract file that does not load must never
+    switch RL006 off without a word.
+    """
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"contract file {path} does not load: {exc}") from exc
     if (
         not isinstance(payload, dict)
         or payload.get("lint_contracts_version") != CONTRACTS_VERSION
     ):
-        return None
+        raise ValueError(
+            f"contract file {path} is not a lint_contracts_version "
+            f"{CONTRACTS_VERSION} document"
+        )
     return payload

@@ -42,7 +42,6 @@ from typing import (
     Tuple,
 )
 
-from repro.lint.contracts import load_contracts
 from repro.lint.model import ModuleInfo, ProjectModel, build_model
 
 #: Suppression marker: ``# repro-lint: ignore[RL002] <why>`` silences
@@ -71,16 +70,6 @@ class Finding:
 
     def sort_key(self) -> Tuple[str, int, int, str]:
         return (self.path, self.line, self.col, self.rule)
-
-    @property
-    def baseline_key(self) -> str:
-        """Identity used to match a finding against the baseline.
-
-        Line and column are deliberately excluded so unrelated edits
-        above a grandfathered finding do not un-baseline it; a file is
-        identified by path, rule and message text.
-        """
-        return f"{self.path}::{self.rule}::{self.message}"
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -274,7 +263,6 @@ class LintRun:
     #: Every file in the linted set.
     checked_files: List[Path]
     duration_s: float
-    model: ProjectModel
 
 
 def _context_for(
@@ -297,13 +285,17 @@ def lint_project(
     paths: Sequence[Path],
     rules: Optional[Sequence[str]] = None,
     *,
-    contracts_path: Optional[Path] = None,
+    contracts: Optional[Dict[str, object]] = None,
 ) -> LintRun:
-    """Parse every file under ``paths``, build the model, run the rules."""
+    """Parse every file under ``paths``, build the model, run the rules.
+
+    ``contracts`` is the loaded contract document RL006 compares against
+    (:func:`repro.lint.contracts.load_contracts`); without one RL006
+    reports nothing.
+    """
     started = time.perf_counter()
     selected = _select(rules)
     files = list(iter_python_files(paths))
-    contracts = load_contracts(contracts_path)
     model = build_model(files)
     findings = sorted(
         (
@@ -319,17 +311,4 @@ def lint_project(
         findings=findings,
         checked_files=files,
         duration_s=time.perf_counter() - started,
-        model=model,
     )
-
-
-def lint_paths(
-    paths: Sequence[Path],
-    rules: Optional[Sequence[str]] = None,
-    *,
-    contracts_path: Optional[Path] = None,
-) -> List[Finding]:
-    """Lint every Python file under ``paths``; findings in stable order."""
-    return lint_project(
-        paths, rules, contracts_path=contracts_path
-    ).findings

@@ -1,8 +1,8 @@
 """Reporters: findings as human text or machine JSON.
 
-The JSON document is what CI consumes (stable key order, a schema
-version, and the grandfathered findings listed separately so a red
-build always shows exactly what is *new*).
+The JSON document is what scripts consume: stable key order, a schema
+version, the registered rules, the checked-file count and every
+finding.
 """
 
 from __future__ import annotations
@@ -12,44 +12,34 @@ from typing import Dict, List, Sequence
 
 from repro.lint.engine import Finding, available_rules
 
-#: Version stamped into the JSON report.
-REPORT_SCHEMA_VERSION = 1
+#: Version stamped into the JSON report; 2 has no ``baselined`` list.
+REPORT_SCHEMA_VERSION = 2
 
 
 def render_text(
-    fresh: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
-    *,
-    checked_files: int = 0,
+    findings: Sequence[Finding], *, checked_files: int = 0
 ) -> str:
     """Human-readable report, one ``path:line:col CODE message`` per line."""
     out: List[str] = []
-    for finding in fresh:
+    for finding in findings:
         out.append(
             f"{finding.path}:{finding.line}:{finding.col}: "
             f"{finding.rule} {finding.message}"
         )
-    summary = (
-        f"repro-lint: {len(fresh)} finding(s) in {checked_files} file(s)"
+    out.append(
+        f"repro-lint: {len(findings)} finding(s) in {checked_files} file(s)"
     )
-    if baselined:
-        summary += f" ({len(baselined)} baselined finding(s) suppressed)"
-    out.append(summary)
     return "\n".join(out)
 
 
 def render_json(
-    fresh: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
-    *,
-    checked_files: int = 0,
+    findings: Sequence[Finding], *, checked_files: int = 0
 ) -> str:
     """Machine-readable report (sorted keys, schema-versioned)."""
     payload: Dict[str, object] = {
         "lint_schema_version": REPORT_SCHEMA_VERSION,
         "rules": available_rules(),
         "checked_files": checked_files,
-        "findings": [finding.to_dict() for finding in fresh],
-        "baselined": [finding.to_dict() for finding in baselined],
+        "findings": [finding.to_dict() for finding in findings],
     }
     return json.dumps(payload, indent=2, sort_keys=True)

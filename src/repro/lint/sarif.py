@@ -6,12 +6,10 @@ document this module renders.  The mapping is deliberately small:
 
 * each registered rule becomes a ``reportingDescriptor`` in the tool's
   ``driver.rules`` array;
-* each fresh finding becomes a ``result`` at level ``error`` with one
+* each finding becomes a ``result`` at level ``error`` with one
   physical location (SARIF columns are 1-based, the engine's are
-  0-based);
-* baselined findings are still emitted, carrying a ``suppressions``
-  entry of kind ``external`` so viewers show them greyed out instead
-  of losing them.
+  0-based).  No result carries ``suppressions``: a suppressed finding
+  is one an inline marker removed before reporting.
 """
 
 from __future__ import annotations
@@ -33,10 +31,8 @@ _TOOL_NAME = "repro-lint"
 _TOOL_VERSION = "2.0.0"
 
 
-def _result(
-    finding: Finding, rule_index: Dict[str, int], *, suppressed: bool
-) -> Dict[str, Any]:
-    entry: Dict[str, Any] = {
+def _result(finding: Finding, rule_index: Dict[str, int]) -> Dict[str, Any]:
+    return {
         "ruleId": finding.rule,
         "ruleIndex": rule_index.get(finding.rule, -1),
         "level": "error",
@@ -53,19 +49,10 @@ def _result(
             }
         ],
     }
-    if suppressed:
-        entry["suppressions"] = [
-            {"kind": "external",
-             "justification": "grandfathered in lint-baseline.json"}
-        ]
-    return entry
 
 
 def render_sarif(
-    fresh: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
-    *,
-    checked_files: int = 0,
+    findings: Sequence[Finding], *, checked_files: int = 0
 ) -> str:
     """The findings as a SARIF 2.1.0 JSON document."""
     rules = available_rules()
@@ -92,10 +79,7 @@ def render_sarif(
         },
         "columnKind": "utf16CodeUnits",
         "properties": {"checkedFiles": checked_files},
-        "results": [
-            *(_result(f, rule_index, suppressed=False) for f in fresh),
-            *(_result(f, rule_index, suppressed=True) for f in baselined),
-        ],
+        "results": [_result(f, rule_index) for f in findings],
     }
     document = {
         "$schema": SARIF_SCHEMA_URI,

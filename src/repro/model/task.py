@@ -155,8 +155,6 @@ class MCTask:
                 raise ModelError(f"{name}: HI task needs T(HI) == T(LO)")
             if not d_lo <= d_hi:
                 raise ModelError(f"{name}: HI task needs D(LO) <= D(HI)")
-            if not math.isfinite(d_hi):
-                raise ModelError(f"{name}: HI task needs finite D(HI)")
             if not c_hi >= c_lo:
                 raise ModelError(f"{name}: HI task needs C(HI) >= C(LO)")
             if not c_hi <= d_hi:

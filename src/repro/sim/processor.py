@@ -57,11 +57,6 @@ class Processor:
         """Current execution rate (work per time unit)."""
         return self._speed
 
-    @property
-    def requested_speed(self) -> float:
-        """Operating point most recently requested by the scheduler."""
-        return self._requested
-
     def set_speed(self, time: float, speed: float) -> None:
         """Change the actual speed at ``time`` (closes the current segment)."""
         if speed <= 0.0:

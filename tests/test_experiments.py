@@ -149,12 +149,3 @@ class TestCommonHelpers:
 
     def test_ascii_curve_no_data(self):
         assert "no finite data" in common.ascii_curve([0], [math.inf], title="x")
-
-    def test_fraction_finite(self):
-        assert common.fraction_finite([1.0, math.inf]) == 0.5
-        assert common.fraction_finite([]) == 0.0
-
-    def test_percentile_or_inf(self):
-        values = [1.0, 2.0, math.inf, math.inf]
-        assert common.percentile_or_inf(values, 50) == 2.0
-        assert math.isinf(common.percentile_or_inf(values, 100))

@@ -59,7 +59,8 @@ class TestFig6:
         assert "Figure 6a" in text and "Figure 6d" in text
 
     def test_evaluate_infeasible_set(self):
-        """A LO-infeasible set reports lo_feasible = False."""
+        """A LO-infeasible set reports lo_ok = False under Figure 6's options."""
+        from repro import api
         from repro.model.task import MCTask
         from repro.model.taskset import TaskSet
 
@@ -69,8 +70,8 @@ class TestFig6:
                 MCTask.lo("l", c=5, d_lo=10, t_lo=10),
             ]
         )
-        sample = fig6.evaluate_taskset(ts, 2.0, 3.0)
-        assert not sample.lo_feasible
+        report = api.analyze(ts, speedup=3.0, auto_x="exact", y=2.0, resetting="always")
+        assert not report.lo_ok
 
 
 class TestFig7:

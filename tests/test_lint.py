@@ -2,9 +2,9 @@
 
 Each rule gets fixture snippets that MUST trigger it and snippets that
 must NOT; on top of that the suite covers suppression-comment handling,
-baseline round-trips, CLI exit codes, and the self-check the CI lint
-job relies on: ``repro-mc lint src/`` runs clean against the committed
-baseline.
+the reporters, CLI exit codes, and the self-check the CI lint job
+relies on: ``repro-mc lint src/`` runs clean against the committed
+contract file.
 
 Fixture trees are written under ``tmp_path`` with a ``repro/...``
 package layout because the engine derives dotted module names by
@@ -22,14 +22,11 @@ from pathlib import Path
 import pytest
 
 from repro.lint import (
-    Baseline,
     Finding,
     available_rules,
-    lint_paths,
-    load_baseline,
+    lint_project,
     render_json,
     render_text,
-    write_baseline,
 )
 from repro.lint.cli import run_lint_command
 
@@ -46,7 +43,7 @@ def make_tree(tmp_path: Path, files: dict) -> Path:
 
 
 def run(root: Path, rules=None):
-    return lint_paths([root], rules=rules)
+    return lint_project([root], rules=rules).findings
 
 
 def codes(findings):
@@ -519,6 +516,27 @@ class TestRL004ForkSafety:
         runner = REPO_ROOT / "src" / "repro" / "pipeline" / "runner.py"
         assert run(runner, rules=["RL004"]) == []
 
+    def test_real_runner_global_write_flagged(self, tmp_path):
+        # Positive control for test_real_runner_clean: RL004 reaches
+        # _worker_chunk only through the runner's `executor =
+        # pool.acquire()` submit site, so a module-global write added
+        # there must fire on a copy of the real file.
+        source = (
+            REPO_ROOT / "src" / "repro" / "pipeline" / "runner.py"
+        ).read_text(encoding="utf-8")
+        anchor = "\n    perf_before = PERF.snapshot()\n"
+        assert source.count(anchor) == 1
+        mutant = tmp_path / "repro" / "pipeline" / "runner.py"
+        mutant.parent.mkdir(parents=True)
+        mutant.write_text(source.replace(
+            anchor,
+            "\n    global _TIMEOUT_GRACE\n    _TIMEOUT_GRACE = 0.0" + anchor,
+        ), encoding="utf-8")
+        findings = run(mutant, rules=["RL004"])
+        assert len(findings) == 1
+        assert "_worker_chunk" in findings[0].message
+        assert "'_TIMEOUT_GRACE'" in findings[0].message
+
 
 # ---------------------------------------------------------------------------
 # RL005: api surface
@@ -580,8 +598,8 @@ class TestRL005ApiSurface:
 
     def test_reexport_resolved_and_anchored_in_api(self, tmp_path):
         # The defect lives in repro.pipeline.stats, but the finding must
-        # anchor at the api.py import site so suppression/baseline
-        # identity stays in the facade file.
+        # anchor at the api.py import site so its suppression marker
+        # stays in the facade file.
         make_tree(tmp_path, {
             "repro/pipeline/stats.py": """\
                 def summarize(reports):
@@ -725,63 +743,6 @@ class TestSuppression:
 
 
 # ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-
-
-class TestBaseline:
-    def _findings(self, tmp_path):
-        make_tree(tmp_path, {
-            "repro/analysis/bad.py": """\
-                def f(x):
-                    return x == 0.0
-            """,
-        })
-        return run(tmp_path, rules=["RL002"])
-
-    def test_round_trip(self, tmp_path):
-        findings = self._findings(tmp_path)
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, findings)
-        loaded = load_baseline(baseline_file)
-        fresh, grandfathered = loaded.split(findings)
-        assert fresh == []
-        assert grandfathered == findings
-
-    def test_baseline_is_line_independent(self, tmp_path):
-        findings = self._findings(tmp_path)
-        baseline = Baseline.from_findings(findings)
-        moved = Finding(
-            rule=findings[0].rule,
-            path=findings[0].path,
-            line=findings[0].line + 10,  # edits above shifted the line
-            col=0,
-            message=findings[0].message,
-        )
-        assert moved in baseline
-
-    def test_new_finding_stays_fresh(self, tmp_path):
-        findings = self._findings(tmp_path)
-        baseline = Baseline.from_findings(findings)
-        new = Finding(
-            rule="RL002", path=findings[0].path, line=9, col=0,
-            message="a different defect",
-        )
-        fresh, grandfathered = baseline.split([*findings, new])
-        assert fresh == [new]
-        assert grandfathered == findings
-
-    def test_missing_file_is_empty_baseline(self, tmp_path):
-        assert len(load_baseline(tmp_path / "nope.json")) == 0
-
-    def test_unknown_version_rejected(self, tmp_path):
-        bad = tmp_path / "baseline.json"
-        bad.write_text(json.dumps({"baseline_version": 99, "findings": []}))
-        with pytest.raises(ValueError, match="baseline_version"):
-            load_baseline(bad)
-
-
-# ---------------------------------------------------------------------------
 # Reporters
 # ---------------------------------------------------------------------------
 
@@ -793,17 +754,17 @@ class TestReporters:
     )
 
     def test_text_format(self):
-        text = render_text([self.FINDING], [], checked_files=1)
+        text = render_text([self.FINDING], checked_files=1)
         assert "repro/analysis/x.py:3:8: RL002 float-valued comparison" in text
         assert "1 finding(s)" in text
 
     def test_json_format(self):
-        payload = json.loads(render_json([self.FINDING], [], checked_files=5))
-        assert payload["lint_schema_version"] == 1
+        payload = json.loads(render_json([self.FINDING], checked_files=5))
+        assert payload["lint_schema_version"] == 2
         assert payload["checked_files"] == 5
         assert payload["findings"][0]["rule"] == "RL002"
         assert payload["findings"][0]["line"] == 3
-        assert payload["baselined"] == []
+        assert "baselined" not in payload
         assert "RL002" in payload["rules"]
 
 
@@ -823,23 +784,41 @@ class TestCli:
 
     def test_findings_exit_1(self, tmp_path, capsys):
         root = self._bad_tree(tmp_path)
-        code = run_lint_command(
-            [str(root)], baseline_path=str(tmp_path / "b.json")
-        )
-        assert code == 1
+        assert run_lint_command([str(root)]) == 1
         assert "RL002" in capsys.readouterr().out
 
-    def test_write_baseline_then_grandfathered_exit_3(self, tmp_path, capsys):
-        root = self._bad_tree(tmp_path)
-        baseline = str(tmp_path / "b.json")
+    @pytest.mark.parametrize("output_format", ["text", "json", "sarif"])
+    def test_baseline_file_in_cwd_changes_nothing(
+        self, tmp_path, monkeypatch, capsys, output_format
+    ):
+        # A leftover lint-baseline.json that records the finding is
+        # ignored: every finding fails the run, in every format.
+        self._bad_tree(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        [finding] = run(Path("repro"), rules=["RL002"])
+        (tmp_path / "lint-baseline.json").write_text(json.dumps({
+            "baseline_version": 1,
+            "findings": [{
+                "key": f"{finding.path}::RL002::{finding.message}",
+                "rule": "RL002", "path": finding.path,
+                "message": finding.message,
+            }],
+        }))
         assert run_lint_command(
-            [str(root)], baseline_path=baseline, update_baseline=True
-        ) == 0
-        capsys.readouterr()
-        # Exit-code contract: only-baselined findings exit 3, so
-        # clean-but-grandfathered is distinguishable from clean.
-        assert run_lint_command([str(root)], baseline_path=baseline) == 3
-        assert "baselined" in capsys.readouterr().out
+            ["repro"], output_format=output_format, rules="RL002"
+        ) == 1
+        out = capsys.readouterr().out
+        if output_format == "json":
+            payload = json.loads(out)
+            assert payload["lint_schema_version"] == 2
+            assert "baselined" not in payload
+            assert [f["rule"] for f in payload["findings"]] == ["RL002"]
+        elif output_format == "sarif":
+            results = json.loads(out)["runs"][0]["results"]
+            assert [r["ruleId"] for r in results] == ["RL002"]
+            assert "suppressions" not in results[0]
+        else:
+            assert "RL002" in out and "1 finding(s)" in out
 
     def test_actually_clean_tree_exits_0(self, tmp_path, capsys):
         root = make_tree(tmp_path, {
@@ -848,17 +827,12 @@ class TestCli:
                     return x + 1.0
             """,
         })
-        assert run_lint_command(
-            [str(root)], baseline_path=str(tmp_path / "b.json")
-        ) == 0
+        assert run_lint_command([str(root)]) == 0
         capsys.readouterr()
 
     def test_json_output(self, tmp_path, capsys):
         root = self._bad_tree(tmp_path)
-        code = run_lint_command(
-            [str(root)], output_format="json",
-            baseline_path=str(tmp_path / "b.json"),
-        )
+        code = run_lint_command([str(root)], output_format="json")
         assert code == 1
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"][0]["rule"] == "RL002"
@@ -873,12 +847,50 @@ class TestCli:
         assert run_lint_command([str(root)], rules="RL042") == 2
         assert "unknown rule" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given, content", [
+        ("given.json", None),
+        ("given.json", "{not json"),
+        ("given.json", json.dumps({"lint_contracts_version": 99})),
+        (None, "{not json"),
+    ], ids=["missing", "malformed", "foreign", "malformed-default"])
+    def test_contracts_that_do_not_load_exit_2(
+        self, tmp_path, monkeypatch, capsys, given, content
+    ):
+        # A contract file that is named, or a default one that is
+        # present, must load: RL006 never switches itself off silently.
+        root = self._bad_tree(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        name = given or "lint-contracts.json"
+        if content is not None:
+            Path(name).write_text(content)
+        assert run_lint_command([str(root)], contracts_path=given) == 2
+        captured = capsys.readouterr()
+        assert name in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("rules, notes", [(None, 1), ("RL002", 0)])
+    def test_missing_default_contracts_noted_when_rl006_runs(
+        self, tmp_path, monkeypatch, capsys, rules, notes
+    ):
+        root = self._bad_tree(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert run_lint_command(
+            [str(root)], output_format="json", rules=rules
+        ) == 1
+        captured = capsys.readouterr()
+        lines = [
+            line for line in captured.err.splitlines()
+            if "contract file" in line
+        ]
+        assert len(lines) == notes
+        if notes:
+            looked_for = str((tmp_path / "lint-contracts.json").resolve())
+            assert looked_for in lines[0] and "RL006" in lines[0]
+        json.loads(captured.out)  # stdout stays pure JSON
+
     def test_rule_subset(self, tmp_path, capsys):
         root = self._bad_tree(tmp_path)
-        assert run_lint_command(
-            [str(root)], rules="RL001,RL003",
-            baseline_path=str(tmp_path / "b.json"),
-        ) == 0
+        assert run_lint_command([str(root)], rules="RL001,RL003") == 0
         capsys.readouterr()
 
     def test_repro_mc_dispatch(self, tmp_path, capsys):
@@ -886,11 +898,23 @@ class TestCli:
         from repro.cli import main
 
         root = self._bad_tree(tmp_path)
-        code = main([
-            "lint", str(root), "--baseline", str(tmp_path / "b.json"),
-        ])
-        assert code == 1
+        assert main(["lint", str(root)]) == 1
         assert "RL002" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--baseline", "b.json"], ["--write-baseline"],
+    ], ids=["baseline", "write-baseline"])
+    def test_baseline_flags_are_usage_errors(
+        self, tmp_path, monkeypatch, capsys, flags
+    ):
+        from repro.cli import main
+
+        root = self._bad_tree(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as raised:
+            main(["lint", str(root), *flags])
+        assert raised.value.code == 2
+        assert flags[0] in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -900,18 +924,12 @@ class TestCli:
 
 class TestSelfCheck:
     def test_src_lints_clean_against_committed_baseline(self, capsys):
+        """``src/`` has no finding at all: nothing is grandfathered."""
         code = run_lint_command(
             [str(REPO_ROOT / "src")],
             output_format="json",
-            baseline_path=str(REPO_ROOT / "lint-baseline.json"),
             contracts_path=str(REPO_ROOT / "lint-contracts.json"),
         )
         payload = json.loads(capsys.readouterr().out)
         assert code == 0, payload["findings"]
         assert payload["findings"] == []
-
-    def test_committed_baseline_is_empty(self):
-        # Acceptance criterion: the tree is clean outright, not merely
-        # grandfathered — every justified exception is an inline
-        # suppression with a comment, not a baseline entry.
-        assert len(load_baseline(REPO_ROOT / "lint-baseline.json")) == 0

@@ -19,9 +19,9 @@ import shutil
 import textwrap
 from pathlib import Path
 
-from repro.lint import lint_paths, render_sarif
+from repro.lint import lint_project, render_sarif
 from repro.lint.cli import run_lint_command
-from repro.lint.contracts import compute_contracts
+from repro.lint.contracts import compute_contracts, load_contracts
 from repro.lint.engine import Finding
 from repro.lint.model import ModuleInfo, build_model, module_name
 
@@ -38,7 +38,8 @@ def make_tree(tmp_path: Path, files: dict) -> Path:
 
 
 def run(root: Path, rules=None, *, contracts_path=None):
-    return lint_paths([root], rules=rules, contracts_path=contracts_path)
+    contracts = load_contracts(contracts_path) if contracts_path else None
+    return lint_project([root], rules=rules, contracts=contracts).findings
 
 
 def codes(findings):
@@ -206,9 +207,9 @@ class TestRL006RealTree:
 
     def _lint_surfaces(self, src: Path):
         targets = [src / rel for rel in self.SURFACE_FILES]
-        return lint_paths(
-            targets, rules=["RL006"], contracts_path=CONTRACTS_FILE
-        )
+        return lint_project(
+            targets, rules=["RL006"], contracts=load_contracts(CONTRACTS_FILE)
+        ).findings
 
     def test_pristine_copy_is_clean(self, tmp_path):
         src = self._copy_src(tmp_path)
@@ -283,18 +284,19 @@ class TestContractFileFreshness:
 
 
 class TestSarif:
-    FRESH = Finding(
+    RL002_FINDING = Finding(
         rule="RL002", path="src/repro/analysis/x.py", line=3, col=8,
         message="float-valued comparison",
     )
-    OLD = Finding(
+    RL003_FINDING = Finding(
         rule="RL003", path="src/repro/pipeline/y.py", line=7, col=0,
         message="wall clock in deterministic scope",
     )
 
     def _document(self):
-        return json.loads(render_sarif([self.FRESH], [self.OLD],
-                                       checked_files=2))
+        return json.loads(render_sarif(
+            [self.RL002_FINDING, self.RL003_FINDING], checked_files=2
+        ))
 
     def test_version_and_schema(self):
         doc = self._document()
@@ -323,13 +325,10 @@ class TestSarif:
         assert region["startLine"] == 3
         assert region["startColumn"] == 9  # engine col 8 is SARIF col 9
 
-    def test_baselined_findings_are_suppressed_not_dropped(self):
+    def test_every_finding_is_an_unsuppressed_result(self):
         results = self._document()["runs"][0]["results"]
-        assert len(results) == 2
-        fresh = [r for r in results if "suppressions" not in r]
-        suppressed = [r for r in results if "suppressions" in r]
-        assert len(fresh) == 1 and len(suppressed) == 1
-        assert suppressed[0]["suppressions"][0]["kind"] == "external"
+        assert [r["ruleId"] for r in results] == ["RL002", "RL003"]
+        assert not any("suppressions" in r for r in results)
 
     def test_cli_sarif_output_parses(self, tmp_path, capsys):
         root = make_tree(tmp_path, {
@@ -338,10 +337,7 @@ class TestSarif:
                     return x == 0.0
             """,
         })
-        code = run_lint_command(
-            [str(root)], output_format="sarif",
-            baseline_path=str(tmp_path / "b.json"),
-        )
+        code = run_lint_command([str(root)], output_format="sarif")
         assert code == 1
         doc = json.loads(capsys.readouterr().out)
         assert doc["version"] == "2.1.0"

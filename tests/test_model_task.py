@@ -192,10 +192,9 @@ _NAN = (
 )
 
 #: (id, base task, overrides, exact message), one row per check of
-#: ``MCTask.__post_init__`` in the order it runs them.  The HI-only
-#: "needs finite D(HI)" check has no row: D(HI) = inf needs T(HI) = inf
-#: (D(HI) <= T(HI)), which needs T(LO) = inf (T(HI) == T(LO)), and an
-#: infinite T(LO) fails "must be finite" first.
+#: ``MCTask.__post_init__`` in the order it runs them.  A HI task has no
+#: check of its own for an infinite D(HI): the three ``hi-d_hi-inf``
+#: rows pin the earlier checks that reject it.
 MESSAGE_TABLE = [
     ("name-not-str", _HI, dict(name=7), "task name must be a non-empty string, got 7"),
     ("name-empty", _HI, dict(name=""), "task name must be a non-empty string, got ''"),
@@ -231,6 +230,12 @@ MESSAGE_TABLE = [
     ("c_lo-over-d_lo", _LO, dict(c_lo=3.5, c_hi=3.5), "t: C(LO) <= D(LO) required"),
     ("hi-periods-differ", _HI, dict(t_hi=5.0), "t: HI task needs T(HI) == T(LO)"),
     ("hi-d_lo-over-d_hi", _HI, dict(d_lo=4.0, d_hi=3.5), "t: HI task needs D(LO) <= D(HI)"),
+    ("hi-d_hi-inf", _HI, dict(d_hi=math.inf), "t: D(HI) <= T(HI) required"),
+    ("hi-d_hi-inf-t_hi-inf", _HI, dict(d_hi=math.inf, t_hi=math.inf), "t: HI task needs T(HI) == T(LO)"),
+    (
+        "hi-d_hi-inf-periods-inf", _HI, dict(d_hi=math.inf, t_hi=math.inf, t_lo=math.inf),
+        "t: T(LO) must be finite",
+    ),
     ("hi-c_hi-below-c_lo", _HI, dict(c_lo=2.0, c_hi=1.5), "t: HI task needs C(HI) >= C(LO)"),
     ("hi-c_hi-over-d_hi", _HI, dict(c_hi=4.5), "t: C(HI) <= D(HI) required"),
     ("lo-t_hi-below-t_lo", _LO, dict(d_hi=3.0, t_hi=3.0), "t: LO task needs T(HI) >= T(LO)"),

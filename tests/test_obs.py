@@ -565,8 +565,8 @@ class TestCheckpointHygiene:
 # ---------------------------------------------------------------------------
 class TestObsLayering:
     def test_obs_package_passes_the_rl001_layering_rule(self):
-        from repro.lint import lint_paths
+        from repro.lint import lint_project
 
         obs_dir = Path(repro.obs.__file__).parent
-        findings = lint_paths([obs_dir], rules=["RL001"])
+        findings = lint_project([obs_dir], rules=["RL001"]).findings
         assert findings == []
