@@ -28,7 +28,6 @@ from repro.analysis.kernels import (
     CompiledTaskSet,
     Evaluator,
     Steps,
-    _period_span,
     drive,
     get_evaluator,
 )
@@ -39,7 +38,9 @@ if TYPE_CHECKING:  # type-only: repro.pipeline imports this module
     from repro.pipeline.request import AnalysisReport
 
 
-def _scan_horizon(deadline_periods, speed: float, rate: float, excess: float) -> float:
+def _bounded_horizon(
+    speed: float, rate: ArrayLike, excess: ArrayLike, max_d: ArrayLike, span: ArrayLike
+) -> Any:
     """Demand-test scan horizon for ``dbf <= rate*Delta + excess``.
 
     Normally ``excess / (speed - rate)``.  When the utilization sits at
@@ -47,23 +48,11 @@ def _scan_horizon(deadline_periods, speed: float, rate: float, excess: float) ->
     up to a linear term: ``dbf(Delta + P) = dbf(Delta) + rate * P`` for
     the period hyperperiod ``P``, so when ``rate == speed`` checking one
     hyperperiod (plus the largest deadline) is exact.  For non-integral
-    periods exact equality is measure-zero; a generous multiple of the
-    largest period is used as a practical cutoff.
+    periods exact equality is measure-zero, and ``span`` (the
+    hyperperiod, or a generous multiple of the largest period) is a
+    practical cutoff.  So the horizon is the envelope bound, capped at
+    ``span + max_d``.  Floats or arrays (one entry per set).
     """
-    return _bounded_horizon(
-        speed,
-        rate,
-        excess,
-        max(d for d, _ in deadline_periods),
-        _period_span([p for _, p in deadline_periods]),
-    )
-
-
-def _bounded_horizon(
-    speed: float, rate: ArrayLike, excess: ArrayLike, max_d: ArrayLike, span: ArrayLike
-) -> Any:
-    """:func:`_scan_horizon` from its parts: the envelope bound, capped at
-    ``span + max_d``.  Floats or arrays (one entry per set)."""
     denom = speed - rate
     steep = denom > _RTOL * max(1.0, speed)
     direct = _where(steep, excess / _where(steep, denom, 1.0), math.inf)

@@ -268,11 +268,13 @@ def analyze_many(
     ``core``, ``jobs`` is the most worker processes a call forks: one
     group runs in the calling process, G groups with 2 <= G <= ``jobs``
     fork G - 1 workers and evaluate the last group here, and more groups
-    than ``jobs`` fork ``jobs`` workers (unless ``retry`` sets a watchdog
-    timeout, which sends every group of a multi-item call to ``jobs``
-    workers).  A Figure-7 round of 72 sets at ``jobs=2`` thus forks one
-    worker.  A ``core`` keeps its pool of ``jobs`` workers warm and
-    sends every group of a multi-item call there.
+    than ``jobs`` fork ``jobs`` workers.  A Figure-7 round of 72 sets at
+    ``jobs=2`` thus forks one worker.  When ``retry`` sets a watchdog
+    timeout, a multi-item call forks min(G, ``jobs``) workers and sends
+    every group to them, so the watchdog covers each one.  A ``core``
+    keeps its pool of ``jobs`` workers warm and sends every group of a
+    multi-item call there.  The retry policy is the call's (or the
+    core's): a request carries none of its own.
     """
     requests = [
         item

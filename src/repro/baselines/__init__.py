@@ -1,7 +1,5 @@
 """Baseline schedulers/tests the paper's approach is compared against.
 
-* :mod:`repro.baselines.edf` — single-mode EDF feasibility tests: the
-  optimistic (all-LO) and pessimistic (all-HI) extremes.
 * :mod:`repro.baselines.edf_vd` — classic EDF-VD (Baruah et al.,
   ECRTS 2012): virtual deadlines plus LO-task termination, *no*
   speedup.  This is the ``s_min = 1`` comparison point of Figure 6a and
@@ -18,11 +16,6 @@
   multiprocessor region maps.
 """
 
-from repro.baselines.edf import (
-    edf_demand_schedulable,
-    edf_utilization_schedulable,
-    pessimistic_edf_schedulable,
-)
 from repro.baselines.edf_vd import (
     EdfVdResult,
     edf_vd_schedulable,
@@ -42,9 +35,6 @@ from repro.baselines.fluid import (
 from repro.baselines.amc import AmcResult, amc_schedulable, smc_schedulable
 
 __all__ = [
-    "edf_demand_schedulable",
-    "edf_utilization_schedulable",
-    "pessimistic_edf_schedulable",
     "EdfVdResult",
     "edf_vd_schedulable",
     "edf_vd_virtual_deadline_factor",

@@ -58,7 +58,6 @@ from repro.model.taskset import TaskSet
 from repro.model.transform import apply_uniform_scaling
 from repro.obs import trace
 from repro.pipeline.cache import request_fingerprint
-from repro.pipeline.fault_tolerance import RetryPolicy
 from repro.pipeline.payload import FailurePayload, ReportPayload
 
 #: Exceptions converted into per-item failure records instead of
@@ -163,13 +162,6 @@ class AnalysisRequest:
         ``"scalar"`` per-task oracle, see :mod:`repro.analysis.kernels`).
         Both produce byte-identical reports; the scalar engine exists as
         the reference the compiled path is property-tested against.
-    retry:
-        Optional per-item :class:`~repro.pipeline.fault_tolerance.
-        RetryPolicy` override (attempt budget, backoff, per-item
-        timeout) applied by :class:`~repro.pipeline.runner.BatchRunner`
-        instead of the runner-wide policy — e.g. a longer timeout for a
-        known-expensive set.  Infrastructure configuration, not analysis
-        content: like ``engine`` it is excluded from the request key.
     """
 
     taskset: TaskSet
@@ -189,7 +181,6 @@ class AnalysisRequest:
     degraded_y: Optional[float] = None
     max_candidates: Optional[int] = None
     engine: str = "compiled"
-    retry: Optional[RetryPolicy] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.taskset, TaskSet):
@@ -257,10 +248,6 @@ class AnalysisRequest:
                 "speedup_cap / degraded_y only apply to multiproc requests "
                 "(set cores)"
             )
-        if self.retry is not None and not isinstance(self.retry, RetryPolicy):
-            raise ModelError(
-                f"retry must be a RetryPolicy, got {type(self.retry).__name__}"
-            )
 
     @property
     def tunes_configuration(self) -> bool:
@@ -270,11 +257,9 @@ class AnalysisRequest:
     def options_payload(self) -> Dict[str, Any]:
         """The non-taskset fields as a JSON-ready dict (hashed into the key).
 
-        ``engine`` and ``retry`` are deliberately excluded: both engines
-        produce byte-identical reports and the retry policy only governs
-        how the infrastructure reacts to its own failures, so the cache
-        key addresses the analysis content, not the implementation (or
-        the weather) that computed it.
+        ``engine`` is deliberately excluded: both engines produce
+        byte-identical reports, so the cache key addresses the analysis
+        content, not the implementation that computed it.
         """
         payload: Dict[str, Any] = {
             "speedup": self.speedup,

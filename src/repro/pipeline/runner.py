@@ -5,7 +5,8 @@
 point.  It fans a population of
 :class:`~repro.pipeline.request.AnalysisRequest` items over a
 ``concurrent.futures.ProcessPoolExecutor`` (or runs them inline for
-``jobs=1``, for one item, and for one group of a run-scoped pool) with
+``jobs=1``, for one item, and for one group of an unsupervised
+run-scoped run) with
 
 * **grouping** — pending requests are cut into groups of at most
   :data:`GROUP_SIZE` whose boundaries depend only on the pending list,
@@ -15,8 +16,9 @@ point.  It fans a population of
   in a worker, and the pool ships one group per chunk;
 * **right-sized dispatch** — a kept pool has ``jobs`` warm workers and
   a caller that only dispatches; a run-scoped pool (``keep_pool=False``)
-  forks only the workers its run can use, and the calling process may
-  evaluate the last group (:meth:`BatchRunner._workers`);
+  forks only the workers its run can use, and the calling process of an
+  unsupervised run may evaluate the last group
+  (:meth:`BatchRunner._workers`);
 * **content-addressed caching** — results land in a
   :class:`~repro.pipeline.cache.ResultCache` under the request key, so
   re-running a sweep (or sharing task sets between sweeps) recomputes
@@ -29,8 +31,8 @@ point.  It fans a population of
 
   - a dead worker or broken pool rebuilds the pool and requeues
     in-flight items exactly once per break, with bounded, seeded
-    exponential backoff (:class:`~repro.pipeline.fault_tolerance.
-    RetryPolicy`, overridable per request);
+    exponential backoff (the run's one :class:`~repro.pipeline.
+    fault_tolerance.RetryPolicy`);
   - a hung worker is killed by a wall-clock watchdog
     (``retry.timeout`` seconds per item) and its chunk retried;
   - an item that keeps breaking the pool is escalated to *solitary*
@@ -282,8 +284,9 @@ class PersistentPool:
     * :meth:`close` shuts the pool down and releases its workers.
 
     An executor built with ``keep_pool=False`` gives each parallel run a
-    pool of its own, with as many workers as the run sends groups to, and
-    closes it when the run ends.
+    pool of its own, with as many workers as :meth:`BatchRunner._workers`
+    gives the run (never more than its groups), and closes it when the
+    run ends.
 
     The pool itself is not thread-safe; the work-queue core serialises
     runs over it (one executing submission at a time — parallelism comes
@@ -452,7 +455,6 @@ class _Tracked:
 
     key: str
     request: AnalysisRequest
-    policy: RetryPolicy
     attempts: List[AttemptRecord] = field(default_factory=list)
     counted: int = 0  # attempts charged toward quarantine
     suspect_breaks: int = 0  # pool breaks with this item in flight, culprit unknown
@@ -469,9 +471,6 @@ class _Tracked:
         )
         if counted:
             self.counted += 1
-
-    def exhausted(self) -> bool:
-        return self.counted >= self.policy.max_attempts
 
 
 @dataclass
@@ -500,7 +499,7 @@ class BatchRunner:
         Most worker processes; ``1`` (default) runs inline with no pool —
         every path produces identical reports.  A run of two or more
         items goes to a pool of ``jobs`` workers, unless ``keep_pool``
-        is off.
+        is off (see :meth:`_workers`).
     cache:
         Optional :class:`ResultCache`, or a directory path that opens one
         at construction; hits skip evaluation entirely.  Corrupt entries
@@ -517,10 +516,9 @@ class BatchRunner:
         folds in batch stats, cache totals, kernel perf deltas (summed
         across workers), per-worker chunk timings and fault counters.
     retry:
-        Executor-wide :class:`~repro.pipeline.fault_tolerance.RetryPolicy`
-        (attempt budget, backoff, per-item watchdog timeout) for
-        infrastructure failures; ``request.retry`` overrides it per
-        item.
+        The one :class:`~repro.pipeline.fault_tolerance.RetryPolicy`
+        (attempt budget, backoff, per-item watchdog timeout) every item
+        of every run is handled under after an infrastructure failure.
     quarantine:
         Optional JSONL path: items that exhaust their attempts are
         recorded there (with full attempt history) and settle as
@@ -849,7 +847,7 @@ class BatchRunner:
             settle(item.key, report.to_dict(), quarantined=True)
             commit()
 
-        workers = self._workers(work, len(groups))
+        workers = self._workers(len(work), len(groups))
         try:
             with GracefulShutdown(install=install_signal_handlers) as shutdown:
                 if not workers:
@@ -919,38 +917,30 @@ class BatchRunner:
         """The evaluation groups of the pending list (see ``chunk_size``)."""
         return _cut(items, self.chunk_size or GROUP_SIZE)
 
-    def _policy(self, request: AnalysisRequest) -> RetryPolicy:
-        """The item's retry policy: its own, else the executor's."""
-        return request.retry if request.retry is not None else self.retry
+    def _workers(self, items: int, groups: int) -> int:
+        """The pool workers a run of ``items`` pending requests in
+        ``groups`` groups uses; none means every group runs inline.
 
-    def _workers(
-        self, work: Sequence[Tuple[str, AnalysisRequest]], groups: int
-    ) -> int:
-        """The pool workers a run uses; with fewer than ``jobs``, the
-        calling process evaluates the last of its ``groups``.
-
-        No workers means every group runs inline.  A kept pool has
-        ``jobs`` workers, whose forks later runs share.  A run-scoped
-        pool pays its forks in this run, and a freshly forked worker is
-        the dearest place to evaluate a small group (DESIGN.md §8,
-        "Where a group runs"), so a run with 2 <= G <= ``jobs`` groups
-        forks G - 1 and evaluates the last group itself.  With more
-        groups than ``jobs`` the caller only dispatches: a group it held
-        would leave a freed worker idle.  An armed injection spec or a
-        watchdog timeout keeps every group of a multi-item run in a pool
-        of ``jobs`` workers, where the chaos families and the watchdog
-        cover it.
+        A kept pool has ``jobs`` workers, whose forks later runs share,
+        and its caller only dispatches.  A run-scoped pool pays its forks
+        in this run, so it never forks more workers than the run has
+        groups.  A supervised run (an armed injection spec, or a watchdog
+        ``retry.timeout``) sends every group to a worker, where the chaos
+        families and the watchdog cover it.  An unsupervised one forks
+        one worker fewer when its 2 <= G <= ``jobs`` groups would all
+        fit: a freshly forked worker is the dearest place to evaluate a
+        small group (DESIGN.md §8, "Where a group runs"), so the calling
+        process evaluates the last group itself.  With more groups than
+        ``jobs`` the caller only dispatches: a group it held would leave
+        a freed worker idle.
         """
-        if self.jobs == 1 or len(work) <= 1:
+        if self.jobs == 1 or items <= 1:
             return 0
-        if (
-            self.keep_pool
-            or groups > self.jobs
-            or self.injection is not None
-            or any(self._policy(request).timeout is not None for _, request in work)
-        ):
+        if self.keep_pool:
             return self.jobs
-        return groups - 1
+        if self.injection is not None or self.retry.timeout is not None:
+            return min(groups, self.jobs)
+        return min(groups - 1, self.jobs)
 
     @staticmethod
     def _aborted(
@@ -961,16 +951,6 @@ class BatchRunner:
     # ------------------------------------------------------------------
     # Supervised pool execution
     # ------------------------------------------------------------------
-    def _chunk_deadline(self, chunk: List[_Tracked], now: float) -> Optional[float]:
-        """Watchdog deadline for a chunk, or None when any item opts out."""
-        total = 0.0
-        for item in chunk:
-            timeout = item.policy.timeout
-            if timeout is None:
-                return None
-            total += timeout
-        return now + total + _TIMEOUT_GRACE
-
     def _run_parallel(
         self,
         pool: PersistentPool,
@@ -984,17 +964,16 @@ class BatchRunner:
     ) -> None:
         """Run ``work`` over ``pool``'s workers, supervised.
 
-        A pool of fewer than ``jobs`` workers leaves the calling process
-        the last group, which ``evaluate_here`` runs once the others are
-        submitted; only that first attempt runs here, and an item it
-        fails on goes back to the pool isolated.
+        A pool with fewer workers than the run's G <= ``jobs`` groups
+        leaves the calling process the last group, which ``evaluate_here``
+        runs once the others are submitted; only that first attempt runs
+        here, and an item it fails on goes back to the pool isolated.
         """
-        tracked = [
-            _Tracked(key=key, request=request, policy=self._policy(request))
-            for key, request in work
-        ]
-        ready: Deque[List[_Tracked]] = deque(self._groups(tracked))
-        held = ready.pop() if pool.jobs < self.jobs else None
+        policy = self.retry
+        ready: Deque[List[_Tracked]] = deque(
+            self._groups([_Tracked(key=key, request=request) for key, request in work])
+        )
+        held = ready.pop() if pool.jobs < len(ready) <= self.jobs else None
         delayed: List[Tuple[float, List[_Tracked]]] = []
         solitary: Deque[_Tracked] = deque()
         in_flight: Dict["Future[Tuple[List[Tuple[int, ReportPayload]], WorkerMeta]]", _Flight] = {}
@@ -1004,7 +983,7 @@ class BatchRunner:
 
         def requeue(item: _Tracked, delay: float) -> None:
             """Route one item back into the right queue (or quarantine)."""
-            if item.exhausted():
+            if item.counted >= policy.max_attempts:
                 quarantine_item(item)
                 return
             item.solitary = item.solitary or item.suspect_breaks >= _SUSPECT_THRESHOLD
@@ -1067,7 +1046,11 @@ class BatchRunner:
             now = time.perf_counter()
             in_flight[future] = _Flight(
                 chunk=chunk,
-                deadline=self._chunk_deadline(chunk, now),
+                deadline=(
+                    None
+                    if policy.timeout is None
+                    else now + policy.timeout * len(chunk) + _TIMEOUT_GRACE
+                ),
                 solitary=is_solitary,
             )
             return True
@@ -1086,7 +1069,7 @@ class BatchRunner:
             stage = "worker" if flight.solitary else "compute"
             item.record(stage, error, counted=True)
             self.faults.retries += 1
-            requeue(item, item.policy.delay(item.key, item.counted))
+            requeue(item, policy.delay(item.key, item.counted))
 
         while ready or delayed or solitary or in_flight or held:
             if shutdown.requested:
@@ -1165,9 +1148,7 @@ class BatchRunner:
                         if flight.solitary:
                             # Ran alone: the conviction is definitive.
                             self.faults.retries += 1
-                            requeue(
-                                item, item.policy.delay(item.key, item.counted)
-                            )
+                            requeue(item, policy.delay(item.key, item.counted))
                         else:
                             item.suspect_breaks += 1
                             requeue(item, 0.0)
@@ -1195,22 +1176,16 @@ class BatchRunner:
                     for item in flight.chunk:
                         item.record(
                             "timeout",
-                            TimeoutError(
-                                f"exceeded {item.policy.timeout}s/item watchdog"
-                            ),
+                            TimeoutError(f"exceeded {policy.timeout}s/item watchdog"),
                             counted=True,
                         )
                         self.faults.retries += 1
-                        requeue(item, item.policy.delay(item.key, item.counted))
+                        requeue(item, policy.delay(item.key, item.counted))
                 break_pool(culprit_known=True)
 
 
 def map_items(
-    fn: Callable[[ItemT], ResultT],
-    items: Iterable[ItemT],
-    *,
-    jobs: int,
-    progress: Optional[ProgressCallback] = None,
+    fn: Callable[[ItemT], ResultT], items: Iterable[ItemT], *, jobs: int
 ) -> List[ResultT]:
     """Map a picklable top-level function over items, in order.
 
@@ -1224,14 +1199,10 @@ def map_items(
     survives a dead worker like the batch path does.
     """
     items = list(items)
+    if jobs == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
     policy = RetryPolicy()
     results: List[ResultT] = []
-    if jobs == 1 or len(items) <= 1:
-        for i, item in enumerate(items):
-            results.append(fn(item))
-            if progress is not None:
-                progress(i + 1, len(items))
-        return results
     size = max(1, min(32, math.ceil(len(items) / (jobs * 4))))
     breaks = 0
     while len(results) < len(items):
@@ -1239,9 +1210,7 @@ def map_items(
         try:
             with ProcessPoolExecutor(max_workers=jobs) as executor:
                 for result in executor.map(fn, remaining, chunksize=size):
-                    results.append(result)
-                    if progress is not None:
-                        progress(len(results), len(items))
+                    results.append(result)  # kept if a later item breaks the pool
         except BrokenProcessPool as error:
             breaks += 1
             if breaks >= policy.max_attempts:

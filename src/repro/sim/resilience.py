@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -466,7 +466,6 @@ def run_suite(
     intensities: Optional[Sequence[float]] = None,
     find_restoring: Optional[bool] = None,
     seed: int = 0,
-    progress: Optional[Callable[[str], None]] = None,
     jobs: int = 1,
 ) -> List[ResilienceVerdict]:
     """Sweep every standard workload through every scenario.
@@ -477,19 +476,18 @@ def run_suite(
     minimum-restoring-speedup search for broken scenarios.
 
     ``jobs`` fans the (workload, scenario) runs over worker processes
-    through the batch pipeline; each run is seeded and independent, so
-    the verdict list is identical to the serial sweep.
+    through :func:`~repro.pipeline.runner.map_items`; each run is seeded
+    and independent, so the verdict list is identical to the serial
+    sweep.
     """
     if intensities is None:
         intensities = (0.0, 1.0) if quick else (0.0, 0.5, 1.0)
     if find_restoring is None:
         find_restoring = not quick
-    labels: List[str] = []
     items: List[tuple] = []
     for wl_name, taskset in standard_workloads(quick=quick).items():
         for intensity in intensities:
             for scenario in scenario_suite(taskset, intensity, seed=seed):
-                labels.append(f"{wl_name} / {scenario.name} @ {intensity:g}")
                 items.append(
                     (
                         taskset,
@@ -501,7 +499,6 @@ def run_suite(
 
     ladder_ts = table1_taskset()
     for scenario in ladder_scenarios():
-        labels.append(f"ladder / {scenario.name}")
         items.append(
             (
                 ladder_ts,
@@ -509,18 +506,7 @@ def run_suite(
                 dict(workload_name="table1-ladder", speedup=2.0, horizon=400.0),
             )
         )
-    if jobs == 1:
-        verdicts = []
-        for label, item in zip(labels, items):
-            if progress is not None:
-                progress(label)
-            verdicts.append(_run_scenario_item(item))
-        return verdicts
-    reporter = None
-    if progress is not None:
-        def reporter(done: int, total: int) -> None:
-            progress(f"{labels[done - 1]} [{done}/{total}]")
-    return map_items(_run_scenario_item, items, jobs=jobs, progress=reporter)
+    return map_items(_run_scenario_item, items, jobs=jobs)
 
 
 def render(verdicts: Sequence[ResilienceVerdict]) -> str:

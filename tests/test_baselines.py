@@ -1,20 +1,14 @@
-"""Unit tests for the baseline schedulers (plain EDF, EDF-VD)."""
+"""Unit tests for the EDF-VD baseline."""
 
 import pytest
 
-from repro.baselines.edf import (
-    edf_demand_schedulable,
-    edf_utilization_schedulable,
-    pessimistic_edf_schedulable,
-)
 from repro.baselines.edf_vd import (
     edf_vd_schedulable,
     edf_vd_speedup_bound,
     edf_vd_virtual_deadline_factor,
 )
-from repro.model.task import Criticality, MCTask
+from repro.model.task import MCTask
 from repro.model.taskset import TaskSet
-from repro.model.transform import terminate_lo_tasks
 
 
 @pytest.fixture
@@ -26,54 +20,6 @@ def implicit_mc():
             MCTask.lo("l", c=6, d_lo=20, t_lo=20),
         ]
     )
-
-
-class TestPlainEdf:
-    def test_utilization_test(self, implicit_mc):
-        assert edf_utilization_schedulable(implicit_mc, Criticality.LO)
-        assert edf_utilization_schedulable(implicit_mc, Criticality.HI)
-
-    def test_utilization_requires_implicit(self):
-        ts = TaskSet([MCTask.lo("l", c=1, d_lo=3, t_lo=6)])
-        with pytest.raises(ValueError):
-            edf_utilization_schedulable(ts, Criticality.LO)
-
-    def test_demand_test_lo(self, implicit_mc):
-        assert edf_demand_schedulable(implicit_mc, Criticality.LO)
-
-    def test_demand_test_infeasible(self):
-        ts = TaskSet(
-            [
-                MCTask.lo("a", c=3, d_lo=4, t_lo=4),
-                MCTask.lo("b", c=2, d_lo=4, t_lo=4),
-            ]
-        )
-        assert not edf_demand_schedulable(ts, Criticality.LO)
-
-    def test_demand_test_hi_skips_terminated(self, implicit_mc):
-        heavy = implicit_mc.extended(
-            [MCTask.lo("x", c=19, d_lo=20, t_lo=20)]
-        )
-        terminated = terminate_lo_tasks(heavy)
-        assert edf_demand_schedulable(terminated, Criticality.HI)
-
-    def test_pessimistic_baseline(self, implicit_mc):
-        # All at C(HI) with LO deadlines: 0.6 + 0.3 = 0.9 utilization.
-        assert pessimistic_edf_schedulable(implicit_mc)
-
-    def test_pessimistic_baseline_overload(self):
-        ts = TaskSet(
-            [
-                MCTask.hi("h", c_lo=3, c_hi=9, d_lo=10, d_hi=10, period=10),
-                MCTask.lo("l", c=6, d_lo=20, t_lo=20),
-            ]
-        )
-        # 0.9 + 0.3 = 1.2 > 1.
-        assert not pessimistic_edf_schedulable(ts)
-
-    def test_empty(self):
-        assert edf_demand_schedulable(TaskSet([]), Criticality.LO)
-        assert pessimistic_edf_schedulable(TaskSet([]))
 
 
 class TestEdfVd:

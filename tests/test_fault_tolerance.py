@@ -97,15 +97,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(backoff_factor=0.5)
 
-    def test_request_accepts_and_excludes_retry_from_key(self, population):
-        base = population[0]
-        with_retry = AnalysisRequest(
-            taskset=base.taskset,
-            speedup=2.0,
-            retry=RetryPolicy(max_attempts=7, timeout=9.0),
-        )
-        assert with_retry.key == base.key  # retry is not part of the verdict
-
 
 class TestDurableLines:
     def test_round_trip(self):

@@ -743,7 +743,8 @@ class TestDispatch:
     A run-scoped pool (``keep_pool=False``) forks only the workers its run
     can use: one group runs inline, 2 <= G <= jobs groups fork G - 1
     workers and evaluate the last group in the caller, and more groups
-    than jobs keep a dispatching caller."""
+    than jobs keep a dispatching caller.  A supervised run-scoped run
+    forks min(G, jobs) workers and keeps a dispatching caller."""
 
     @staticmethod
     def _run(requests, *, jobs, checkpoint=None, keep_pool=False, **core_options):
@@ -891,33 +892,54 @@ class TestDispatch:
         assert not {"inline", "caller"} & set(snapshot["timing"]["workers"])
         assert sum(w["chunks"] for w in self._pids(snapshot).values()) == 3
 
-    @pytest.mark.parametrize("armed", ["injection", "timeout", "request_timeout"])
-    def test_supervised_runs_keep_a_full_dispatching_pool(
-        self, tmp_path, population_requests, armed
-    ):
+    @staticmethod
+    def _supervision(tmp_path, armed):
         from repro.pipeline.fault_tolerance import InjectionSpec, RetryPolicy
 
-        requests = population_requests[:8]
-        options = {}
         if armed == "injection":
-            options["injection"] = InjectionSpec(armed_dir=str(tmp_path))
-        elif armed == "timeout":
-            options["retry"] = RetryPolicy(timeout=60.0)
-        else:
-            policy = RetryPolicy(timeout=60.0)
-            requests = [
-                AnalysisRequest(
-                    taskset=request.taskset, speedup=request.speedup, retry=policy
-                )
-                for request in requests
-            ]
-        for chunk_size, chunks in ((None, 1), (4, 2)):
-            core, _, snapshot = self._run(
-                requests, jobs=3, chunk_size=chunk_size, **options
-            )
-            assert core.runner.pool.jobs == 3
-            assert not {"inline", "caller"} & set(snapshot["timing"]["workers"])
-            assert sum(w["chunks"] for w in self._pids(snapshot).values()) == chunks
+            return {"injection": InjectionSpec(armed_dir=str(tmp_path))}
+        return {"retry": RetryPolicy(timeout=60.0)}
+
+    @pytest.mark.parametrize("armed", ["injection", "timeout"])
+    @pytest.mark.parametrize("chunk_size, groups", [(8, 1), (4, 2), (2, 4)])
+    def test_supervised_runs_fork_a_worker_per_group_up_to_jobs(
+        self, tmp_path, population_requests, armed, chunk_size, groups
+    ):
+        """Every group of a supervised run-scoped run goes to a worker,
+        where the watchdog and the chaos seam cover it, and the pool has
+        no more workers than the run has groups."""
+        requests = population_requests[:8]
+        options = self._supervision(tmp_path, armed)
+        ck = {jobs: tmp_path / f"j{jobs}.jsonl" for jobs in (1, 3)}
+        # The pooled run goes first: an inline run attaches compiled
+        # snapshots to the sets, which would spare the workers compiles.
+        core, parallel, snapshot = self._run(
+            requests, jobs=3, checkpoint=ck[3], chunk_size=chunk_size, **options
+        )
+        _, serial, serial_snap = self._run(
+            requests, jobs=1, checkpoint=ck[1], chunk_size=chunk_size, **options
+        )
+        assert (core.runner.pool.created, core.runner.pool.jobs) == (1, min(groups, 3))
+        assert not {"inline", "caller"} & set(snapshot["timing"]["workers"])
+        assert sum(w["chunks"] for w in self._pids(snapshot).values()) == groups
+        assert parallel == serial
+        assert ck[3].read_bytes() == ck[1].read_bytes()
+        assert snapshot["counters"] == serial_snap["counters"]
+
+    @pytest.mark.parametrize("armed", ["injection", "timeout"])
+    def test_a_supervised_kept_pool_has_jobs_workers_and_no_caller(
+        self, tmp_path, population_requests, armed
+    ):
+        core, _, snapshot = self._run(
+            population_requests[:8],
+            jobs=3,
+            chunk_size=4,
+            keep_pool=True,
+            **self._supervision(tmp_path, armed),
+        )
+        assert core.runner.pool.jobs == 3
+        assert not {"inline", "caller"} & set(snapshot["timing"]["workers"])
+        assert sum(w["chunks"] for w in self._pids(snapshot).values()) == 2
 
 
 class TestDigestOnce:
